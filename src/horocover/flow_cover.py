@@ -32,7 +32,7 @@ from .hyperbolic import (
     orbit_point,
     word_ball,
 )
-from .projection_data import WindowRequiredError, sup_projection
+from .projection_data import cusp_projections, sup_projection
 from .surd import INFINITY, Surd, boundary
 
 
@@ -70,20 +70,23 @@ class ThickParams:
 @dataclass
 class ThickCertificate:
     """All penetrations of the ray [g x0, xi) are at most log(Theta/2):
-    every projection distance onto a horoball is certified <= upper."""
+    every projection distance onto a horoball is at most `sup`, the exact
+    supremum, which lies below Theta."""
 
     g: GroupElement
     xi: object
-    upper: Fraction
-    window_qmax: int
+    sup: Surd
 
 
-def classify(g: GroupElement, xi, Theta: Fraction, qmax: int = 4000):
+def classify(g: GroupElement, xi, Theta: Fraction):
     """Thick/thin dichotomy for the ray from g x0 toward xi.
 
-    Returns a ThickCertificate, or a pair (Horoball, value) with certified
-    projection distance above Theta.  Computed in the base chart at
-    (e, g^{-1} xi), then translated back.
+    Returns a ThickCertificate, or a pair (Horoball, value) with projection
+    distance value > Theta.  Computed in the base chart at (e, g^{-1} xi),
+    then translated back.  Exact and always decided: at a quadratic surd
+    the supremum of the projection distances is an irrational element of
+    its field (see projection_data.sup_projection), so it never ties with
+    the rational Theta.
     """
     w = g.inverse().apply_boundary(boundary(xi))
     if w is INFINITY:
@@ -91,17 +94,15 @@ def classify(g: GroupElement, xi, Theta: Fraction, qmax: int = 4000):
     if w.is_rational:
         f = w.as_fraction()
         return Horoball(f.numerator, f.denominator).translate(g), INFINITE
-    sup = sup_projection(HOROBALL_INF, w, Theta / 2, qmax)
-    if sup.above(Theta):
-        val = sup.attained
-        return sup.witness.translate(g), val
+    sup = sup_projection(HOROBALL_INF, w)
     if sup.below(Theta):
-        upper = sup.upper
-        if sup.attained is not None:
-            hi = sup.attained.interval(40)[1]
-            upper = max(upper, hi) if upper is not None else hi
-        return ThickCertificate(g, boundary(xi), upper, qmax)
-    raise WindowRequiredError("classification undecided at this window")
+        return ThickCertificate(g, boundary(xi), sup.value)
+    if sup.witness is None:
+        # a class limit above Theta: its convergents pass Theta infinitely
+        # often, so the first convergent above Theta is a witness
+        Y, d = next((Y, d) for Y, d in cusp_projections(w) if d > Theta)
+        return Y.translate(g), d
+    return sup.witness.translate(g), sup.value
 
 
 # -- the coarse flow space --------------------------------------------------
@@ -599,16 +600,8 @@ def verify_thick_theorem(S, params: ThickParams, generators_radius: int,
                          tau_max: Fraction = Fraction(16)) -> dict:
     """Build the sample, the long thin cover, choose tau, pull back, and
     check order and S-longness on the thick pairs."""
-    thick_xis = []
-    undecided = 0
-    for xi in xi_set:
-        try:
-            res = classify(IDENTITY, xi, params.Theta)
-        except WindowRequiredError:
-            undecided += 1
-            continue
-        if isinstance(res, ThickCertificate):
-            thick_xis.append(boundary(xi))
+    thick_xis = [boundary(xi) for xi in xi_set if isinstance(
+        classify(IDENTITY, xi, params.Theta), ThickCertificate)]
     sample = sample_coarse_flow(params, generators_radius, thick_xis)
     cover = build_long_thin_cover(sample, params.beta)
     pairs = [(g, xi) for g in word_ball(max(1, generators_radius - 2))
@@ -647,7 +640,7 @@ def verify_thick_theorem(S, params: ThickParams, generators_radius: int,
         "longness_ok": cover.longness_ok,
         "tau": tau_rep,
         "fsubset_failures": fsub,
-        "undecided_xi": undecided,
+        "undecided_xi": 0,  # classify always decides
         "closure_approximate": sample.closure_approximate,
     }
     if pinned_order is not None:

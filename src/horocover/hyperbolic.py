@@ -131,7 +131,9 @@ class Horoball:
         return Surd(self.p, 0, 0, self.q)
 
     def translate(self, g: GroupElement) -> "Horoball":
-        return Horoball.at(g.apply_boundary(self.tangency))
+        # p/q moves to (a p + b q) / (c p + d q), still in lowest terms
+        return Horoball(g.a * self.p + g.b * self.q,
+                        g.c * self.p + g.d * self.q)
 
     def __eq__(self, other):
         if not isinstance(other, Horoball):

@@ -2,24 +2,28 @@
 
 The generic interface is ProjectionFamily; the one shipped instance is the
 Farey family of Ford horoballs for SL2(Z) with Delta(Y) = the whole boundary
-circle.  Large projections are enumerated exactly for rational data by
-solving |q*u - p| * |q*v - p| < |u - v| / theta over integer points, and in a
-certified window (with an explicit tail bound) for quadratic surds.
+circle.  Large projections are enumerated exactly, always at the cusp: one
+endpoint is moved to infinity, where a rational other endpoint a/b leaves
+the integer inequality q * |q*a - p*b| < b / theta, and a quadratic surd
+leaves its convergents (Legendre, for theta >= 2), whose values and
+supremum are exact in Q(sqrt(D)) by the continued-fraction kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .certified import INFINITE, CertifiedReal, Undecided, surd_interval
+from .certified import INFINITE
 from .hyperbolic import (
     HOROBALL_INF,
     GroupElement,
     Horoball,
+    normalizer,
     proj_dist_frac,
     projection_distance,
 )
@@ -27,7 +31,8 @@ from .surd import INFINITY, PHI, SQRT2, Surd, boundary
 
 
 class WindowRequiredError(ValueError):
-    """Enumeration over an irrational endpoint needs an explicit window."""
+    """No finite exact answer: large projections accumulate, or a selection
+    audit failed."""
 
 
 class ProjectionFamily:
@@ -84,38 +89,44 @@ def _tangency_frac(x):
     return x  # a genuine surd
 
 
-def enumerate_large_projections(u, v, theta: Fraction, window=None):
-    """All Y with d^pi_Y(u, v) > theta, as (Horoball, value) pairs.
+def enumerate_large_projections(u, v, theta: Fraction):
+    """All Y with d^pi_Y(u, v) > theta, as (Horoball, value) pairs sorted
+    by (q, p).
 
     Horoballs whose tangency coincides with u or v are excluded (there the
     distance is infinite by convention and the horoball is not a valid
-    index against itself).  Exact for rational endpoints.  For surd
-    endpoints a window (denominator bound Q) is required; the result then
-    carries a tail-bound certificate when one is available, raised as part
-    of the returned metadata by enumerate_large_projections_windowed.
+    index against itself).  Computed at the cusp: d^pi is SL2(Z)-invariant,
+    so a rational endpoint is moved to infinity by `normalizer`, the hits
+    against the image w of the other endpoint are enumerated there and
+    translated back.  Exact throughout: for rational w by integer
+    arithmetic, for a quadratic surd w by the continued-fraction kernel
+    (theta >= 2).  Two irrational endpoints have no kernel and raise
+    WindowRequiredError, as do surd hits that accumulate.
     """
     theta = Fraction(theta)
     if theta <= 0:
         raise ValueError("theta must be positive")
     u, v = _tangency_frac(u), _tangency_frac(v)
-    if isinstance(u, Surd) or isinstance(v, Surd):
-        if window is None:
-            raise WindowRequiredError(
-                "irrational endpoint: supply a denominator bound")
-        hits, _unc, _tail = enumerate_large_projections_windowed(
-            u, v, theta, window)
-        return hits
-    return _enumerate_rational(u, v, theta)
-
-
-def _enumerate_rational(u, v, theta: Fraction):
+    if isinstance(u, Surd):
+        u, v = v, u  # d^pi_Y is symmetric in its endpoints
+    if isinstance(u, Surd):
+        raise WindowRequiredError("two irrational endpoints")
     if u == v:
         return []
-    hits = []
-    if u is INFINITY or v is INFINITY:
-        w = v if u is INFINITY else u
-        return _enumerate_inf_rational(w, theta)
-    return _enumerate_two_rational(u, v, theta)
+    if u is INFINITY:
+        return _enumerate_at_infinity(v, theta)
+    m = normalizer(Horoball.at(u))
+    hits = _enumerate_at_infinity(_tangency_frac(m.apply_boundary(v)), theta)
+    back = m.inverse()
+    hits = [(Y.translate(back), d) for Y, d in hits]
+    hits.sort(key=lambda t: (t[0].q, t[0].p))
+    return hits
+
+
+def _enumerate_at_infinity(w, theta: Fraction):
+    if isinstance(w, Surd):
+        return enumerate_large_projections_windowed(w, theta)[0]
+    return _enumerate_inf_rational(w, theta)
 
 
 def _enumerate_inf_rational(w: Fraction, theta: Fraction):
@@ -169,47 +180,6 @@ def _enumerate_inf_rational(w: Fraction, theta: Fraction):
     return out
 
 
-def _enumerate_two_rational(u: Fraction, v: Fraction, theta: Fraction):
-    hits = []
-    a, b = u.numerator, u.denominator
-    c, e = v.numerator, v.denominator
-    D = a * e - c * b  # nonzero since u != v
-    absD = abs(D)
-    # condition: n1 * n2 * theta < |D| with n1 = |q*a - p*b|, n2 = |q*c - p*e|
-    seen = set()
-    n1 = 1
-    while n1 * theta < absD:
-        n2 = 1
-        while n1 * n2 * theta < absD:
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    qn = e * s1 * n1 - b * s2 * n2
-                    pn = c * s1 * n1 - a * s2 * n2
-                    if qn % D == 0 and pn % D == 0:
-                        q, p = qn // D, pn // D
-                        if (p, q) == (0, 0):
-                            continue
-                        if q < 0 or (q == 0 and p < 0):
-                            p, q = -p, -q
-                        if q == 0 and abs(p) != 1:
-                            continue
-                        if math.gcd(abs(p), q) != 1:
-                            continue
-                        Y = Horoball(p, q)
-                        if (Y.p, Y.q) in seen:
-                            continue
-                        d = proj_dist_frac(Y, u, v)
-                        if d is INFINITE:
-                            continue  # tangency equals u or v: excluded
-                        if d > theta:
-                            seen.add((Y.p, Y.q))
-                            hits.append((Y, d))
-            n2 += 1
-        n1 += 1
-    hits.sort(key=lambda t: (t[0].q, t[0].p))
-    return hits
-
-
 def brute_force_large_projections(u, v, theta: Fraction, qmax: int):
     """Oracle: scan every horoball with denominator <= qmax directly."""
     u, v = _tangency_frac(u), _tangency_frac(v)
@@ -245,183 +215,150 @@ def brute_force_large_projections(u, v, theta: Fraction, qmax: int):
     return hits
 
 
-def _surd_bounds(x, dps: int = 60) -> tuple[Fraction, Fraction]:
-    if isinstance(x, Fraction):
-        return x, x
-    return surd_interval(x, dps)
+# -- the continued-fraction kernel at the cusp for quadratic surds ---------
+#
+# For w irrational, d^pi_Y(oo, w) = 1 / (q^2 |w - p/q|) at Y = p/q, so a
+# value above 2 means |w - p/q| < 1/(2 q^2), and by Legendre's theorem p/q
+# is then a convergent p_n/q_n of w.  There the value is
+#     alpha_{n+1} + q_{n-1}/q_n,
+# alpha the complete quotients (Cusick-Flahive, The Markoff and Lagrange
+# Spectra, ch. 1).  Once the expansion is periodic, alpha_{n+1} depends on n
+# only through its residue class mod the period, and along a class
+# y_n = q_{n-1}/q_n iterates one Moebius map y -> 1/(a + y) per quotient.
+# Over an even number K of quotients that map is increasing, so along each
+# class mod K the values are monotone, tending to the limit
+#     alpha - alpha'  (alpha' the conjugate: y_n -> -alpha'),
+# which is irrational and so never equals a rational threshold.
 
 
-def _liouville_floor(x: Surd, delta: Fraction) -> Fraction:
-    """c with |x - p/q| >= c / q^2 for all p/q within delta of x (p/q != x)."""
-    A, B, C = x.min_poly()
-    if A == 0:
-        # rational a/b: |x - p/q| >= 1/(b*q); report as c/q^2 with c = q/b...
-        # handled separately by callers; return 0 sentinel
-        return Fraction(0)
-    # |x - p/q| = |A p^2 + B p q + C q^2| / (q^2 A |p/q - conj|)
-    #          >= 1 / (q^2 A (|x - conj| + delta))
-    gap = abs(Surd(0, 2 * abs(x.q), x.d, x.r))  # |x - conjugate|
-    _, gap_hi = _surd_bounds(gap)
-    return 1 / (A * (gap_hi + delta))
+def cusp_projections(w: Surd):
+    """(Horoball(p_n, q_n), d^pi_{p_n/q_n}(oo, w)) for n = 0, 1, 2, ...,
+    without end, for a quadratic surd w; every value is an exact Surd."""
+    return _convergent_values(*w.expansion())
 
 
-def enumerate_large_projections_windowed(u, v, theta: Fraction, qmax: int):
-    """Windowed enumeration for (possibly) irrational endpoints.
+def _convergent_values(terms, alphas, start):
+    period = len(terms) - start
+    p, p_prev, q, q_prev = 1, 0, 0, 1  # (p_{n-1}, p_{n-2}, q_{n-1}, q_{n-2})
+    n = 0
+    while True:
+        a = terms[_periodic(n, start, period)]
+        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+        alpha = alphas[_periodic(n + 1, start, period)]
+        yield Horoball(p, q), alpha + Fraction(q_prev, q)
+        n += 1
 
-    Returns (hits, uncertain, tail_bound) where tail_bound is a certified
-    upper bound for d^pi_Y(u, v) over all Y with denominator > qmax, or
-    None when no bound is available.
+
+def _periodic(i: int, start: int, period: int) -> int:
+    return i if i < start else start + (i - start) % period
+
+
+def _cusp_classes(w: Surd):
+    """(n0, K, head, limits, rest): from n0 on, the convergent values fall
+    into K monotone residue classes; head lists the first n0 + K (Horoball,
+    value) pairs, so it holds the first member of every class, limits lists
+    the class limits, one per residue class mod the period, and rest yields
+    the values after head."""
+    terms, alphas, start = w.expansion()
+    period = len(terms) - start
+    n0 = max(start - 1, 0)
+    K = period if period % 2 == 0 else 2 * period
+    rest = _convergent_values(terms, alphas, start)
+    head = list(itertools.islice(rest, n0 + K))
+    limits = [alpha - alpha.conjugate() for alpha in alphas[start:]]
+    return n0, K, head, limits, rest
+
+
+def _cusp_sup(head, limits) -> "SupResult":
+    """sup_Y d^pi_Y(oo, w): a monotone class peaks at its first member or
+    at its limit, so the maximum of head and limits is the supremum."""
+    value, witness = head[0][1], head[0][0]
+    for Y, d in head[1:]:
+        if d > value:
+            value, witness = d, Y
+    for limit in limits:
+        if limit > value:
+            value, witness = limit, None
+    return SupResult(value, witness)
+
+
+def enumerate_large_projections_windowed(w: Surd, theta: Fraction):
+    """The exact kernel at the cusp: every Y with d^pi_Y(oo, w) > theta,
+    for a quadratic surd w and theta >= 2.
+
+    Returns (hits, undecided, sup): hits are (Horoball(p_n, q_n), Surd
+    value) pairs in convergent order, which is (q, p) order; undecided, the
+    candidates left undecided, is always empty, as every comparison is
+    exact; sup is the exact SupResult of sup_projection.  Raises
+    WindowRequiredError("large projections accumulate") when a residue
+    class tends to a limit above theta, as infinitely many convergents
+    then exceed it, and ValueError for theta < 2, where hits need not be
+    convergents.
     """
     theta = Fraction(theta)
-    u, v = _tangency_frac(u), _tangency_frac(v)
-    su = u if isinstance(u, Surd) else (None if u is INFINITY else Surd.from_fraction(u))
-    sv = v if isinstance(v, Surd) else (None if v is INFINITY else Surd.from_fraction(v))
-    if u is not INFINITY and v is not INFINITY and su == sv:
-        return [], [], Fraction(0)
-    hits, uncertain = [], []
-    seen = set()
-    # certified numerator bound |u - v| (or the 1-replacement at infinity)
-    if u is INFINITY or v is INFINITY:
-        num_hi = Fraction(1)
-        num_lo = Fraction(1)
-    else:
-        lo_u, hi_u = _surd_bounds(su)
-        lo_v, hi_v = _surd_bounds(sv)
-        num_hi = max(abs(hi_u - lo_v), abs(hi_v - lo_u))
-        num_lo = max(Fraction(0), max(lo_u - hi_v, lo_v - hi_u))
-    C = num_hi / theta
-    margin = math.isqrt(math.ceil(C)) + 2
-    targets = [w for w in (su, sv) if w is not None]
-    for q in range(1, qmax + 1):
-        cands = set()
-        for w in targets:
-            lo_w, hi_w = _surd_bounds(w)
-            base = math.floor(lo_w * q)
-            top = math.ceil(hi_w * q)
-            for p in range(base - margin, top + margin + 1):
-                if math.gcd(abs(p), q) == 1:
-                    cands.add(p)
-        for p in cands:
-            if (p, q) in seen:
-                continue
-            seen.add((p, q))
-            Y = Horoball(p, q)
-            t = Y.tangency
-            if (su is not None and t == su) or (sv is not None and t == sv):
-                continue
-            d = projection_distance(Y, u if u is INFINITY else su,
-                                    v if v is INFINITY else sv)
-            if d is INFINITE:
-                continue
-            try:
-                cmp = d.compare(theta, max_dps=400)
-            except Undecided:
-                uncertain.append((Y, d))
-                continue
-            if cmp > 0:
-                hits.append((Y, d))
-    if u is INFINITY or v is INFINITY:
-        # d = 1/(q |q w - p|) <= 1/q <= 1/qmax ... only if |q w - p| >= 1;
-        # near w the Liouville bound gives |q w - p| >= c/q
-        w = sv if u is INFINITY else su
-        if w.is_rational:
-            tail = None  # exact enumeration handles rational data
-        else:
-            # d = 1/(q^2 |w - p/q|); with delta = 1/qmax either the
-            # approximation is delta-close (Liouville floor) or not
-            delta = Fraction(1, qmax)
-            cw = _liouville_floor(w, delta)
-            tail = max(1 / cw, delta) if cw > 0 else None
-    else:
-        if num_lo == 0:
-            tail = None
-        else:
-            delta = min(num_lo / 2, Fraction(1, qmax))
-            parts = [num_hi / (Fraction(qmax) ** 2 * delta * delta)]
-            ok = True
-            for w in (su, sv):
-                if w.is_rational:
-                    b = w.as_fraction().denominator
-                    parts.append(num_hi / ((num_lo - delta) / b * qmax))
-                else:
-                    cw = _liouville_floor(w, delta)
-                    if cw == 0:
-                        ok = False
-                        break
-                    parts.append(num_hi / (cw * (num_lo - delta)))
-            tail = max(parts) if ok else None
-    hits.sort(key=lambda t2: (t2[0].q, t2[0].p))
-    return hits, uncertain, tail
+    if theta < 2:
+        raise ValueError("the cusp kernel needs theta >= 2")
+    n0, K, head, limits, rest = _cusp_classes(w)
+    if any(limit > theta for limit in limits):
+        raise WindowRequiredError("large projections accumulate")
+    # a monotone class with its limit below theta stays at or below theta
+    # from its first member at or below theta on
+    hits, open_classes = [], set(range(K))
+    for n, (Y, d) in enumerate(itertools.chain(head, rest)):
+        if d > theta:
+            hits.append((Y, d))
+        elif n >= n0:
+            open_classes.discard((n - n0) % K)
+            if not open_classes:
+                break
+    return hits, [], _cusp_sup(head, limits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SupResult:
-    """Windowed supremum information for Y -> d^pi_Y(X, xi).
+    """The exact supremum of Y -> d^pi_Y(X, xi) over horoballs Y != X.
 
-    `attained` is the maximum over the window (INFINITE for rational xi,
-    None for an empty window), `witness` realizes it, and `upper` is a
-    certified upper bound for the supremum over ALL horoballs outside the
-    window (None when the sup is infinite or no certificate exists).  The
-    true supremum lies in [attained, max(attained, upper)] and can be a
-    non-attained limit, so thresholds must be decided via `above`/`below`.
+    `value` is INFINITE at a rational xi (approached at its tangency
+    horoball, the witness), 0 at the tangency of X itself, and a Surd at a
+    quadratic surd xi.  `witness` attains the value, or is None when the
+    supremum is the limit of a residue class of convergents.  A surd
+    supremum is irrational, so it never ties with a rational threshold.
     """
 
-    attained: object = None
+    value: object
     witness: Horoball | None = None
-    upper: Fraction | None = None
-    floor: Fraction = Fraction(0)
 
     def above(self, threshold: Fraction) -> bool:
-        """Certified: sup > threshold."""
-        if self.attained is INFINITE:
-            return True
-        if self.attained is None:
-            return False
-        return self.attained.compare(threshold, max_dps=400) > 0
+        """sup > threshold, exactly."""
+        return self.value is INFINITE or self.value > threshold
 
     def below(self, threshold: Fraction) -> bool:
-        """Certified: sup < threshold."""
-        if self.attained is INFINITE or self.upper is None:
-            return False
-        if self.upper >= threshold:
-            return False
-        if self.attained is None:
-            return self.floor < threshold
-        return self.attained.compare(threshold, max_dps=400) < 0
+        """sup < threshold, exactly."""
+        return self.value is not INFINITE and self.value < threshold
 
 
-def sup_projection(X: Horoball, xi, floor_theta: Fraction,
-                   qmax: int = 4000) -> SupResult:
-    """Windowed supremum of d^pi_Y(X, xi) over horoballs Y != X.
+def sup_projection(X: Horoball, xi) -> SupResult:
+    """Exact supremum of d^pi_Y(X, xi) over horoballs Y != X.
 
-    For rational xi (or infinity) the sup is infinite, attained in the
-    limit at the tangency horoball of xi.  For quadratic surds the window
-    max is exact and the tail beyond denominator qmax carries a certified
-    upper bound; values <= floor_theta inside the window are not tracked.
+    Computed at the cusp: X is moved to infinity by `normalizer`, so xi
+    becomes w.  A rational w gives an infinite supremum at its tangency
+    horoball; a quadratic surd w gives the maximum of the convergent values
+    up to the first member of every monotone residue class and of the
+    class limits (see `_cusp_sup`).  The witness is translated back to the
+    chart of X.
     """
-    t = _tangency_frac(xi)
-    if not isinstance(t, Surd):
-        HY = Horoball(1, 0) if t is INFINITY else Horoball(t.numerator, t.denominator)
-        if HY != X:
-            return SupResult(attained=INFINITE, witness=HY)
-        return SupResult(attained=None, witness=None, upper=None)
-    xf = INFINITY if X.q == 0 else Fraction(X.p, X.q)
-    hits, uncertain, tail = enumerate_large_projections_windowed(
-        xf, t, floor_theta, qmax)
-    if uncertain:
-        raise WindowRequiredError("undecided candidates in window")
-    best = None
-    for Y, d in hits:
-        if best is None or d.compare(best[1], max_dps=400) > 0:
-            best = (Y, d)
-    if best is None:
-        if tail is None:
-            raise WindowRequiredError("empty window and no tail certificate")
-        return SupResult(attained=None, witness=None,
-                         upper=max(tail, floor_theta), floor=floor_theta)
-    upper = None if tail is None else max(tail, floor_theta)
-    return SupResult(attained=best[1], witness=best[0], upper=upper,
-                     floor=floor_theta)
+    m = normalizer(X)
+    w = _tangency_frac(m.apply_boundary(xi))
+    if w is INFINITY:
+        return SupResult(Fraction(0))  # xi is the tangency of X
+    if isinstance(w, Surd):
+        _, _, head, limits, _ = _cusp_classes(w)
+        sup = _cusp_sup(head, limits)
+    else:
+        sup = SupResult(INFINITE, Horoball.at(w))
+    if sup.witness is None:
+        return sup
+    return SupResult(sup.value, sup.witness.translate(m.inverse()))
 
 
 def pair_maxmin(Y: Horoball, Yp: Horoball):
@@ -614,100 +551,6 @@ def check_finiteness(family: FareyFamily, pairs, theta: Fraction,
                 "u": str(u), "v": str(v),
                 "missing": sorted(slow - fast_win)[:5],
                 "extra": sorted(fast_win - slow)[:5]})
-    return rep
-
-
-def certify_semicontinuity(Y: Horoball, X: Horoball, xi, Theta: Fraction,
-                           theta: Fraction, max_halvings: int = 60):
-    """(P5), constructively: an interval U around xi with certified
-    d^pi_Y(X, xi') > Theta - theta on U, or None.
-
-    Works by exact endpoint evaluation of the closed form, which is a
-    Moebius function of xi' and hence monotone away from its pole (the
-    tangency of Y) and its zero (the tangency of X).
-    """
-    target = Theta - theta
-    if target <= 0:
-        return (None, None)  # trivially certified by the whole circle
-    t = _tangency_frac(xi)
-    if isinstance(t, Surd):
-        lo0, hi0 = _surd_bounds(t)
-        delta = Fraction(1, 4)
-        center_lo, center_hi = lo0, hi0
-    else:
-        if t is INFINITY:
-            # work in the chart w = -1/xi around infinity
-            raise NotImplementedError(
-                "semicontinuity certification at infinity is done by the "
-                "caller after an inversion")
-        delta = Fraction(1, 4)
-        center_lo = center_hi = t
-    for _ in range(max_halvings):
-        lo, hi = center_lo - delta, center_hi + delta
-        val = _interval_inf_dpi(Y, X, lo, hi)
-        if val is not None and val > target:
-            return (lo, hi)
-        delta /= 2
-    return None
-
-
-def _interval_inf_dpi(Y: Horoball, X: Horoball, lo: Fraction, hi: Fraction):
-    """Certified infimum of xi' -> d^pi_Y(X, xi') over [lo, hi].
-
-    The map is a Moebius function of xi' in absolute value: monotone on each
-    side of its pole (tangency of Y) and zero (tangency of X).  If the zero
-    lies inside the interval the infimum is 0; a pole inside only increases
-    the value, so endpoint evaluation is a correct lower bound.
-    """
-    xt = _tangency_frac(X)
-    if xt is not INFINITY and lo <= xt <= hi:
-        return Fraction(0)
-    vals = []
-    for e in (lo, hi):
-        d = proj_dist_frac(Y, _tangency_frac(X), e)
-        if d is INFINITE:
-            continue
-        vals.append(d)
-    if not vals:
-        return None
-    yt = _tangency_frac(Y)
-    if yt is not INFINITY and lo < yt < hi:
-        return min(vals)  # pole inside: function dips only toward endpoints
-    return min(vals)
-
-
-def check_semicontinuity(family: FareyFamily, sample, Theta: Fraction,
-                         theta: Fraction) -> AxiomReport:
-    """(P5): for each (Y, X, xi) with d >= Theta, produce a certified
-    neighborhood; counts certification failures as undecided."""
-    rep = AxiomReport("P5")
-    for (Y, X, xi) in sample:
-        d = family.distance_frac(Y, _tangency_frac(X), _tangency_frac(xi)) \
-            if not isinstance(_tangency_frac(xi), Surd) else None
-        if d is None:
-            dd = projection_distance(Y, X, xi)
-            if dd is INFINITE:
-                d = INFINITE
-            else:
-                try:
-                    if dd.compare(Theta, max_dps=200) < 0:
-                        continue
-                except Undecided:
-                    rep.undecided += 1
-                    continue
-                d = dd
-        elif d is not INFINITE and d < Theta:
-            continue
-        rep.samples += 1
-        try:
-            got = certify_semicontinuity(Y, X, xi, Theta, theta)
-        except NotImplementedError:
-            rep.undecided += 1
-            continue
-        if got is None:
-            rep.undecided += 1
-        elif got == (None, None):
-            pass  # trivially certified
     return rep
 
 

@@ -245,26 +245,37 @@ class Surd:
                 terms[-2] += 1
                 terms.pop()
             return terms, []
-        # (P + sqrt(N)) / Q with Q | N - P^2
-        if self.q > 0:
-            P, Q, N = self.p, self.r, self.q * self.q * self.d
-        else:
-            P, Q, N = -self.p, -self.r, self.q * self.q * self.d
-        if (N - P * P) % Q != 0:
-            P, N, Q = P * abs(Q), N * Q * Q, Q * abs(Q)
-        terms, seen = [], {}
+        terms, _, start = self.expansion()
+        if len(terms) >= max_terms:
+            return terms[:max_terms], []
+        return terms[:start], terms[start:]
+
+    def expansion(self) -> tuple[list[int], list["Surd"], int]:
+        """(a, alpha, start) for an irrational value x = alpha[0].
+
+        a[i] are the partial quotients and alpha[i] the complete quotients,
+        alpha[i] = a[i] + 1 / alpha[i + 1], listed up to the first repeat:
+        for i >= start both continue with period len(a) - start.
+        """
+        if self.q == 0:
+            raise ValueError("rational value: the expansion terminates")
+        # alpha = (P + s sqrt(d)) / Q with Q | s^2 d - P^2
+        s, P, Q, d = abs(self.q), self.p, self.r, self.d
+        if self.q < 0:
+            P, Q = -P, -Q
+        if (s * s * d - P * P) % Q != 0:
+            P, s, Q = P * abs(Q), s * abs(Q), Q * abs(Q)
+        N = s * s * d
         sqrt_n = math.isqrt(N)
-        for _ in range(max_terms):
-            key = (P, Q)
-            if key in seen:
-                i = seen[key]
-                return terms[:i], terms[i:]
-            seen[key] = len(terms)
+        terms, alphas, seen = [], [], {}
+        while (P, Q) not in seen:
+            seen[(P, Q)] = len(terms)
+            alphas.append(Surd(P, s, d, Q))
             a = (P + (sqrt_n if Q > 0 else sqrt_n + 1)) // Q
             terms.append(a)
             P = a * Q - P
             Q = (N - P * P) // Q
-        return terms, []
+        return terms, alphas, seen[(P, Q)]
 
     def convergents(self, limit: int = 64):
         """Yield (numerator, denominator) convergents, exact and in order."""

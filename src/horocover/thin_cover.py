@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .certified import INFINITE, Undecided
+from .certified import INFINITE, surd_interval
 from .hyperbolic import (
     HOROBALL_INF,
     GroupElement,
@@ -126,9 +126,6 @@ def theta_S(S: FinitePart, theta_P: Fraction,
 # -- the selection machinery (base chart) ----------------------------------
 
 
-_WINDOW_QMAX = 4000
-
-
 def _base_point(xi):
     """g^{-1} xi as INFINITY, Fraction, or Surd."""
     xi = boundary(xi)
@@ -152,42 +149,14 @@ def _select_z_base(w, ladder: ThetaLadder) -> Horoball | None:
         return None  # xi is the tangency of the basepoint index itself
     if isinstance(w, Fraction):
         return Horoball(w.numerator, w.denominator)
-    # quadratic surd: windowed certified search
-    hits, uncertain, tail = enumerate_large_projections_windowed(
-        INFINITY, w, ladder.Theta(4), _WINDOW_QMAX)
-    if uncertain:
-        raise WindowRequiredError("window exhausted: undecided candidates")
-    if tail is None or tail > ladder.Theta(4):
-        if not hits:
-            raise WindowRequiredError("window exhausted: tail above Theta_4")
+    # quadratic surd: the complete list of convergents above Theta_4, with
+    # exact values; distinct convergents never tie, and max keeps the first
+    # (smallest q) anyway
+    hits, _, _ = enumerate_large_projections_windowed(w, ladder.Theta(4))
     if not hits:
         return None
-    top = [(Y, d) for Y, d in hits
-           if _cmp(d, ladder.Theta(5)) > 0] or hits
-    best = None
-    for Y, d in top:
-        if best is None:
-            best = (Y, d)
-            continue
-        c = _cmp_vals(d, best[1])
-        if c > 0 or (c == 0 and (Y.q, Y.p) < (best[0].q, best[0].p)):
-            best = (Y, d)
-    return best[0]
-
-
-def _cmp(d, x: Fraction) -> int:
-    if d is INFINITE:
-        return 1
-    if isinstance(d, Fraction):
-        return (d > x) - (d < x)
-    return d.compare(x, max_dps=400)
-
-
-def _cmp_vals(d1, d2) -> int:
-    try:
-        return _cmp(d1, d2) if isinstance(d2, Fraction) else d1.compare(d2, max_dps=400)
-    except Undecided:
-        return 0
+    top = [(Y, d) for Y, d in hits if d > ladder.Theta(5)] or hits
+    return max(top, key=lambda hit: hit[1])[0]
 
 
 def _base_angle(w):
@@ -349,14 +318,9 @@ def _membership_base(Y0: Horoball, i: int, w, ladder: ThetaLadder,
         return Membership("boundary-uncertain", detail=str(err))
     if Z is None or Z == BASE_INDEX:
         # certified complement when the projection sup stays below Theta_4
-        if isinstance(w, Surd):
-            try:
-                sup = sup_projection(BASE_INDEX, w, ladder.Theta(4) / 2,
-                                     _WINDOW_QMAX)
-                if sup.below(ladder.Theta(4)):
-                    return Membership("no", detail="certified Theta_4-thick")
-            except WindowRequiredError:
-                pass
+        if isinstance(w, Surd) and \
+                sup_projection(BASE_INDEX, w).below(ladder.Theta(4)):
+            return Membership("no", detail="certified Theta_4-thick")
         return Membership("boundary-uncertain", detail="no Z and no certificate")
     try:
         Yi = _walk_chain(Z, i, ladder, w)
@@ -392,30 +356,16 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
     # so it shows up in a single enumeration at w with floor Theta_4 / 2.
     # Poles inside the doubled interval are the tangency family, covered
     # wholesale by the inf bound (1).
-    floor4 = ladder.Theta(4) / 2
-    delta_cap = None
-    if isinstance(w, Surd):
-        from .certified import surd_interval
-        lo0, hi0 = surd_interval(w, 60)
-        try:
-            hits, uncertain, tail = enumerate_large_projections_windowed(
-                INFINITY, w, floor4, _WINDOW_QMAX)
-        except WindowRequiredError as err:
-            return Membership("boundary-uncertain", detail=str(err))
-        if uncertain:
-            return Membership("boundary-uncertain",
-                              detail="undecided competitors")
-        if tail is not None and tail > floor4:
-            return Membership("boundary-uncertain",
-                              detail="competitor tail above Theta_4/2")
-        # the tail bound holds on a 1/qmax-neighbourhood of w
-        delta_cap = Fraction(1, 2 * _WINDOW_QMAX)
-    else:
-        lo0 = hi0 = w
-        hits = enumerate_large_projections(INFINITY, w, floor4)
+    # The enumeration is exact for a surd w as well, so the competitor list
+    # is complete and delta needs no cap.
+    lo0, hi0 = surd_interval(w, 60) if isinstance(w, Surd) else (w, w)
+    try:
+        hits = enumerate_large_projections(INFINITY, w, ladder.Theta(4) / 2)
+    except WindowRequiredError as err:
+        return Membership("boundary-uncertain", detail=str(err))
     margin = ladder.Theta(i) + ladder.theta_P
     margin4 = ladder.Theta(4) + ladder.theta_P
-    delta = Fraction(1, 4) if delta_cap is None else delta_cap
+    delta = Fraction(1, 4)
     for _ in range(max_halvings):
         lo, hi = lo0 - 2 * delta, hi0 + 2 * delta
         if Y0 == BASE_INDEX:
@@ -484,11 +434,7 @@ def is_theta5_thin(g: GroupElement, xi, ladder: ThetaLadder) -> bool:
         return False
     if isinstance(w, Fraction):
         return True  # the tangency horoball at w has infinite projection
-    try:
-        sup = sup_projection(BASE_INDEX, w, ladder.Theta(5) / 2, _WINDOW_QMAX)
-    except WindowRequiredError:
-        return False
-    return sup.above(ladder.Theta(5))
+    return sup_projection(BASE_INDEX, w).above(ladder.Theta(5))
 
 
 def find_long_member(g: GroupElement, xi, S: FinitePart,

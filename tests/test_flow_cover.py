@@ -1,9 +1,11 @@
 """Thick cover: classification, flow-line charts, the staggered interval
 cover, pullback longness, and the numeric flow-space properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horocover.certified import INFINITE
 from horocover.flow_cover import (
@@ -26,8 +28,23 @@ from horocover.flow_cover import (
     verify_thick_theorem,
     word_distance,
 )
-from horocover.hyperbolic import GEN_S, GEN_T, IDENTITY, Horoball, word_ball
-from horocover.surd import PHI, SQRT2, boundary
+from horocover.hyperbolic import (
+    GEN_S,
+    GEN_T,
+    IDENTITY,
+    GroupElement,
+    Horoball,
+    word_ball,
+)
+from horocover.projection_data import surd_sample_set
+from horocover.surd import PHI, SQRT2, Surd, boundary
+
+# thick and thin surd directions: (1, 0, c, 1) PHI = [0; c, 1, 1, ...]
+# has the projection c + 1/phi at 0/1; the projections toward sqrt(2)/4 =
+# [0; 2, (1, 4)] tend to 4 sqrt(2) > Theta without attaining it
+SQRT2_4 = Surd(0, 1, 2, 4)
+DIRECTIONS = surd_sample_set() + [SQRT2_4] + [
+    GroupElement(1, 0, c, 1).apply_boundary(PHI) for c in (3, 7, 40)]
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +75,31 @@ class TestClassify:
     def test_quadratic_is_thick(self, params):
         res = classify(IDENTITY, PHI, params.Theta)
         assert isinstance(res, ThickCertificate)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from([GEN_S, GEN_T, GEN_T.inverse()]),
+                    max_size=12).map(lambda w: math.prod(w, start=IDENTITY)),
+           st.sampled_from(DIRECTIONS))
+    def test_classify_equivariant(self, params, g, xi):
+        base = classify(IDENTITY, xi, params.Theta)
+        moved = classify(g, g.apply_boundary(xi), params.Theta)
+        if isinstance(base, ThickCertificate):
+            assert isinstance(moved, ThickCertificate)
+            assert moved.sup == base.sup
+        else:
+            assert moved == (base[0].translate(g), base[1])
+
+    def test_thin_surd_direction(self, params):
+        xi = GroupElement(1, 0, 7, 1).apply_boundary(PHI)
+        Y, d = classify(IDENTITY, xi, params.Theta)
+        assert Y == Horoball(0, 1) and d > params.Theta
+
+    def test_thin_by_class_limit(self, params):
+        # no convergent attains the supremum 4 sqrt(2); the witness is the
+        # first convergent above Theta, p/q with 1/(q |q xi - p|) = d
+        Y, d = classify(IDENTITY, SQRT2_4, params.Theta)
+        assert d > params.Theta
+        assert d == (abs(SQRT2_4 * Y.q - Y.p) * Y.q).inverse()
 
     def test_depth_bound(self, params):
         # D_max = log(Theta/2) pinned to 1

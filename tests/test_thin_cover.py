@@ -136,6 +136,15 @@ class TestMembership:
         m = membership_U(Horoball(1, 1), 1, IDENTITY, PHI, ladder)
         assert m.verdict in ("no", "boundary-uncertain")
 
+    def test_surd_membership_without_window(self, ladder):
+        # xi = 1/(2000 + 1/phi): the 0-ball carries the only projection
+        # above Theta_4/2, 2000.6, and the exact kernel completes the
+        # competitor list without a denominator window
+        xi = GroupElement(1, 0, 2000, 1).apply_boundary(PHI)
+        m = membership_U(Horoball(0, 1), 1, IDENTITY, xi, ladder)
+        assert m.verdict == "yes"
+        assert m.delta == Fraction(1, 2048)
+
     def test_family_index_validated(self, ladder):
         with pytest.raises(ValueError):
             membership_U(Horoball(0, 1), 3, IDENTITY, Fraction(1, 500),
