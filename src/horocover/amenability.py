@@ -8,7 +8,6 @@ arithmetic, so every simplex invariant and every ell^1 distance is exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,12 +45,6 @@ class NerveMap:
                 raise AssertionError(f"support exceeds order+1 at {key}")
         return True
 
-    def to_sparse_json(self) -> str:
-        data = {str(k): {str(e): str(w) for e, w in sorted(
-                    vec.items(), key=lambda kv: str(kv[0])) if w > 0}
-                for k, vec in self.vectors.items()}
-        return json.dumps(data, sort_keys=True)
-
 
 def partition_of_unity(membership, metric, samples, order: int,
                        key=str) -> NerveMap:
@@ -63,7 +56,6 @@ def partition_of_unity(membership, metric, samples, order: int,
     """
     samples = list(samples)
     members = [frozenset(membership(x)) for x in samples]
-    all_elements = sorted({e for m in members for e in m}, key=str)
     nerve = NerveMap(order=order)
     for i, x in enumerate(samples):
         if not members[i]:
@@ -84,7 +76,6 @@ def partition_of_unity(membership, metric, samples, order: int,
         else:
             vec = {e: w / total for e, w in vec.items()}
         nerve.vectors[key(x)] = vec
-    nerve.all_elements = all_elements
     return nerve
 
 
@@ -139,21 +130,21 @@ def combine_covers(thin_membership, thick_membership, classify_fn,
 
     Checks: order <= n_thin + n_thick + 1, and every sampled pair is long
     in the family its classification selects."""
+    samples = list(samples)
     bound = n_thin + n_thick + 1
     order = 0
     uncovered = []
     order_violations = 0
     for x in samples:
         kind = classify_fn(x)
-        elements = list(thin_membership(x)) + list(thick_membership(x))
-        order = max(order, len(elements))
-        if len(elements) > bound:
+        thin, thick = list(thin_membership(x)), list(thick_membership(x))
+        order = max(order, len(thin) + len(thick))
+        if len(thin) + len(thick) > bound:
             order_violations += 1
-        side = thin_membership(x) if kind == "thin" else thick_membership(x)
-        if not list(side):
+        if not (thin if kind == "thin" else thick):
             uncovered.append({"x": str(x), "classified": kind})
     return {
-        "samples": len(list(samples)),
+        "samples": len(samples),
         "order_measured": order,
         "order_bound": bound,
         "order_violations": order_violations,

@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import iv
 
-from .surd import INFINITY, Surd
+from .surd import Surd
 
 
 class Undecided(Exception):
@@ -62,10 +62,6 @@ def surd_interval(s: Surd, dps: int) -> tuple[Fraction, Fraction]:
 def iv_acos(x):
     """acos for interval arguments (mpmath.iv lacks the inverse trig)."""
     return iv.atan2(iv.sqrt(1 - x * x), x)
-
-
-def iv_asin(x):
-    return iv.atan2(x, iv.sqrt(1 - x * x))
 
 
 def iv_acosh(x):
@@ -183,7 +179,3 @@ class Infinite:
 
 
 INFINITE = Infinite()
-
-
-def is_infinite(x) -> bool:
-    return x is INFINITE or x is INFINITY

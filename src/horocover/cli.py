@@ -68,7 +68,6 @@ DEFAULT_CONFIG = {
     "thick_translates": 20,
     "tau_budget": "16",
     "N_hat": 2,
-    "max_refine": 400,
 }
 
 
@@ -84,9 +83,15 @@ def _hb(name: str) -> Horoball:
 
 
 def load_config(path: str | None) -> dict:
+    """DEFAULT_CONFIG overlaid with the JSON object at path; a key the
+    defaults lack raises ValueError, as no run would read it."""
     cfg = dict(DEFAULT_CONFIG)
     if path:
-        cfg.update(json.loads(Path(path).read_text()))
+        overlay = json.loads(Path(path).read_text())
+        unknown = sorted(set(overlay) - set(DEFAULT_CONFIG))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        cfg.update(overlay)
     return cfg
 
 
@@ -482,27 +487,22 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default="reports")
     parser.add_argument("--calibrate", action="store_true",
-                        help="re-derive pinned constants before running")
-    parser.add_argument("--max-refine", type=int, default=None,
-                        help="interval refinement depth cap (decimal digits)")
+                        help="re-derive pinned constants before running and "
+                             "write them back to the --config file")
     args = parser.parse_args(argv)
+    if args.calibrate and not args.config:
+        parser.error("--calibrate needs --config, the file it writes")
 
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except ValueError as err:
+        parser.error(f"config rejected: {err}")
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.max_refine is not None:
-        cfg["max_refine"] = args.max_refine
-    override = cfg.get("ladder_override")
-    if override is not None:
-        vals = [_frac(override[f"Theta_{i}"]) for i in range(6)]
-        if any(a >= b for a, b in zip(vals, vals[1:])):
-            print("config rejected: ladder must be strictly increasing",
-                  file=sys.stderr)
-            return 2
     if args.calibrate:
         cfg = calibrate(cfg)
-        target = Path(args.config) if args.config else Path("config.json")
-        target.write_text(json.dumps(cfg, sort_keys=True, indent=1) + "\n")
+        Path(args.config).write_text(
+            json.dumps(cfg, sort_keys=True, indent=1) + "\n")
     out = Path(args.out)
     return COMMANDS[args.command](cfg, out)
 

@@ -14,10 +14,10 @@ tau point of its ray, and covers pull back through it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .certified import CertifiedReal, INFINITE, Undecided
 from .hyperbolic import (
@@ -26,11 +26,13 @@ from .hyperbolic import (
     HOROBALL_INF,
     Horoball,
     IDENTITY,
+    chart_point,
     geodesic_point,
     hyperbolic_distance,
     locate,
     orbit_point,
     word_ball,
+    word_spheres,
 )
 from .projection_data import cusp_projections, sup_projection
 from .surd import INFINITY, Surd, boundary
@@ -88,12 +90,9 @@ def classify(g: GroupElement, xi, Theta: Fraction):
     its field (see projection_data.sup_projection), so it never ties with
     the rational Theta.
     """
-    w = g.inverse().apply_boundary(boundary(xi))
-    if w is INFINITY:
-        return HOROBALL_INF.translate(g), INFINITE
-    if w.is_rational:
-        f = w.as_fraction()
-        return Horoball(f.numerator, f.denominator).translate(g), INFINITE
+    w = chart_point(g.inverse().apply_boundary(xi))
+    if not isinstance(w, Surd):
+        return Horoball.at(w).translate(g), INFINITE
     sup = sup_projection(HOROBALL_INF, w)
     if sup.below(Theta):
         return ThickCertificate(g, boundary(xi), sup.value)
@@ -297,16 +296,6 @@ class FlowLineChart:
                 A_hat = max(A_hat, dt - mu_hat * d, d - mu_hat * dt)
         return mu_hat, A_hat
 
-    def to_dict(self):
-        return {
-            "xi_plus": str(self.xi_plus),
-            "tolerance": str(self.tolerance),
-            "members": [{"v": repr(v), "t": str(t)}
-                        for v, t in sorted(
-                            self.members.items(),
-                            key=lambda kv: (kv[1], kv[0].a, kv[0].b))],
-        }
-
 
 def build_charts(sample: CoarseFlowSample, max_A: float | None = None):
     """Cluster the sample by forward endpoint; members must sit within
@@ -362,22 +351,13 @@ class LongThinCover:
     def elements_containing(self, chart_key: str, t: Fraction):
         return [U for U in self.elements if U.contains(chart_key, t)]
 
-    def member_elements(self, v: GroupElement, xi_plus=None):
-        """Cover elements containing the flow point v.
-
-        A flow triple belongs to the chart of its own forward endpoint, so
-        when `xi_plus` is given only that chart is consulted; without it
-        every chart whose line passes near v counts (the orbit-point
-        relaxation used by the small-scale oracles)."""
-        out = []
-        want = None if xi_plus is None else str(xi_plus)
-        for key, chart in self.charts.items():
-            if want is not None and key != want:
-                continue
-            t = chart.parameter(v)
-            if t is not None:
-                out.extend(self.elements_containing(key, t))
-        return out
+    def member_elements(self, v: GroupElement, xi_plus):
+        """Cover elements containing the flow point v on the chart of the
+        forward endpoint xi_plus, the chart every flow triple belongs to."""
+        key = str(xi_plus)
+        chart = self.charts.get(key)
+        t = None if chart is None else chart.parameter(v)
+        return [] if t is None else self.elements_containing(key, t)
 
 
 def build_long_thin_cover(sample: CoarseFlowSample,
@@ -452,13 +432,8 @@ class PulledBackSet:
     params: ThickParams
 
     def contains(self, g: GroupElement, xi) -> bool:
-        pts = flow_point(g, xi, self.tau, self.params)
-        if not pts:
-            return False
-        for v in pts:
-            if self.U not in self.cover.member_elements(v, xi):
-                return False
-        return True
+        return self.U in flow_elements(g, xi, self.tau, self.cover,
+                                       self.params)
 
 
 def pullback(U: CoverElement, tau, cover: LongThinCover,
@@ -466,26 +441,33 @@ def pullback(U: CoverElement, tau, cover: LongThinCover,
     return PulledBackSet(U, cover, Fraction(tau), params)
 
 
+def flow_elements(g: GroupElement, xi, tau, cover: LongThinCover,
+                  params: ThickParams) -> set:
+    """The cover elements containing every flow point of (g, xi) at time
+    tau, that is, whose pullback by iota_tau contains (g, xi); empty when
+    the pair has no flow point."""
+    pts = flow_point(g, xi, tau, params)
+    if not pts:
+        return set()
+    return set.intersection(*(set(cover.member_elements(v, xi))
+                              for v in pts))
+
+
+def _element_order(U: CoverElement):
+    return (U.chart_key, U.family, U.lo)
+
+
 def _s_long_element(g: GroupElement, xi, S, tau, cover: LongThinCover,
                     params: ThickParams):
     """A cover element whose pullback contains (gs, xi) for every s in S,
     or None."""
-    groups = []
+    common = None
     for s in S:
-        pts = flow_point(g * s, xi, tau, params)
-        if not pts:
-            return None
-        hit_sets = []
-        for v in pts:
-            hit_sets.append(set(cover.member_elements(v, xi)))
-        common = set.intersection(*hit_sets) if hit_sets else set()
+        here = flow_elements(g * s, xi, tau, cover, params)
+        common = here if common is None else common & here
         if not common:
             return None
-        groups.append(common)
-    total = set.intersection(*groups)
-    if not total:
-        return None
-    return sorted(total, key=lambda U: (U.chart_key, U.family, U.lo))[0]
+    return min(common, key=_element_order)
 
 
 def choose_tau(S, params: ThickParams, sample_pairs, cover: LongThinCover,
@@ -514,25 +496,12 @@ def choose_tau(S, params: ThickParams, sample_pairs, cover: LongThinCover,
 
 
 def word_distance(g: GroupElement, h: GroupElement, cap: int = 8) -> int:
-    """Word distance in the generators, capped."""
+    """Word distance in the generators, capped at cap + 1; the search stops
+    at the first sphere holding g^{-1} h."""
     target = g.inverse() * h
-    if target == IDENTITY:
-        return 0
-    ball = {IDENTITY}
-    frontier = [IDENTITY]
-    from .hyperbolic import GEN_S, GEN_T
-    gens = [GEN_T, GEN_T.inverse(), GEN_S]
-    for r in range(1, cap + 1):
-        nxt = []
-        for e in frontier:
-            for u in gens:
-                w = e * u
-                if w == target:
-                    return r
-                if w not in ball:
-                    ball.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    for r, sphere in enumerate(islice(word_spheres(), cap + 1)):
+        if target in sphere:
+            return r
     return cap + 1
 
 
@@ -555,8 +524,8 @@ def ambient_metric(p, q) -> float:
     distance between the base-chart endpoints."""
     (g, xi), (h, eta) = p, q
     wd = word_distance(g, h)
-    bd = boundary_distance(g.inverse().apply_boundary(boundary(xi)),
-                           h.inverse().apply_boundary(boundary(eta)))
+    bd = boundary_distance(chart_point(g.inverse().apply_boundary(xi)),
+                           chart_point(h.inverse().apply_boundary(eta)))
     return wd + bd
 
 
@@ -612,15 +581,10 @@ def verify_thick_theorem(S, params: ThickParams, generators_radius: int,
     extension_restricts = None
     if tau_rep["status"] == "ok":
         tau = Fraction(tau_rep["tau_chosen"])
-        assignment = []
-        for g, xi in pairs:
-            pts = flow_point(g, xi, tau, params)
-            hit_sets = [set(cover.member_elements(v, xi)) for v in pts]
-            common = set.intersection(*hit_sets) if hit_sets else set()
-            assignment.append(sorted(common, key=lambda U: (U.chart_key,
-                                                            U.family, U.lo)))
+        assignment = [sorted(flow_elements(g, xi, tau, cover, params),
+                             key=_element_order) for g, xi in pairs]
         ids = sorted({U for row in assignment for U in row},
-                     key=lambda U: (U.chart_key, U.family, U.lo))
+                     key=_element_order)
         extended = extend_cover(pairs, assignment, ids)
         order_extended = max((len(row) for row in assignment), default=0)
         # the extension must restrict back to the assigned sets
@@ -693,17 +657,3 @@ def check_line_proximity(sample: CoarseFlowSample, xi_minus, xi_plus) -> dict:
         R = max(R, d)
         n += 1
     return {"members": n, "R_measured": R}
-
-
-def charts_to_json(cover: LongThinCover) -> str:
-    data = {
-        "beta": str(cover.beta),
-        "order_measured": cover.order_measured,
-        "charts": [cover.charts[k].to_dict() for k in sorted(cover.charts)],
-        "elements": [{"chart": U.chart_key, "lo": str(U.lo),
-                      "hi": str(U.hi), "family": U.family}
-                     for U in sorted(cover.elements,
-                                     key=lambda U: (U.chart_key, U.family,
-                                                    U.lo))],
-    }
-    return json.dumps(data, sort_keys=True)

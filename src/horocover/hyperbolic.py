@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from mpmath import iv
 
 from .certified import (
     INFINITE,
     CertifiedReal,
-    Undecided,
     fraction_to_iv,
     iv_acos,
     iv_acosh,
-    iv_asin,
     surd_iv,
 )
 from .surd import INFINITY, MixedFieldError, Surd, boundary
@@ -96,10 +95,6 @@ GEN_S = GroupElement(0, -1, 1, 0)
 BASEPOINT = (Fraction(0), Fraction(1))  # x0 = i
 
 
-def mobius_apply(g: GroupElement, x):
-    return g.apply_boundary(x)
-
-
 class Horoball:
     """A Ford horoball, identified by its rational tangency point."""
 
@@ -126,9 +121,8 @@ class Horoball:
 
     @property
     def tangency(self):
-        if self.q == 0:
-            return INFINITY
-        return Surd(self.p, 0, 0, self.q)
+        """The tangency point in the form of `chart_point`."""
+        return INFINITY if self.q == 0 else Fraction(self.p, self.q)
 
     def translate(self, g: GroupElement) -> "Horoball":
         # p/q moves to (a p + b q) / (c p + d q), still in lowest terms
@@ -187,11 +181,16 @@ def _ext_gcd(p: int, q: int) -> tuple[int, int]:
     return old_x, old_y
 
 
-def _as_point(u):
-    """Coerce Horoball arguments to their tangency point."""
-    if isinstance(u, Horoball):
-        return u.tangency
-    return boundary(u)
+def chart_point(x):
+    """A horoball's tangency point, or a boundary point, as INFINITY, an
+    exact Fraction or an irrational Surd: the form every chart computation
+    takes its points in, the base-chart point g^{-1} xi among them."""
+    if isinstance(x, Horoball):
+        return x.tangency
+    x = boundary(x)
+    if x is INFINITY or not x.is_rational:
+        return x
+    return x.as_fraction()
 
 
 def _factor(Y: Horoball, x):
@@ -208,7 +207,7 @@ def projection_distance(Y: Horoball, u, v):
     single quadratic field) or INFINITE when an argument is the tangency
     point of Y itself.
     """
-    u, v = _as_point(u), _as_point(v)
+    u, v = chart_point(u), chart_point(v)
     t = Y.tangency
     if u == t or v == t:
         return INFINITE
@@ -281,7 +280,7 @@ def proj_dist_frac(Y: Horoball, u, v):
 def penetration_depth(Y: Horoball, u, v) -> CertifiedReal:
     """log(d/2) for d the projection distance: the depth to which the full
     geodesic (u, v) dips into the open horoball (negative when disjoint)."""
-    u, v = _as_point(u), _as_point(v)
+    u, v = chart_point(u), chart_point(v)
     t = Y.tangency
     if u == t or v == t:
         raise ValueError("endpoint at the tangency point of Y")
@@ -314,72 +313,6 @@ def _geodesic_circle(x0: Fraction, y0: Fraction, xi):
     c = (xi * xi - Surd.from_fraction(x0 * x0 + y0 * y0)) / (xi_m_x0 * 2)
     r2 = (xi - c) * (xi - c)
     return c, r2
-
-
-def ray_penetration(g: GroupElement, xi, Y: Horoball):
-    """Hyperbolic length of the intersection of the ray [g*x0, xi) with the
-    open Ford horoball of Y; zero if disjoint, INFINITE if xi is the
-    tangency point."""
-    xi = boundary(xi)
-    if xi == Y.tangency:
-        return INFINITE
-    m = normalizer(Y)
-    mg = m * g
-    x0, y0 = mg.apply_point(*BASEPOINT)
-    xi_n = m.apply_boundary(xi)
-    # horoball is now the region above height 1
-    if xi_n is INFINITY:
-        # vertical ray upward: eventually inside forever
-        return INFINITE
-    circ = _geodesic_circle(x0, y0, xi_n)
-    if circ is None:
-        # vertical ray downward from (x0, y0) toward xi_n = x0
-        if y0 <= 1:
-            return CertifiedReal(exact=Fraction(0))
-        return CertifiedReal(
-            refine=lambda dps: iv.log(fraction_to_iv(y0)))
-    c, r2 = circ
-    if r2.compare(1) <= 0:
-        return CertifiedReal(exact=Fraction(0))
-    # theta parametrization z = c + R e^{i theta}; horoball arc has
-    # sin(theta) > 1/R; the ray runs from theta0 (at z0) toward the endpoint
-    # xi_n (theta -> 0 if xi_n > c, theta -> pi otherwise)
-    toward_zero = (xi_n - c).sign() > 0
-
-    def _length():
-        civ = surd_iv(c)
-        riv = iv.sqrt(surd_iv(r2))
-        x0v, y0v = fraction_to_iv(x0), fraction_to_iv(y0)
-        # angle of z0: cos t0 = (x0-c)/R, sin t0 = y0/R
-        cos0 = (x0v - civ) / riv
-        theta0 = iv_acos(cos0)
-        theta_h = iv_asin(1 / riv)       # entry angle, in (0, pi/2)
-        lo, hi = (iv.mpf(0), theta0) if toward_zero else (theta0, iv.pi)
-        a = _iv_max(lo, theta_h)
-        b = _iv_min(hi, iv.pi - theta_h)
-        if b <= a:
-            return iv.mpf(0)
-        # integral of d theta / sin theta = log tan(theta/2)
-        return iv.log(iv.tan(b / 2)) - iv.log(iv.tan(a / 2))
-
-    # decide emptiness exactly where possible: the ray is disjoint from the
-    # horoball iff the angle interval misses (theta_h, pi - theta_h)
-    val = CertifiedReal(refine=lambda dps: _length())
-    try:
-        if val.compare(0, max_dps=120) <= 0:
-            return CertifiedReal(exact=Fraction(0))
-    except Undecided:
-        pass
-    return val
-
-
-def _iv_max(a, b):
-    # exact interval max via (a + b + |a - b|) / 2
-    return (a + b + abs(a - b)) / 2
-
-
-def _iv_min(a, b):
-    return (a + b - abs(a - b)) / 2
 
 
 # -- fundamental domain reduction -----------------------------------------
@@ -421,10 +354,7 @@ def locate(z) -> GroupElement:
 
 def _round_half_down(x: Fraction) -> int:
     """Nearest integer, mapping half-integers so that x - n in [-1/2, 1/2)."""
-    n = math.floor(x + Fraction(1, 2))
-    if x - n == Fraction(-1, 2):
-        pass
-    return n
+    return math.floor(x + Fraction(1, 2))
 
 
 # -- geodesic parametrization ---------------------------------------------
@@ -495,12 +425,15 @@ def orbit_point(g: GroupElement) -> tuple[Fraction, Fraction]:
     return g.apply_point(*BASEPOINT)
 
 
-def word_ball(radius: int) -> list[GroupElement]:
-    """All sign-normalized elements within the given word length in T, S."""
+def word_spheres():
+    """The spheres of radius 0, 1, 2, ... about the identity in the word
+    metric of T, T^-1 and S, each a list of sign-normalized elements;
+    breadth-first and lazy, so a consumer may stop at any radius."""
     seen = {IDENTITY}
     frontier = [IDENTITY]
     gens = [GEN_T, GEN_T.inverse(), GEN_S]
-    for _ in range(radius):
+    while True:
+        yield frontier
         nxt = []
         for g in frontier:
             for h in gens:
@@ -509,4 +442,9 @@ def word_ball(radius: int) -> list[GroupElement]:
                     seen.add(e)
                     nxt.append(e)
         frontier = nxt
-    return sorted(seen, key=lambda g: (g.a, g.b, g.c, g.d))
+
+
+def word_ball(radius: int) -> list[GroupElement]:
+    """All sign-normalized elements within the given word length in T, S."""
+    ball = [g for sphere in islice(word_spheres(), radius + 1) for g in sphere]
+    return sorted(ball, key=lambda g: (g.a, g.b, g.c, g.d))

@@ -10,7 +10,6 @@ through inequalities.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,23 +17,17 @@ from fractions import Fraction
 from .certified import INFINITE
 from .hyperbolic import GroupElement, Horoball, proj_dist_frac
 from .projection_data import enumerate_large_projections
-from .surd import INFINITY
-
-
-def _tang(Y: Horoball):
-    return INFINITY if Y.q == 0 else Fraction(Y.p, Y.q)
 
 
 def dpi(Y: Horoball, X: Horoball, Z: Horoball):
     """Exact projection distance between two horoballs, by tangency."""
-    return proj_dist_frac(Y, _tang(X), _tang(Z))
+    return proj_dist_frac(Y, X.tangency, Z.tangency)
 
 
 @dataclass(frozen=True)
 class Window:
     vertices: tuple  # sorted Horoballs
     K: Fraction
-    provenance: str = "explicit"
 
     def __post_init__(self):
         object.__setattr__(self, "vertices",
@@ -42,8 +35,7 @@ class Window:
                                         key=lambda Y: (Y.q, Y.p))))
 
     def translate(self, g: GroupElement) -> "Window":
-        return Window(tuple(Y.translate(g) for Y in self.vertices), self.K,
-                      f"{self.provenance} translated")
+        return Window(tuple(Y.translate(g) for Y in self.vertices), self.K)
 
 
 def build_window(anchors, theta: Fraction, K: Fraction | None = None) -> Window:
@@ -60,8 +52,7 @@ def build_window(anchors, theta: Fraction, K: Fraction | None = None) -> Window:
                 continue
             for Y, _ in enumerate_large_projections(a, b, Fraction(theta) / 2):
                 verts.add(Y)
-    prov = "anchors " + ",".join(repr(a) for a in anchors)
-    return Window(tuple(verts), K, prov)
+    return Window(tuple(verts), K)
 
 
 class ProjComplexGraph:
@@ -183,33 +174,6 @@ class ProjComplexGraph:
                     q.append(w)
         return dist.get(Z) == D
 
-    # -- exports -----------------------------------------------------------
-
-    def to_adjacency_json(self) -> str:
-        def name(Y):
-            return "oo" if Y.q == 0 else f"{Y.p}/{Y.q}"
-        data = {
-            "K": str(self.K),
-            "vertices": [name(v) for v in self.vertices],
-            "edges": sorted(
-                sorted((name(a), name(b)))
-                for a in self.vertices for b in self.adj[a] if a < b),
-        }
-        return json.dumps(data, sort_keys=True)
-
-    def to_dot(self) -> str:
-        def name(Y):
-            return "oo" if Y.q == 0 else f"{Y.p}/{Y.q}"
-        lines = ["graph projcx {"]
-        for v in self.vertices:
-            lines.append(f'  "{name(v)}";')
-        for a in self.vertices:
-            for b in self.adj[a]:
-                if a < b:
-                    lines.append(f'  "{name(a)}" -- "{name(b)}";')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 # -- measured constants ----------------------------------------------------
 
@@ -314,8 +278,7 @@ def audit_window(window: Window, theta: Fraction) -> bool:
         for b in window.vertices[i + 1:]:
             for Y, _ in enumerate_large_projections(a, b, Fraction(theta) / 4):
                 verts.add(Y)
-    bigger = ProjComplexGraph(Window(tuple(verts), window.K,
-                                     window.provenance + " audited"))
+    bigger = ProjComplexGraph(Window(tuple(verts), window.K))
     for a in window.vertices:
         for b in window.vertices:
             if graph.distance(a, b) != bigger.distance(a, b):

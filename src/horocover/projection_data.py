@@ -1,18 +1,19 @@
-"""Projection-distance families and the empirical axiom checkers.
+"""The projection axioms of the Farey family and exact large-projection
+enumeration.
 
-The generic interface is ProjectionFamily; the one shipped instance is the
-Farey family of Ford horoballs for SL2(Z) with Delta(Y) = the whole boundary
-circle.  Large projections are enumerated exactly, always at the cusp: one
-endpoint is moved to infinity, where a rational other endpoint a/b leaves
-the integer inequality q * |q*a - p*b| < b / theta, and a quadratic surd
-leaves its convergents (Legendre, for theta >= 2), whose values and
-supremum are exact in Q(sqrt(D)) by the continued-fraction kernel.
+The Farey family is the Ford horoballs of SL2(Z) with Delta(Y) the whole
+boundary circle.  Its axioms (P1)-(P4) are checked exactly on rational
+data, and the Behrstock constant (P3) is calibrated exhaustively.  Large
+projections are enumerated exactly, always at the cusp: one endpoint is
+moved to infinity, where a rational other endpoint a/b leaves the integer
+inequality q * |q*a - p*b| < b / theta, and a quadratic surd leaves its
+convergents (Legendre, for theta >= 2), whose values and supremum are exact
+in Q(sqrt(D)) by the continued-fraction kernel.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -21,13 +22,12 @@ from fractions import Fraction
 from .certified import INFINITE
 from .hyperbolic import (
     HOROBALL_INF,
-    GroupElement,
     Horoball,
+    chart_point,
     normalizer,
     proj_dist_frac,
-    projection_distance,
 )
-from .surd import INFINITY, PHI, SQRT2, Surd, boundary
+from .surd import INFINITY, PHI, SQRT2, Surd
 
 
 class WindowRequiredError(ValueError):
@@ -35,58 +35,14 @@ class WindowRequiredError(ValueError):
     audit failed."""
 
 
-class ProjectionFamily:
-    """Abstract projection data: index family with G-action, open sets
-    Delta(Y), distances d^pi, a basepoint and a color count."""
-
-    colors = 1
-
-    def basepoint(self):
-        raise NotImplementedError
-
-    def delta_contains(self, Y, xi) -> bool:
-        raise NotImplementedError
-
-    def distance(self, Y, X, xi):
-        raise NotImplementedError
-
-    def translate_index(self, g, Y):
-        raise NotImplementedError
-
-
-class FareyFamily(ProjectionFamily):
+class FareyFamily:
     """Ford horoballs acting on the boundary circle; Delta(Y) is everything."""
-
-    colors = 1
-
-    def basepoint(self) -> Horoball:
-        return HOROBALL_INF
-
-    def delta_contains(self, Y: Horoball, xi) -> bool:
-        return True
-
-    def distance(self, Y: Horoball, X, xi):
-        return projection_distance(Y, X, xi)
 
     def distance_frac(self, Y: Horoball, u, v):
         return proj_dist_frac(Y, u, v)
 
-    def translate_index(self, g: GroupElement, Y: Horoball) -> Horoball:
-        return Y.translate(g)
-
 
 # -- exact enumeration of large projections --------------------------------
-
-
-def _tangency_frac(x):
-    if isinstance(x, Horoball):
-        return INFINITY if x.q == 0 else Fraction(x.p, x.q)
-    x = boundary(x)
-    if x is INFINITY:
-        return INFINITY
-    if x.is_rational:
-        return x.as_fraction()
-    return x  # a genuine surd
 
 
 def enumerate_large_projections(u, v, theta: Fraction):
@@ -106,7 +62,7 @@ def enumerate_large_projections(u, v, theta: Fraction):
     theta = Fraction(theta)
     if theta <= 0:
         raise ValueError("theta must be positive")
-    u, v = _tangency_frac(u), _tangency_frac(v)
+    u, v = chart_point(u), chart_point(v)
     if isinstance(u, Surd):
         u, v = v, u  # d^pi_Y is symmetric in its endpoints
     if isinstance(u, Surd):
@@ -116,7 +72,7 @@ def enumerate_large_projections(u, v, theta: Fraction):
     if u is INFINITY:
         return _enumerate_at_infinity(v, theta)
     m = normalizer(Horoball.at(u))
-    hits = _enumerate_at_infinity(_tangency_frac(m.apply_boundary(v)), theta)
+    hits = _enumerate_at_infinity(chart_point(m.apply_boundary(v)), theta)
     back = m.inverse()
     hits = [(Y.translate(back), d) for Y, d in hits]
     hits.sort(key=lambda t: (t[0].q, t[0].p))
@@ -182,7 +138,7 @@ def _enumerate_inf_rational(w: Fraction, theta: Fraction):
 
 def brute_force_large_projections(u, v, theta: Fraction, qmax: int):
     """Oracle: scan every horoball with denominator <= qmax directly."""
-    u, v = _tangency_frac(u), _tangency_frac(v)
+    u, v = chart_point(u), chart_point(v)
     if u == v:
         return []
     hits = []
@@ -348,7 +304,7 @@ def sup_projection(X: Horoball, xi) -> SupResult:
     chart of X.
     """
     m = normalizer(X)
-    w = _tangency_frac(m.apply_boundary(xi))
+    w = chart_point(m.apply_boundary(xi))
     if w is INFINITY:
         return SupResult(Fraction(0))  # xi is the tangency of X
     if isinstance(w, Surd):
@@ -371,16 +327,9 @@ def pair_maxmin(Y: Horoball, Yp: Horoball):
     """
     if Y == Yp:
         raise ValueError("distinct horoballs required")
-    from .hyperbolic import normalizer
     m = normalizer(Y)
-    Ypp = Yp.translate(m)
+    Ypp = Yp.translate(m)  # finite: only Y itself goes to infinity
     q = Ypp.q
-    if q == 0:
-        # Y' maps to infinity: symmetric picture, crossing at distance 1
-        # from Y's image 0/1... normalize the other way around instead
-        m = normalizer(Yp)
-        Ypp = Y.translate(m)
-        q = Ypp.q
     xi_hat = Fraction(Ypp.p + 1, q)
     xi = m.inverse().apply_boundary(xi_hat)
     return Fraction(1, q), xi
@@ -409,9 +358,9 @@ def calibrate_behrstock(qmax: int = 50):
             val, xi = pair_maxmin(Y, Yp)
             if val > best:
                 # independent evaluation at the crossing point
-                xi_f = xi.as_fraction() if xi is not INFINITY and not isinstance(xi, Fraction) else xi
-                d1 = fam.distance_frac(Y, _tangency_frac(Yp), xi_f)
-                d2 = fam.distance_frac(Yp, _tangency_frac(Y), xi_f)
+                xi_f = chart_point(xi)
+                d1 = fam.distance_frac(Y, Yp.tangency, xi_f)
+                d2 = fam.distance_frac(Yp, Y.tangency, xi_f)
                 got = min(d1, d2)
                 if got != val:
                     raise AssertionError(
@@ -437,21 +386,7 @@ class AxiomReport:
     constant: float | None = None
     witnesses: list = field(default_factory=list)
     undecided: int = 0
-
-    def merge(self, other: "AxiomReport") -> "AxiomReport":
-        if other.axiom != self.axiom:
-            raise ValueError("cannot merge reports for different axioms")
-        const = self.constant
-        if other.constant is not None:
-            const = other.constant if const is None else max(const, other.constant)
-        return AxiomReport(
-            axiom=self.axiom,
-            samples=self.samples + other.samples,
-            violations=self.violations + other.violations,
-            constant=const,
-            witnesses=(self.witnesses + other.witnesses)[:20],
-            undecided=self.undecided + other.undecided,
-        )
+    exact_constant: Fraction | None = None  # (P3): the exact maximum
 
     def to_dict(self) -> dict:
         return {
@@ -462,9 +397,6 @@ class AxiomReport:
             "witnesses": self.witnesses,
             "undecided": self.undecided,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _hb_str(Y: Horoball) -> str:
@@ -517,8 +449,8 @@ def check_behrstock(family: FareyFamily, sample,
         if Y == Yp:
             continue
         rep.samples += 1
-        d1 = family.distance_frac(Y, _tangency_frac(Yp), xi)
-        d2 = family.distance_frac(Yp, _tangency_frac(Y), xi)
+        d1 = family.distance_frac(Y, Yp.tangency, xi)
+        d2 = family.distance_frac(Yp, Y.tangency, xi)
         if d1 is INFINITE and d2 is INFINITE:
             rep.violations += 1  # cannot happen for distinct tangencies
             continue

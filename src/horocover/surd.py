@@ -287,17 +287,6 @@ class Surd:
             k0, k1 = a * k0 + k1, k0
             yield h0, k0
 
-    def min_poly(self) -> tuple[int, int, int]:
-        """Integer (A, B, C), A > 0, with A*x^2 + B*x + C = 0 for this value."""
-        if self.q == 0:
-            return 0, self.r, -self.p
-        # x = (p + q*sqrt(d))/r  =>  (r*x - p)^2 = q^2 d
-        A = self.r * self.r
-        B = -2 * self.r * self.p
-        C = self.p * self.p - self.q * self.q * self.d
-        g = math.gcd(math.gcd(A, abs(B)), abs(C) or A)
-        return A // g, B // g, C // g
-
     # -- misc -------------------------------------------------------------
 
     def __float__(self):

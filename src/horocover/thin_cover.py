@@ -21,6 +21,7 @@ from .hyperbolic import (
     HOROBALL_INF,
     GroupElement,
     Horoball,
+    chart_point,
     proj_dist_frac,
     word_ball,
 )
@@ -31,7 +32,7 @@ from .projection_data import (
     enumerate_large_projections_windowed,
     sup_projection,
 )
-from .surd import INFINITY, Surd, boundary
+from .surd import INFINITY, Surd
 
 BASE_INDEX = HOROBALL_INF  # X_Y, the horoball at the basepoint cusp
 
@@ -126,20 +127,10 @@ def theta_S(S: FinitePart, theta_P: Fraction,
 # -- the selection machinery (base chart) ----------------------------------
 
 
-def _base_point(xi):
-    """g^{-1} xi as INFINITY, Fraction, or Surd."""
-    xi = boundary(xi)
-    if xi is INFINITY:
-        return INFINITY
-    if xi.is_rational:
-        return xi.as_fraction()
-    return xi
-
-
 def select_Z(g: GroupElement, xi, ladder: ThetaLadder) -> Horoball | None:
     """Equivariant choice of a Theta_4-large (preferably Theta_5-large)
     projection index for (g, xi); None if no certified candidate exists."""
-    w = _base_point(g.inverse().apply_boundary(boundary(xi)))
+    w = chart_point(g.inverse().apply_boundary(xi))
     Z0 = _select_z_base(w, ladder)
     return None if Z0 is None else Z0.translate(g)
 
@@ -182,9 +173,8 @@ def _chain(p: int, q: int, theta: Fraction) -> tuple:
 def chain_angle(chain: tuple, k: int, Z: Horoball) -> Fraction:
     """d^max at chain[k] along oo -> ... -> Z: the projection distance
     between its neighbours in the order (endpoints at oo and Z)."""
-    prev = INFINITY if k == 0 else Fraction(chain[k - 1].p, chain[k - 1].q)
-    succ = (Fraction(Z.p, Z.q) if k == len(chain) - 1
-            else Fraction(chain[k + 1].p, chain[k + 1].q))
+    prev = INFINITY if k == 0 else chain[k - 1].tangency
+    succ = (Z if k == len(chain) - 1 else chain[k + 1]).tangency
     d = proj_dist_frac(chain[k], prev, succ)
     if d is INFINITE:
         raise WindowRequiredError("tangent neighbours in the chain")
@@ -198,7 +188,7 @@ def select_Yi(g: GroupElement, xi, i: int, ladder: ThetaLadder,
     When a window graph is supplied, d^max is measured there (oracle path
     for small data); otherwise angles come from the linear order itself.
     """
-    w = _base_point(g.inverse().apply_boundary(boundary(xi)))
+    w = chart_point(g.inverse().apply_boundary(xi))
     Y0 = _select_yi_base(w, i, ladder, graph)
     return None if Y0 is None else Y0.translate(g)
 
@@ -303,7 +293,7 @@ def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
     if i not in (1, 2):
         raise ValueError("the thin families are U(.,1) and U(.,2)")
     ginv = g.inverse()
-    w = _base_point(ginv.apply_boundary(boundary(xi)))
+    w = chart_point(ginv.apply_boundary(xi))
     Y0 = Y.translate(ginv)
     return _membership_base(Y0, i, w, ladder, max_halvings)
 
@@ -378,9 +368,9 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
             ok = ok and _interval_inf(Y0, lo, hi) > margin
         if ok and Y0 != BASE_INDEX:
             for V, _ in hits:
-                if V == Y0 or lo <= Fraction(V.p, V.q) <= hi:
+                if V == Y0 or lo <= V.tangency <= hi:
                     continue
-                dv = _dpi_inf(Y0, Fraction(V.p, V.q))
+                dv = _dpi_inf(Y0, V.tangency)
                 if dv is not INFINITE and dv <= margin:
                     ok = False
                     break
@@ -429,7 +419,7 @@ class ThinReport:
 def is_theta5_thin(g: GroupElement, xi, ladder: ThetaLadder) -> bool:
     """d^pi_Y(g X, xi) > Theta_5 for some Y: trivially true at rational xi
     away from the moved basepoint tangency."""
-    w = _base_point(g.inverse().apply_boundary(boundary(xi)))
+    w = chart_point(g.inverse().apply_boundary(xi))
     if w is INFINITY:
         return False
     if isinstance(w, Fraction):
@@ -499,7 +489,7 @@ def _disjointness_probes(Y: Horoball, i: int, g: GroupElement, xi,
                          ladder: ThetaLadder):
     """A few competing (Y', i) in the same family to probe disjointness."""
     out = []
-    w = _base_point(g.inverse().apply_boundary(boundary(xi)))
+    w = chart_point(g.inverse().apply_boundary(xi))
     if isinstance(w, Fraction):
         Z = Horoball(w.numerator, w.denominator)
         for V in (BASE_INDEX,) + _chain(Z.p, Z.q, ladder.theta) + (Z,):

@@ -60,12 +60,6 @@ class TestPartition:
         with pytest.raises(AssertionError):
             nerve.check_invariants()
 
-    def test_sparse_json_stable(self):
-        samples = [Fraction(k) for k in range(4)]
-        nerve = partition_of_unity(interval_membership, line_metric,
-                                   samples, order=1)
-        assert nerve.to_sparse_json() == nerve.to_sparse_json()
-
 
 vecs = st.dictionaries(st.sampled_from("abcd"),
                        st.fractions(min_value=0, max_value=1), max_size=4)
@@ -104,6 +98,23 @@ class TestCombination:
                              else "thick", range(10), 1, 2)
         assert rep["ok"]
         assert rep["order_measured"] <= rep["order_bound"]
+
+    def test_each_sample_evaluated_once(self):
+        calls = []
+
+        def thin(x):
+            calls.append(("thin", x))
+            return ["t0"]
+
+        def thick(x):
+            calls.append(("thick", x))
+            return []
+
+        rep = combine_covers(thin, thick, lambda x: "thin",
+                             (x for x in range(5)), 1, 1)
+        assert rep["samples"] == 5 and rep["ok"]
+        assert sorted(calls) == sorted(
+            [("thin", x) for x in range(5)] + [("thick", x) for x in range(5)])
 
     def test_uncovered_reported(self):
         rep = combine_covers(lambda x: [], lambda x: [],

@@ -1,5 +1,5 @@
-"""CLI harness: config handling, report format, determinism, the ladder
-override guard, and rendering."""
+"""CLI harness: config handling, report format, determinism, rejection of
+unknown config keys, and rendering."""
 
 import json
 from fractions import Fraction
@@ -39,14 +39,28 @@ class TestConfig:
 
 
 class TestMain:
-    def test_ladder_override_rejected(self, cfg, tmp_path, capsys):
-        cfg["ladder_override"] = {f"Theta_{i}": "100" for i in range(6)}
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(cfg))
-        rc = cli.main(["complex", "--config", str(p),
-                       "--out", str(tmp_path / "r")])
-        assert rc == 2
-        assert "strictly increasing" in capsys.readouterr().err
+    def test_unknown_config_key_rejected(self, cfg, tmp_path, capsys):
+        for key, value in (("ladder_override", {f"Theta_{i}": str(i + 1)
+                                                for i in range(6)}),
+                           ("max_refine", 400)):
+            p = tmp_path / f"{key}.json"
+            p.write_text(json.dumps(dict(cfg, **{key: value})))
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["complex", "--config", str(p),
+                          "--out", str(tmp_path / "r")])
+            assert exc.value.code == 2
+            assert key in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["complex", "--max-refine", "5"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r").exists()
+
+    def test_calibrate_needs_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["complex", "--calibrate"])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_render_writes_svg(self, cfg, tmp_path):
         rc = cli.cmd_render(cfg, tmp_path)

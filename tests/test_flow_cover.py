@@ -162,6 +162,13 @@ class TestMetrics:
         assert word_distance(IDENTITY, GEN_T) == 1
         assert word_distance(GEN_S, GEN_S * GEN_T * GEN_T) == 2
 
+    @given(st.sampled_from(word_ball(3)),
+           st.lists(st.sampled_from([GEN_S, GEN_T, GEN_T.inverse()]),
+                    max_size=6).map(lambda w: math.prod(w, start=IDENTITY)))
+    def test_word_distance_is_word_ball_radius(self, g, w):
+        radius = next(r for r in range(7) if w in word_ball(r))
+        assert word_distance(g, g * w) == radius
+
     def test_boundary_distance_symmetric(self):
         a, b = Fraction(1, 3), boundary(SQRT2)
         assert boundary_distance(a, b) == pytest.approx(

@@ -14,6 +14,7 @@ from horocover.hyperbolic import (
     IDENTITY,
     GroupElement,
     Horoball,
+    chart_point,
     geodesic_point,
     hyperbolic_distance,
     locate,
@@ -22,11 +23,10 @@ from horocover.hyperbolic import (
     penetration_depth,
     proj_dist_frac,
     projection_distance,
-    ray_penetration,
     word_ball,
 )
-from horocover.certified import INFINITE, is_infinite
-from horocover.surd import INFINITY, PHI, SQRT2
+from horocover.certified import INFINITE
+from horocover.surd import INFINITY, PHI, SQRT2, Surd
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=40)
 
@@ -77,6 +77,20 @@ class TestHoroball:
     def test_at_reduces(self):
         assert Horoball.at(Fraction(4, 6)) == Horoball(2, 3)
 
+    @pytest.mark.parametrize("x,point", [
+        (Horoball(1, 0), INFINITY),
+        (Horoball(3, 7), Fraction(3, 7)),
+        (-4, Fraction(-4)),
+        (Fraction(6, 4), Fraction(3, 2)),
+        (Surd(3, 0, 0, 9), Fraction(1, 3)),
+        (PHI, PHI),
+        (INFINITY, INFINITY),
+    ], ids=["oo", "3-7", "int", "Fraction", "rational-Surd", "PHI",
+            "INFINITY"])
+    def test_chart_point(self, x, point):
+        got = chart_point(x)
+        assert got == point and type(got) is type(point)
+
     def test_normalizer_sends_tangency_to_infinity(self):
         for Y in (Horoball(0, 1), Horoball(3, 7), Horoball(-2, 5)):
             n = normalizer(Y)
@@ -95,8 +109,8 @@ class TestProjectionDistance:
     def test_tangency_is_infinite(self):
         assert proj_dist_frac(Horoball(1, 2), Fraction(1, 2),
                               Fraction(0)) is INFINITE
-        assert is_infinite(projection_distance(Horoball(1, 0), INFINITY,
-                                               Fraction(3)))
+        assert projection_distance(Horoball(1, 0), INFINITY,
+                                   Fraction(3)) is INFINITE
 
     @given(frac, frac)
     def test_symmetry(self, u, v):
@@ -135,11 +149,6 @@ class TestDepth:
         assert proj_dist_frac(Y, Fraction(-1), Fraction(1)) == 2
         assert penetration_depth(Y, Fraction(-1),
                                  Fraction(1)).exact == 0
-
-    def test_ray_penetration_golden(self):
-        got = ray_penetration(IDENTITY, PHI, Horoball(1, 0))
-        assert float(got) == pytest.approx(2 * math.log(float(PHI)),
-                                           abs=1e-12)
 
 
 class TestModel:

@@ -83,8 +83,3 @@ class TestStructure:
         graph, *_ = pinned
         for g in (GEN_T, GEN_S, GEN_S * GEN_T):
             assert angle_table_equivariant(graph, g)
-
-    def test_adjacency_json_stable(self, pinned):
-        graph, *_ = pinned
-        assert graph.to_adjacency_json() == graph.to_adjacency_json()
-        assert graph.to_dot().startswith("graph")

@@ -35,7 +35,6 @@ class TestField:
     def test_phi_minimal_polynomial(self):
         # phi^2 = phi + 1
         assert PHI * PHI == PHI + 1
-        assert PHI.min_poly() == (1, -1, -1)
 
     def test_inverse(self):
         assert PHI * PHI.inverse() == Surd(1)
