@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath
 from mpmath import iv
 
 from .surd import Surd

@@ -20,10 +20,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .hyperbolic import GroupElement, Horoball, IDENTITY, word_ball
+from .hyperbolic import Horoball, IDENTITY, word_ball
 from .projection_complex import (
     ProjComplexGraph,
-    Window,
     build_window,
     check_angle_transfer,
     verify_attraction,
@@ -38,7 +37,7 @@ from .projection_data import (
     check_triangle,
     sample_triples_rational,
 )
-from .surd import PHI, SQRT2, Surd, boundary
+from .surd import PHI, SQRT2, boundary
 from . import amenability, flow_cover, thin_cover
 
 DEFAULT_CONFIG = {

@@ -21,7 +21,6 @@ from itertools import islice
 
 from .certified import CertifiedReal, INFINITE, Undecided
 from .hyperbolic import (
-    BASEPOINT,
     GroupElement,
     HOROBALL_INF,
     Horoball,

@@ -12,17 +12,16 @@ under-approximation of the interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .certified import INFINITE, surd_interval
+from .certified import surd_interval
 from .hyperbolic import (
     HOROBALL_INF,
     GroupElement,
     Horoball,
     chart_point,
-    proj_dist_frac,
     word_ball,
 )
 from .projection_complex import ProjComplexGraph
@@ -48,19 +47,22 @@ class ThetaLadder:
     theta: Fraction
     theta_S: Fraction
     theta_P: Fraction  # measured projection-complex margin constant
+    _values: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_values", tuple(
+            10 * (i + 1) * (self.theta + self.theta_S) for i in range(6)))
         self.audit()
 
     def Theta(self, i: int) -> Fraction:
         if not 0 <= i <= 5:
             raise ValueError("ladder index out of range")
-        return 10 * (i + 1) * (self.theta + self.theta_S)
+        return self._values[i]
 
     def audit(self):
         """The rational inequalities the cover proofs rely on."""
         th, ts, tp = self.theta, self.theta_S, self.theta_P
-        Th = [self.Theta(i) for i in range(6)]
+        Th = self._values
         checks = [
             th > 0,
             ts >= 0,
@@ -74,12 +76,9 @@ class ThetaLadder:
             raise LadderAuditError(f"ladder audit failed: {checks}")
 
     def to_dict(self):
-        return {
-            "theta": str(self.theta),
-            "theta_S": str(self.theta_S),
-            "theta_P": str(self.theta_P),
-            **{f"Theta_{i}": str(self.Theta(i)) for i in range(6)},
-        }
+        return {"theta": str(self.theta), "theta_S": str(self.theta_S),
+                "theta_P": str(self.theta_P),
+                **{f"Theta_{i}": str(v) for i, v in enumerate(self._values)}}
 
 
 @dataclass(frozen=True)
@@ -94,9 +93,8 @@ class FinitePart:
 
     def __post_init__(self):
         els = set(self.elements)
-        for g in self.elements:
-            if g.inverse() not in els:
-                raise ValueError("finite part must be symmetric")
+        if any(g.inverse() not in els for g in els):
+            raise ValueError("finite part must be symmetric")
         object.__setattr__(
             self, "elements",
             tuple(sorted(els, key=lambda g: (g.a, g.b, g.c, g.d))))
@@ -111,17 +109,12 @@ def theta_S(S: FinitePart, theta_P: Fraction,
     """sup of d^pi_Y(X, X') over X, X' in the S-orbit of the basepoint
     index, inflated by the measured complex margin theta_P."""
     orbit = S.orbit()
-    raw = Fraction(0)
-    for i, A in enumerate(orbit):
-        for B in orbit[i + 1:]:
-            hits = enumerate_large_projections(A, B, floor)
-            if hits:
-                raw = max(raw, max(d for _, d in hits))
-            else:
-                raw = max(raw, floor)  # certified upper bound on this pair
     if len(orbit) <= 1:
         return Fraction(0)
-    return raw + theta_P
+    # floor is a certified upper bound on a pair without hits
+    return theta_P + max([floor] + [
+        d for i, A in enumerate(orbit) for B in orbit[i + 1:]
+        for _, d in enumerate_large_projections(A, B, floor)])
 
 
 # -- the selection machinery (base chart) ----------------------------------
@@ -165,20 +158,21 @@ def _chain(p: int, q: int, theta: Fraction) -> tuple:
     index and Horoball(p/q): every V with d^pi_V(oo, p/q) > theta, sorted
     by denominator (better approximations of p/q come later)."""
     hits = enumerate_large_projections(INFINITY, Fraction(p, q), theta)
-    inner = [(V, d) for V, d in hits if V != Horoball(p, q)]
-    inner.sort(key=lambda t: (t[0].q, abs(t[0].p), t[0].p))
-    return tuple(V for V, _ in inner)
+    return tuple(sorted((V for V, _ in hits),
+                        key=lambda V: (V.q, abs(V.p), V.p)))
 
 
 def chain_angle(chain: tuple, k: int, Z: Horoball) -> Fraction:
     """d^max at chain[k] along oo -> ... -> Z: the projection distance
-    between its neighbours in the order (endpoints at oo and Z)."""
-    prev = INFINITY if k == 0 else chain[k - 1].tangency
-    succ = (Z if k == len(chain) - 1 else chain[k + 1]).tangency
-    d = proj_dist_frac(chain[k], prev, succ)
-    if d is INFINITE:
+    between its neighbours A, C in the order (endpoints at oo and Z), in
+    integers as |A ^ C| / (|V ^ A| |V ^ C|) with (p, q) ^ (r, s) = ps - qr."""
+    V = chain[k]
+    A = BASE_INDEX if k == 0 else chain[k - 1]
+    C = Z if k == len(chain) - 1 else chain[k + 1]
+    va, vc = abs(V.p * A.q - V.q * A.p), abs(V.p * C.q - V.q * C.p)
+    if va == 0 or vc == 0:
         raise WindowRequiredError("tangent neighbours in the chain")
-    return d
+    return Fraction(abs(A.p * C.q - A.q * C.p), va * vc)
 
 
 def select_Yi(g: GroupElement, xi, i: int, ladder: ThetaLadder,
@@ -208,7 +202,15 @@ def _walk_chain(Z: Horoball, i: int, ladder: ThetaLadder, w) -> Horoball:
     Th = ladder.Theta(i)
     if _base_angle(w) >= Th:
         return BASE_INDEX
-    chain = _chain(Z.p, Z.q, ladder.theta)
+    return _walk_toward(Z, i, Th, ladder.theta)
+
+
+@lru_cache(maxsize=256)  # reuse is across the S-translates of one pair
+def _walk_toward(Z: Horoball, i: int, Th: Fraction,
+                 theta: Fraction) -> Horoball:
+    """The w-independent rest of the walk: the chain toward Z, its first
+    vertex with angle >= Th = Theta_i, and the prefix audit of that vertex."""
+    chain = _chain(Z.p, Z.q, theta)
     for k in range(len(chain)):
         if chain_angle(chain, k, Z) >= Th:
             Yi = chain[k]
@@ -261,26 +263,34 @@ class Membership:
     detail: str = ""
 
 
-def _dpi_inf(Y: Horoball, w: Fraction) -> Fraction:
-    """d^pi_Y(basepoint index, w) in the base chart, exact."""
-    return proj_dist_frac(Y, INFINITY, w)
+def _exceeds(Y: Horoball, a: int, b: int, m: Fraction):
+    """Whether d^pi_Y(X, a/b) > m in the base chart (b > 0, a/b in any
+    terms), in integers: the value is b / (q |q a - p b|), so the test is
+    b m.den > m.num q |q a - p b|.  None where the value is infinite: at
+    the pole a/b = p/q, and everywhere for the basepoint index (q = 0)."""
+    p, q = Y.p, Y.q
+    gap = abs(q * a - p * b)
+    if q == 0 or gap == 0:
+        return None
+    return b * m.denominator > m.numerator * q * gap
 
 
-def _interval_inf(Y: Horoball, lo: Fraction, hi: Fraction) -> Fraction:
-    """inf over [lo, hi] of w -> d^pi_Y(X, w) = 1/(q|qw-p|).
+def _inf_exceeds(Y: Horoball, lo: tuple, hi: tuple, m: Fraction) -> bool:
+    """inf over [lo, hi] of d^pi_Y(X, .) > m, endpoints as (a, b) pairs.
 
-    The map is monotone on each side of its pole p/q and has no zero on a
-    bounded interval, so the infimum is at an endpoint (a pole inside only
-    raises interior values).
-    """
-    vals = []
-    for e in (lo, hi):
-        d = _dpi_inf(Y, e)
-        if d is not INFINITE:
-            vals.append(d)
-    if not vals:  # both endpoints at the tangency: degenerate interval
-        return Fraction(0)
-    return min(vals)
+    w -> 1/(q|qw - p|) is monotone on each side of its pole and has no zero
+    on a bounded interval, so the infimum is at an endpoint (a pole inside
+    only raises interior values).  Infinite endpoint values are skipped,
+    and an interval with none finite fails."""
+    ends = (_exceeds(Y, *lo, m), _exceeds(Y, *hi, m))
+    return False not in ends and True in ends
+
+
+def _halvings(r: Fraction, cap: int) -> int:
+    """The number of steps k in range(cap) with 2 delta = 2^-(k+1) >= r."""
+    if r <= 0:
+        return cap
+    return min(cap, max(0, (r.denominator // r.numerator).bit_length() - 1))
 
 
 def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
@@ -338,7 +348,12 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
           (the only other possible targets, by monotonicity away from
           poles) also lies beyond Y0: d^pi_{Y0}(X, tangency V) > margin;
       (3) the walk prefix below Y0 is target-independent (audited in
-          _walk_to) and the Theta_4 clause has a robust witness on H.
+          _walk_chain) and the Theta_4 clause has a robust witness on H.
+    Only the doubled interval [w - 2 delta, w + 2 delta] depends on delta =
+    1/4, 1/8, ...; the first delta to pass wins.  The tests that see no pole
+    (the basepoint angle, and each competitor of (2) with value <= margin,
+    excused exactly while its tangency lies in the interval) are hoisted
+    into the range of delta; the loop tests the rest in integers.
     """
     # competitors with a pole outside the (doubled) interval: any V with
     # d^pi_V(oo, t) > Theta_4 at some t within delta of w and pole at
@@ -347,49 +362,45 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
     # Poles inside the doubled interval are the tangency family, covered
     # wholesale by the inf bound (1).
     # The enumeration is exact for a surd w as well, so the competitor list
-    # is complete and delta needs no cap.
-    lo0, hi0 = surd_interval(w, 60) if isinstance(w, Surd) else (w, w)
-    try:
-        hits = enumerate_large_projections(INFINITY, w, ladder.Theta(4) / 2)
-    except WindowRequiredError as err:
-        return Membership("boundary-uncertain", detail=str(err))
-    margin = ladder.Theta(i) + ladder.theta_P
-    margin4 = ladder.Theta(4) + ladder.theta_P
-    delta = Fraction(1, 4)
-    for _ in range(max_halvings):
-        lo, hi = lo0 - 2 * delta, hi0 + 2 * delta
-        if Y0 == BASE_INDEX:
-            # the basepoint index preempts the walk: it only needs its own
-            # angle inf_H |.| to clear the margin (nothing precedes it)
-            ok = (lo > 0 or hi < 0) and min(abs(lo), abs(hi)) > margin
-        else:
-            # the basepoint index must stay below Theta_i throughout H
-            ok = max(abs(lo), abs(hi)) < ladder.Theta(i)
-            ok = ok and _interval_inf(Y0, lo, hi) > margin
-        if ok and Y0 != BASE_INDEX:
-            for V, _ in hits:
-                if V == Y0 or lo <= V.tangency <= hi:
-                    continue
-                dv = _dpi_inf(Y0, V.tangency)
-                if dv is not INFINITE and dv <= margin:
-                    ok = False
-                    break
-        if ok:
-            # robust Theta_4 witness on the interval
-            wit_ok = False
-            for W in (Z, Y0):
-                vals = []
-                for end in (lo, hi):
-                    d = _dpi_inf(W, end)
-                    if d is not INFINITE:
-                        vals.append(d)
-                if vals and min(vals) > margin4:
-                    wit_ok = True
-                    break
-            ok = wit_ok
-        if ok:
-            return Membership("yes", delta=delta)
-        delta /= 2
+    # is complete and delta needs no cap.  For a rational w the cached chain
+    # toward Z = Horoball(w) already holds every V above theta < Theta_4/2.
+    Th, floor4 = ladder.Theta(i), ladder.Theta(4) / 2
+    margin, margin4 = Th + ladder.theta_P, ladder.Theta(4) + ladder.theta_P
+    if isinstance(w, Surd):
+        lo0, hi0 = surd_interval(w, 60)
+        try:
+            hits = [V for V, _ in
+                    enumerate_large_projections(INFINITY, w, floor4)]
+        except WindowRequiredError as err:
+            return Membership("boundary-uncertain", detail=str(err))
+    else:
+        lo0 = hi0 = w
+        hits = [V for V in _chain(w.numerator, w.denominator, ladder.theta)
+                if _exceeds(V, w.numerator, w.denominator, floor4)]
+    # Step k tests delta = 2^-(k+2).  The basepoint index preempts the walk
+    # and only needs its own angle inf_H |.| > margin, i.e. lo > margin or
+    # hi < -margin (nothing precedes it, nothing competes); any other Y0
+    # needs the basepoint angle below Theta_i on H, i.e. -Th < lo, hi < Th.
+    # Either holds exactly while 2 delta < room.  A blocker is excused
+    # exactly while 2 delta >= its distance past [lo0, hi0].
+    base = Y0 == BASE_INDEX
+    if base:
+        room, blockers = max(lo0 - margin, -margin - hi0), []
+    else:
+        room = min(lo0 + Th, Th - hi0)
+        blockers = [V.tangency for V in hits if V != Y0
+                    and _exceeds(Y0, V.p, V.q, margin) is False]
+    reach = max((max(lo0 - t, t - hi0) for t in blockers), default=0)
+    first, stop = _halvings(room, max_halvings), _halvings(reach, max_halvings)
+    (a0, b0), (a1, b1) = lo0.as_integer_ratio(), hi0.as_integer_ratio()
+    for k in range(first, stop):
+        s = 2 << k  # 1 / (2 delta)
+        lo, hi = (a0 * s - b0, b0 * s), (a1 * s + b1, b1 * s)
+        # (1), then a robust Theta_4 witness on the interval
+        if (base or _inf_exceeds(Y0, lo, hi, margin)) and \
+                (_inf_exceeds(Z, lo, hi, margin4)
+                 or _inf_exceeds(Y0, lo, hi, margin4)):
+            return Membership("yes", delta=Fraction(1, 2 * s))
     return Membership("boundary-uncertain", detail="delta exhausted")
 
 
@@ -406,14 +417,7 @@ class ThinReport:
     witnesses: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "pairs_tested": self.pairs_tested,
-            "long_failures": self.long_failures,
-            "disjointness_failures": self.disjointness_failures,
-            "boundary_uncertain": self.boundary_uncertain,
-            "ladder": self.ladder,
-            "witnesses": self.witnesses[:10],
-        }
+        return {**asdict(self), "witnesses": self.witnesses[:10]}
 
 
 def is_theta5_thin(g: GroupElement, xi, ladder: ThetaLadder) -> bool:
@@ -435,8 +439,7 @@ def find_long_member(g: GroupElement, xi, S: FinitePart,
     cands = []
     seen = set()
     for i in (1, 2):
-        for s in [None] + list(S.elements):
-            h = g if s is None else g * s
+        for h in [g] + [g * s for s in S.elements]:
             Y = select_Yi(h, xi, i, ladder)
             if Y is not None and (Y, i) not in seen:
                 seen.add((Y, i))
@@ -453,8 +456,8 @@ def find_long_member(g: GroupElement, xi, S: FinitePart,
     return None
 
 
-def verify_thin_theorem(S: FinitePart, ladder: ThetaLadder, samples,
-                        rng=None) -> ThinReport:
+def verify_thin_theorem(S: FinitePart, ladder: ThetaLadder,
+                        samples) -> ThinReport:
     """Theorem-level check on sampled Theta_5-thin pairs: S-longness in
     U(.,1) or U(.,2), family-wise disjointness, and order <= 1."""
     rep = ThinReport(ladder=ladder.to_dict())
@@ -487,15 +490,11 @@ def verify_thin_theorem(S: FinitePart, ladder: ThetaLadder, samples,
 
 def _disjointness_probes(Y: Horoball, i: int, g: GroupElement, xi,
                          ladder: ThetaLadder):
-    """A few competing (Y', i) in the same family to probe disjointness."""
-    out = []
+    """A few competing (Y', i) in the same family to probe disjointness:
+    the first three walk vertices toward Z(g, xi) other than Y."""
     w = chart_point(g.inverse().apply_boundary(xi))
-    if isinstance(w, Fraction):
-        Z = Horoball(w.numerator, w.denominator)
-        for V in (BASE_INDEX,) + _chain(Z.p, Z.q, ladder.theta) + (Z,):
-            Vg = V.translate(g)
-            if Vg != Y:
-                out.append((Vg, i))
-            if len(out) >= 3:
-                break
-    return out
+    if not isinstance(w, Fraction):
+        return []
+    Z = Horoball(w.numerator, w.denominator)
+    walk = (BASE_INDEX,) + _chain(Z.p, Z.q, ladder.theta) + (Z,)
+    return [(Vg, i) for Vg in (V.translate(g) for V in walk) if Vg != Y][:3]

@@ -7,7 +7,6 @@ import json
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -21,8 +20,6 @@ from horocover.hyperbolic import (
     Horoball,
     penetration_depth,
     proj_dist_frac,
-    projection_distance,
-    word_ball,
 )
 from horocover.projection_complex import (
     ProjComplexGraph,
@@ -42,7 +39,6 @@ from horocover.projection_data import (
     sample_triples_rational,
     stern_brocot_horoball,
 )
-from horocover.surd import PHI, SQRT2
 from horocover import flow_cover, thin_cover
 
 

@@ -3,7 +3,6 @@ unknown config keys, and rendering."""
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from horocover.certified import INFINITE
 from horocover.flow_cover import (
-    CoarseFlowSample,
     ThickCertificate,
     ThickParams,
     ambient_metric,

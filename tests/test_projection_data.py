@@ -10,7 +10,6 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horocover.certified import INFINITE
 from horocover.hyperbolic import (
     GEN_S,
     GEN_T,

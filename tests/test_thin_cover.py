@@ -1,26 +1,40 @@
 """Thin cover: the ladder, the selection walk (chain vs window-graph
 oracle), certified membership, and the theorem check at small scale."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from horocover.certified import INFINITE, surd_interval
 from horocover.hyperbolic import (
     GEN_S,
     GEN_T,
     IDENTITY,
     GroupElement,
     Horoball,
+    proj_dist_frac,
     word_ball,
 )
 from horocover.projection_complex import ProjComplexGraph, build_window
-from horocover.surd import PHI, SQRT2
+from horocover.projection_data import (
+    WindowRequiredError,
+    enumerate_large_projections,
+)
+from horocover.surd import INFINITY, PHI, SQRT2, Surd
 from horocover.thin_cover import (
     BASE_INDEX,
     FinitePart,
     LadderAuditError,
     ThetaLadder,
+    _certify_yes,
+    _chain,
+    _exceeds,
+    _select_z_base,
+    _walk_chain,
+    chain_angle,
     find_long_member,
     is_theta5_thin,
     membership_U,
@@ -31,6 +45,62 @@ from horocover.thin_cover import (
 )
 
 THETA_P = Fraction(6)
+# xi = 1/(2000 + 1/phi): a surd direction with a deep 0-ball projection
+DEEP_SURD = GroupElement(1, 0, 2000, 1).apply_boundary(PHI)
+
+
+def sl2z_words(max_len=10):
+    """Random words in S, T and T^-1, multiplied out."""
+    gens = st.sampled_from([GEN_S, GEN_T, GEN_T.inverse()])
+    return st.lists(gens, max_size=max_len).map(
+        lambda word: math.prod(word, start=IDENTITY))
+
+
+def near_ladder_points():
+    """Rationals within 50 / 2^k of a point where a test of _certify_yes
+    flips at the pinned ladder: 0, +-Theta_i and +-(Theta_i + theta_P)."""
+    anchors = [Fraction(0), Fraction(1, 3)] + [
+        s * (120 * (i + 1) + t) for i in (1, 2) for s in (1, -1)
+        for t in (0, 6)]
+    return st.builds(lambda a, n, d, k: a + Fraction(n, d) / 2 ** k,
+                     st.sampled_from(anchors), st.integers(-50, 50),
+                     st.integers(1, 50), st.integers(0, 16))
+
+
+def certify_reference(Y0, i, w, Z, ladder, max_halvings):
+    """The halving loop of _certify_yes in Fractions: values from
+    proj_dist_frac, infima as the least finite endpoint value, and every
+    competitor of a fresh enumeration at w re-tested at every delta."""
+    def dpi(Y, e):
+        return proj_dist_frac(Y, INFINITY, e)
+
+    def inf(Y, lo, hi):
+        vals = [d for d in (dpi(Y, lo), dpi(Y, hi)) if d is not INFINITE]
+        return min(vals) if vals else None
+
+    def above(d, m):
+        return d is not None and d > m
+
+    Th, Th4 = ladder.Theta(i), ladder.Theta(4)
+    margin, margin4 = Th + ladder.theta_P, Th4 + ladder.theta_P
+    lo0, hi0 = surd_interval(w, 60) if isinstance(w, Surd) else (w, w)
+    hits = [V for V, _ in enumerate_large_projections(INFINITY, w, Th4 / 2)]
+    delta = Fraction(1, 4)
+    for _ in range(max_halvings):
+        lo, hi = lo0 - 2 * delta, hi0 + 2 * delta
+        if Y0 == BASE_INDEX:
+            ok = (lo > 0 or hi < 0) and min(abs(lo), abs(hi)) > margin
+        else:
+            ok = max(abs(lo), abs(hi)) < Th and \
+                above(inf(Y0, lo, hi), margin) and all(
+                    lo <= V.tangency <= hi or dpi(Y0, V.tangency) is INFINITE
+                    or dpi(Y0, V.tangency) > margin
+                    for V in hits if V != Y0)
+        if ok and (above(inf(Z, lo, hi), margin4)
+                   or above(inf(Y0, lo, hi), margin4)):
+            return "yes", delta
+        delta /= 2
+    return "boundary-uncertain", None
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +149,33 @@ class TestSelection:
         xi = Fraction(1, 500)
         assert select_Yi(IDENTITY, xi, 1, ladder) == Horoball(0, 1)
         assert select_Yi(IDENTITY, xi, 2, ladder) == Horoball(0, 1)
+
+    def test_walk_levels_differ(self, ladder):
+        # xi = 1/300: the 0-ball angle 300 clears Theta_1 = 240 but not
+        # Theta_2 = 360, so Y_2 walks on to the tangency; asked in both
+        # orders, since the walk is cached
+        xi = Fraction(1, 300)
+        assert select_Yi(IDENTITY, xi, 2, ladder) == Horoball(1, 300)
+        assert select_Yi(IDENTITY, xi, 1, ladder) == Horoball(0, 1)
+        assert select_Yi(IDENTITY, xi, 2, ladder) == Horoball(1, 300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10 ** 4, 10 ** 4),
+                              st.integers(1, 10 ** 4)),
+                    min_size=2, max_size=4, unique=True),
+           st.integers(0, 2))
+    def test_chain_angle_is_proj_dist_frac(self, points, k):
+        # any order of finite horoballs, Z the last, angles at each vertex
+        *chain, Z = [Horoball(p, q) for p, q in points]
+        k = min(k, len(chain) - 1)
+        prev = INFINITY if k == 0 else chain[k - 1].tangency
+        succ = (Z if k == len(chain) - 1 else chain[k + 1]).tangency
+        want = proj_dist_frac(chain[k], prev, succ)
+        if want is INFINITE:
+            with pytest.raises(WindowRequiredError):
+                chain_angle(tuple(chain), k, Z)
+        else:
+            assert chain_angle(tuple(chain), k, Z) == want
 
     def test_select_yi_falls_to_tangency(self, ladder):
         # no Theta_1-large projection on the way to 1/2
@@ -140,15 +237,124 @@ class TestMembership:
         # xi = 1/(2000 + 1/phi): the 0-ball carries the only projection
         # above Theta_4/2, 2000.6, and the exact kernel completes the
         # competitor list without a denominator window
-        xi = GroupElement(1, 0, 2000, 1).apply_boundary(PHI)
-        m = membership_U(Horoball(0, 1), 1, IDENTITY, xi, ladder)
+        m = membership_U(Horoball(0, 1), 1, IDENTITY, DEEP_SURD, ladder)
         assert m.verdict == "yes"
         assert m.delta == Fraction(1, 2048)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sl2z_words(), sl2z_words(),
+           st.fractions(-3, 3, max_denominator=40)
+           | st.sampled_from([PHI, DEEP_SURD, Fraction(1, 500)]),
+           st.sampled_from([1, 2]))
+    def test_select_and_membership_equivariant(self, ladder, g, h, base, i):
+        # (g, xi) with xi = g base, moved by h: Y_i moves with it, and
+        # every membership answer (verdict, delta, detail) is unchanged
+        xi = g.apply_boundary(base)
+        hxi = h.apply_boundary(xi)
+        Y = select_Yi(g, xi, i, ladder)
+        hY = select_Yi(h * g, hxi, i, ladder)
+        assert hY == (None if Y is None else Y.translate(h))
+        for V in {Y or BASE_INDEX, BASE_INDEX.translate(g),
+                  Horoball(1, 1).translate(g)}:
+            assert membership_U(V.translate(h), i, h * g, hxi, ladder) == \
+                membership_U(V, i, g, xi, ladder)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.fractions(-1000, 1000, max_denominator=3000)
+           | near_ladder_points(),
+           st.sampled_from([1, 2]), st.sampled_from([48, 12, 3]),
+           st.sampled_from(["walk", "base", "tangency", "ball", "near",
+                            "first", "last"]))
+    # blockers on either side of w, and a start of the halvings in the
+    # middle of the sequence
+    @example(Fraction(-25, 13824), 1, 48, "tangency")
+    @example(Fraction(-25, 13824), 1, 12, "walk")
+    @example(Fraction(368639, 1024), 2, 48, "tangency")
+    @example(Fraction(2330143, 9472), 2, 48, "walk")
+    @example(Fraction(70778869, 196608), 2, 48, "walk")
+    def test_certificate_matches_fraction_reference(self, ladder, w, i,
+                                                    halvings, pick):
+        Z = _select_z_base(w, ladder)
+        chain = _chain(Z.p, Z.q, ladder.theta) or (Z,)
+        Y0 = {"walk": _walk_chain(Z, i, ladder, w), "base": BASE_INDEX,
+              "tangency": Z, "ball": Horoball(0, 1),
+              "near": Horoball(round(w), 1), "first": chain[0],
+              "last": chain[-1]}[pick]
+        m = _certify_yes(Y0, i, w, Z, ladder, halvings)
+        assert (m.verdict, m.delta) == \
+            certify_reference(Y0, i, w, Z, ladder, halvings)
+
+    @pytest.mark.parametrize("Y0", [Horoball(0, 1), BASE_INDEX,
+                                    Horoball(1, 2000)], ids=repr)
+    def test_surd_certificate_matches_fraction_reference(self, ladder, Y0):
+        w = DEEP_SURD
+        Z = _select_z_base(w, ladder)
+        for i in (1, 2):
+            m = _certify_yes(Y0, i, w, Z, ladder, 48)
+            assert (m.verdict, m.delta) == \
+                certify_reference(Y0, i, w, Z, ladder, 48)
 
     def test_family_index_validated(self, ladder):
         with pytest.raises(ValueError):
             membership_U(Horoball(0, 1), 3, IDENTITY, Fraction(1, 500),
                          ladder)
+
+
+class TestEndpointTest:
+    """The integer test b m.den > m.num q |q a - p b| of d^pi_Y(X, a/b) > m
+    against proj_dist_frac, the Fraction oracle."""
+
+    @staticmethod
+    def oracle(Y, a, b, m):
+        d = proj_dist_frac(Y, INFINITY, Fraction(a, b))
+        return None if d is INFINITE else d > m
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 4),
+           st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6),
+           st.integers(1, 5), st.fractions(0, 10 ** 4).filter(bool))
+    def test_agrees_with_proj_dist_frac(self, p, q, a, b, k, m):
+        # Y with any sign of p (or the cusp), e = a/b in unreduced terms
+        if p == 0 and q == 0:
+            p = 1
+        Y = Horoball(p, q)
+        assert _exceeds(Y, k * a, k * b, m) == self.oracle(Y, a, b, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 3),
+           st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6),
+           st.fractions(-1, 1).filter(bool))
+    def test_margins_around_the_value(self, p, q, a, b, eps):
+        # margins just below, at and just above the finite value
+        Y = Horoball(p, q)
+        d = proj_dist_frac(Y, INFINITY, Fraction(a, b))
+        if d is INFINITE:
+            return
+        for m in (d - abs(eps) * d, d, d + abs(eps) * d):
+            if m > 0:
+                assert _exceeds(Y, a, b, m) == (d > m) == \
+                    self.oracle(Y, a, b, m)
+
+    @pytest.mark.parametrize("Y", [Horoball(3, 7), Horoball(-3, 7),
+                                   Horoball(-5, 1)], ids=repr)
+    def test_pole_is_infinite(self, Y):
+        for k in (1, 2, 9):
+            assert _exceeds(Y, k * Y.p, k * Y.q, Fraction(10 ** 9)) is None
+            assert self.oracle(Y, Y.p, Y.q, Fraction(1)) is None
+
+    def test_cusp_is_infinite(self):
+        cusp = Horoball(1, 0)
+        for a, b in ((0, 1), (-3, 7), (10 ** 6, 1)):
+            assert _exceeds(cusp, a, b, Fraction(1, 10 ** 9)) is None
+            assert self.oracle(cusp, a, b, Fraction(1)) is None
+
+    def test_pinned_values(self):
+        # d^pi_{2/5}(X, 1/3) = 3/(5 |5 - 6|) = 3/5
+        Y = Horoball(2, 5)
+        assert _exceeds(Y, 1, 3, Fraction(1, 2)) is True
+        assert _exceeds(Y, 1, 3, Fraction(3, 5)) is False
+        assert _exceeds(Y, 2, 6, Fraction(59, 100)) is True
+        assert _exceeds(Horoball(-2, 5), -1, 3, Fraction(3, 5)) is False
 
 
 class TestTheorem:
