@@ -10,6 +10,14 @@ charts with an arclength parameter, and the long thin cover lays two
 staggered interval families of length 4*beta along each chart.  The coarse
 flow map iota_tau pushes a pair (g, xi) to the orbit points near the time-
 tau point of its ray, and covers pull back through it.
+
+Which orbit points lie within rho of a ray point is a filtered predicate:
+one rational enclosure of the point bounds cosh of every candidate's
+distance on both sides of cosh rho, so a candidate is kept or dropped
+without further interval work unless it falls in the band between the
+bounds, where a certified compare decides.  The ray's own start, at
+distance exactly t from its time-t point, is decided exactly, since no
+enclosure separates the tie t = rho.
 """
 
 from __future__ import annotations
@@ -17,9 +25,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
-from .certified import CertifiedReal, INFINITE, Undecided
+from mpmath import iv
+
+from .certified import (
+    INFINITE,
+    CertifiedReal,
+    Undecided,
+    fraction_to_iv,
+    iv_to_fractions,
+)
 from .hyperbolic import (
     GroupElement,
     HOROBALL_INF,
@@ -106,11 +123,6 @@ def classify(g: GroupElement, xi, Theta: Fraction):
 # -- the coarse flow space --------------------------------------------------
 
 
-def _point_snapshot(fx: CertifiedReal, fy: CertifiedReal,
-                    dps: int = 40) -> tuple[Fraction, Fraction]:
-    return fx.midpoint(dps), fy.midpoint(dps)
-
-
 _NEIGHBOR_BALL = None
 
 
@@ -121,30 +133,79 @@ def _neighbors():
     return _NEIGHBOR_BALL
 
 
-def orbit_points_near(point, rho: Fraction, slack: float = 0.05) -> list:
-    """Orbit elements v with d_T(v x0, point) <= rho (certified; elements
-    in the float slack band around rho are resolved by interval compare).
+# precision of the one enclosure taken of each sample point
+_POINT_DPS = 40
 
-    `point` is a pair of CertifiedReal or rational coordinates.
+
+@lru_cache(maxsize=8)
+def _twice_cosh_minus_2(rho: Fraction) -> tuple[Fraction, Fraction]:
+    """A rational enclosure of 2 (cosh rho - 1) = e^rho + e^-rho - 2."""
+    old = iv.dps
+    try:
+        iv.dps = _POINT_DPS
+        e = iv.exp(fraction_to_iv(rho))
+        return iv_to_fractions(e + 1 / e - 2)
+    finally:
+        iv.dps = old
+
+
+def _square_bounds(lo: int, hi: int) -> tuple[int, int]:
+    """Bounds of s^2 over lo <= s <= hi."""
+    if lo > 0:
+        return lo * lo, hi * hi
+    if hi < 0:
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
+
+
+def _orbit_ints(v: GroupElement) -> tuple[int, int]:
+    """(a, n) with v x0 = (a + i) / n."""
+    return v.a * v.c + v.b * v.d, v.c * v.c + v.d * v.d
+
+
+def orbit_points_near(point, rho: Fraction, origin=None) -> list:
+    """Orbit elements v with d_T(v x0, point) <= rho, among the neighbour
+    set locate(m) * word_ball(2) of the midpoint m of the point's dps-40
+    enclosure; `point` is a pair of CertifiedReal or rational coordinates.
+
+    Two-sided filter: cosh d is bounded over the enclosure box, exactly in
+    integers, against a rational enclosure of cosh rho; a candidate wholly
+    below is kept and one wholly above dropped.  Only a candidate in the
+    band between goes to a certified compare, and is kept when that ends
+    Undecided.  `origin`, when given, is a pair (g, t) with the point at
+    distance exactly t from g x0: a candidate with v x0 = g x0 is then kept
+    iff t <= rho, which decides the tie t = rho that no enclosure can.
     """
-    px, py = point
-    if isinstance(px, CertifiedReal):
-        sx, sy = _point_snapshot(px, py)
-    else:
-        sx, sy = Fraction(px), Fraction(py)
-    h = locate((sx, sy))
+    (xl, xh), (yl, yh) = (CertifiedReal.of(c).interval(_POINT_DPS)
+                          for c in point)
+    h = locate(((xl + xh) / 2, (yl + yh) / 2))
+    # the box [xl, xh] x [yl, yh] as integers over one denominator D
+    D = math.lcm(*(f.denominator for f in (xl, xh, yl, yh)))
+    XL, XH, YL, YH = (int(f * D) for f in (xl, xh, yl, yh))
+    # with v x0 = (a + i) / n and the point at (X + i Y) / D,
+    # cosh d - 1 = s / (2 n D Y) for s = (a D - n X)^2 + (D - n Y)^2, so
+    # d < rho iff s < c n D Y for c = 2 (cosh rho - 1); Y is taken at YL
+    # for a keep and at YH for a drop
+    c_lo, c_hi = _twice_cosh_minus_2(rho)
+    keep_at = c_lo.numerator * D * YL
+    drop_at = c_hi.numerator * D * YH
+    tie = None if origin is None else _orbit_ints(origin[0])
     out = []
-    pf = (float(sx), float(sy))
     for u in _neighbors():
         v = h * u
-        ox, oy = orbit_point(v)
-        # cheap float prefilter before certified comparison
-        fx, fy = float(ox), float(oy)
-        arg = 1 + ((fx - pf[0]) ** 2 + (fy - pf[1]) ** 2) / (2 * fy * pf[1])
-        d = math.acosh(max(arg, 1.0))
-        if d > float(rho) + slack:
+        a, n = _orbit_ints(v)
+        if (a, n) == tie:
+            if origin[1] <= rho:
+                out.append(v)
             continue
-        dist = hyperbolic_distance((ox, oy), point)
+        sx = _square_bounds(a * D - n * XH, a * D - n * XL)
+        sy = _square_bounds(D - n * YH, D - n * YL)
+        if (sx[1] + sy[1]) * c_lo.denominator < keep_at * n:
+            out.append(v)
+            continue
+        if (sx[0] + sy[0]) * c_hi.denominator > drop_at * n:
+            continue
+        dist = hyperbolic_distance(orbit_point(v), point)
         try:
             if dist.compare(rho, max_dps=60) <= 0:
                 out.append(v)
@@ -184,7 +245,7 @@ def sample_coarse_flow(params: ThickParams, generators_radius: int,
             xi = boundary(xi)
             for t in params.t_grid():
                 pt = geodesic_point(g, xi, t)
-                for v in orbit_points_near(pt, params.rho):
+                for v in orbit_points_near(pt, params.rho, (g, t)):
                     sample.triples.append((FlowTriple(g, v, xi), t))
     return sample
 
@@ -193,7 +254,7 @@ def flow_point(g: GroupElement, xi, tau, params: ThickParams) -> set:
     """iota_tau(g, xi): orbit points within rho of the time-tau point of
     the witness ray from g x0 toward xi."""
     pt = geodesic_point(g, boundary(xi), tau)
-    return set(orbit_points_near(pt, params.rho))
+    return set(orbit_points_near(pt, params.rho, (g, tau)))
 
 
 # -- flow-line charts -------------------------------------------------------
@@ -421,25 +482,6 @@ def fsubset_check(cover: LongThinCover, sample: CoarseFlowSample,
 # -- pullback through the coarse flow --------------------------------------
 
 
-@dataclass
-class PulledBackSet:
-    """iota_S^{-tau} U, represented intensionally."""
-
-    U: CoverElement
-    cover: LongThinCover
-    tau: Fraction
-    params: ThickParams
-
-    def contains(self, g: GroupElement, xi) -> bool:
-        return self.U in flow_elements(g, xi, self.tau, self.cover,
-                                       self.params)
-
-
-def pullback(U: CoverElement, tau, cover: LongThinCover,
-             params: ThickParams) -> PulledBackSet:
-    return PulledBackSet(U, cover, Fraction(tau), params)
-
-
 def flow_elements(g: GroupElement, xi, tau, cover: LongThinCover,
                   params: ThickParams) -> set:
     """The cover elements containing every flow point of (g, xi) at time
@@ -610,49 +652,3 @@ def verify_thick_theorem(S, params: ThickParams, generators_radius: int,
         worst = max(cover.order_measured, order_extended or 0)
         report["order_within_pin"] = worst <= pinned_order
     return report
-
-
-# -- numeric flow-space properties (F1)-(F3) -------------------------------
-
-
-def check_endpoint_convergence(xi: Surd, depth: int = 25,
-                               tol: float = 1e-6) -> dict:
-    """(F1) instance: the convergents of xi converge to xi in the boundary
-    metric; the tail distance must drop below tol."""
-    convs = list(xi.convergents(depth))
-    dists = [boundary_distance(Fraction(p, q), xi) for p, q in convs]
-    return {"xi": str(xi), "final": dists[-1], "ok": dists[-1] < tol,
-            "monotone_tail": all(a >= b for a, b in zip(dists[-6:], dists[-5:]))}
-
-
-def check_fellow_traveling(g: GroupElement, h: GroupElement, xi,
-                           t_max: int = 20) -> dict:
-    """(F2) instance: rays toward the same endpoint from nearby starting
-    points stay at bounded measured distance R."""
-    xi = boundary(xi)
-    R = 0.0
-    for k in range(0, 2 * t_max + 1):
-        t = Fraction(k, 2)
-        p1 = geodesic_point(g, xi, t)
-        p2 = geodesic_point(h, xi, t)
-        R = max(R, float(hyperbolic_distance(p1, p2)))
-    start = float(hyperbolic_distance(orbit_point(g), orbit_point(h)))
-    return {"start_distance": start, "R_measured": R}
-
-
-def check_line_proximity(sample: CoarseFlowSample, xi_minus, xi_plus) -> dict:
-    """(F3) instance: sampled T(xi_-, xi_+) members lie within measured R
-    of the geodesic line through the two endpoints."""
-    a, b = float(boundary(xi_minus)), float(boundary(xi_plus))
-    c, r = (a + b) / 2, abs(b - a) / 2
-    R = 0.0
-    n = 0
-    for triple, _t in sample.triples:
-        if str(triple.xi_plus) != str(boundary(xi_plus)):
-            continue
-        x, y = (float(v) for v in orbit_point(triple.v))
-        num = abs((x - c) ** 2 + y * y - r * r)
-        d = math.asinh(num / (2 * r * y))
-        R = max(R, d)
-        n += 1
-    return {"members": n, "R_measured": R}

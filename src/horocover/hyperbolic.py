@@ -383,17 +383,21 @@ def geodesic_point(g: GroupElement, xi, t) -> tuple[CertifiedReal, CertifiedReal
         return fx, fy
     c, r2 = circ
     toward_zero = (xi - c).sign() > 0
+    evaluated = {}  # iv.prec -> (x, y): one evaluation serves both
 
     def coords():
+        if iv.prec in evaluated:
+            return evaluated[iv.prec]
         civ = surd_iv(c)
         riv = iv.sqrt(surd_iv(r2))
-        x0v, y0v = fraction_to_iv(x0), fraction_to_iv(y0)
+        x0v = fraction_to_iv(x0)
         theta0 = iv_acos((x0v - civ) / riv)
         u0 = iv.tan(theta0 / 2)
         u = u0 * iv.exp(-tval()) if toward_zero else u0 * iv.exp(tval())
         cos_t = (1 - u * u) / (1 + u * u)
         sin_t = 2 * u / (1 + u * u)
-        return civ + riv * cos_t, riv * sin_t
+        evaluated[iv.prec] = civ + riv * cos_t, riv * sin_t
+        return evaluated[iv.prec]
 
     fx = CertifiedReal(refine=lambda dps: coords()[0])
     fy = CertifiedReal(refine=lambda dps: coords()[1])

@@ -1,28 +1,36 @@
-"""Thick cover: classification, flow-line charts, the staggered interval
-cover, pullback longness, and the numeric flow-space properties."""
+"""Thick cover: classification, the filtered orbit-point predicate against
+the per-candidate loop it replaced, flow-line charts, the staggered
+interval cover, and pullback longness."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from mpmath import iv
 
-from horocover.certified import INFINITE
+from horocover.certified import (
+    INFINITE,
+    CertifiedReal,
+    Undecided,
+    fraction_to_iv,
+)
 from horocover.flow_cover import (
     ThickCertificate,
     ThickParams,
+    _neighbors,
+    _square_bounds,
+    _twice_cosh_minus_2,
     ambient_metric,
     boundary_distance,
     build_charts,
     build_long_thin_cover,
-    check_endpoint_convergence,
-    check_fellow_traveling,
-    check_line_proximity,
     choose_tau,
     classify,
+    flow_elements,
     flow_point,
     fsubset_check,
-    pullback,
+    orbit_points_near,
     sample_coarse_flow,
     verify_thick_theorem,
     word_distance,
@@ -33,6 +41,10 @@ from horocover.hyperbolic import (
     IDENTITY,
     GroupElement,
     Horoball,
+    geodesic_point,
+    hyperbolic_distance,
+    locate,
+    orbit_point,
     word_ball,
 )
 from horocover.projection_data import surd_sample_set
@@ -105,6 +117,132 @@ class TestClassify:
         assert params.depth_bound == pytest.approx(1.0, abs=1e-3)
 
 
+def reference_orbit_points_near(point, rho, slack=0.05):
+    """The per-candidate loop the filter replaced: a float prefilter that
+    drops d > rho + slack, then a certified compare of every candidate it
+    leaves, kept when Undecided."""
+    px, py = point
+    if isinstance(px, CertifiedReal):
+        sx, sy = px.midpoint(40), py.midpoint(40)
+    else:
+        sx, sy = Fraction(px), Fraction(py)
+    h = locate((sx, sy))
+    out = []
+    for u in word_ball(2):
+        v = h * u
+        ox, oy = orbit_point(v)
+        fx, fy = float(ox), float(oy)
+        arg = 1 + ((fx - float(sx)) ** 2 + (fy - float(sy)) ** 2) / (
+            2 * fy * float(sy))
+        if math.acosh(max(arg, 1.0)) > float(rho) + slack:
+            continue
+        try:
+            if hyperbolic_distance((ox, oy), point).compare(
+                    rho, max_dps=60) <= 0:
+                out.append(v)
+        except Undecided:
+            out.append(v)
+    return out
+
+
+RHO = Fraction(2)
+# the ray from G_TIE x0 toward SQRT2 has G_TIE in the neighbour set of its
+# point at t = RHO, so its start is a candidate at distance exactly t
+G_TIE = GroupElement(0, -1, 1, 2)
+WORDS = st.lists(st.sampled_from([GEN_S, GEN_T, GEN_T.inverse()]),
+                 max_size=6).map(lambda w: math.prod(w, start=IDENTITY))
+
+
+def _no_compare(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certified compare called")
+
+    monkeypatch.setattr(CertifiedReal, "compare", refuse)
+
+
+def _starts_kept(g, t, origin):
+    pt = geodesic_point(g, boundary(SQRT2), t)
+    m = tuple(c.midpoint(40) for c in pt)
+    start = orbit_point(g)
+    assert any(orbit_point(locate(m) * u) == start for u in _neighbors())
+    kept = orbit_points_near(pt, RHO, (g, t) if origin else None)
+    return any(orbit_point(v) == start for v in kept)
+
+
+class TestOrbitPointsNear:
+    @given(st.integers(-20, 20), st.integers(0, 20))
+    def test_square_bounds(self, lo, width):
+        squares = [s * s for s in range(lo, lo + width + 1)]
+        assert _square_bounds(lo, lo + width) == (min(squares), max(squares))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(word_ball(3)), WORDS,
+           st.sampled_from([PHI, SQRT2]),
+           st.sampled_from(list(ThickParams(Fraction(6), RHO,
+                                            Fraction(3)).t_grid())),
+           st.booleans())
+    def test_equals_reference_on_rays(self, g, w, xi, t, origin):
+        pt = geodesic_point(g, w.apply_boundary(xi), t)
+        got = orbit_points_near(pt, RHO, (g, t) if origin else None)
+        assert got == reference_orbit_points_near(pt, RHO)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.fractions(-3, 3, max_denominator=12),
+           st.fractions(Fraction(1, 12), 4, max_denominator=12),
+           st.sampled_from([Fraction(1, 2), Fraction(1), RHO]))
+    def test_equals_reference_on_rational_points(self, x, y, rho):
+        assert orbit_points_near((x, y), rho) == \
+            reference_orbit_points_near((x, y), rho)
+
+    @pytest.mark.parametrize("origin", [True, False])
+    def test_start_near_rho_decided_without_compare(self, monkeypatch,
+                                                    origin):
+        # 2^-40 off the tie, the enclosure alone separates the start
+        _no_compare(monkeypatch)
+        eps = Fraction(1, 2 ** 40)
+        assert _starts_kept(G_TIE, RHO - eps, origin)
+        assert not _starts_kept(G_TIE, RHO + eps, origin)
+
+    def test_tie_kept_without_compare(self, monkeypatch):
+        _no_compare(monkeypatch)
+        assert _starts_kept(G_TIE, RHO, origin=True)
+
+    def test_tie_without_origin_is_kept_as_undecided(self):
+        assert _starts_kept(G_TIE, RHO, origin=False)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(-64, 64), st.integers(8, 64), st.booleans())
+    @example(-52, 32, True)  # boxes where the drop bound is tight
+    @example(-48, 10, True)
+    def test_filter_sound_on_a_wide_box(self, i, j, keep):
+        # a point known only to a box of width 1/8 at every precision:
+        # with the fallback compare forced, what the filter keeps must be
+        # within rho at every sampled box point, and what it drops beyond
+        x, y, w = Fraction(i, 32), Fraction(j, 32), Fraction(1, 16)
+        point = tuple(CertifiedReal(refine=lambda dps, c=c: iv.mpf(
+            [fraction_to_iv(c - w).a, fraction_to_iv(c + w).b]))
+            for c in (x, y))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CertifiedReal, "compare",
+                       lambda self, other, max_dps: -1 if keep else 1)
+            kept = orbit_points_near(point, RHO)
+        c_lo, c_hi = _twice_cosh_minus_2(RHO)
+        h = locate((x, y))
+        for v in (h * u for u in _neighbors()):
+            ox, oy = orbit_point(v)
+            grid = [(x + k * w / 2, y + m * w / 2)
+                    for k in range(-2, 3) for m in range(-2, 3)]
+            grid.append((min(max(ox, x - w), x + w),
+                         min(max(oy, y - w), y + w)))
+            # 2 (cosh d - 1) at each sampled point of the box
+            vals = [((ox - gx) ** 2 + (oy - gy) ** 2) / (oy * gy)
+                    for gx, gy in grid]
+            if keep and v not in kept:
+                assert min(vals) > c_lo
+            if not keep and v in kept:
+                assert max(vals) < c_hi
+
+
 class TestCharts:
     def test_charts_accepted(self, sample, params):
         charts, rejected = build_charts(sample)
@@ -139,9 +277,7 @@ class TestPullback:
         xi = boundary(PHI)
         pts = flow_point(IDENTITY, xi, Fraction(3), params)
         assert pts
-        hits = [U for U in cover.elements
-                if pullback(U, Fraction(3), cover, params).contains(
-                    IDENTITY, xi)]
+        hits = flow_elements(IDENTITY, xi, Fraction(3), cover, params)
         assert 1 <= len(hits) <= 2
 
     def test_theorem_small_scale(self, params):
@@ -179,20 +315,3 @@ class TestMetrics:
         y = (GEN_T, Fraction(1, 3))
         assert ambient_metric(x, x) == 0
         assert ambient_metric(x, y) >= 1
-
-
-class TestFlowProperties:
-    def test_f1_endpoint_convergence(self):
-        for xi in (PHI, SQRT2):
-            assert check_endpoint_convergence(xi)["ok"]
-
-    def test_f2_fellow_traveling(self):
-        # rays toward the same endpoint only get closer: the measured bound
-        # is attained at the start
-        rep = check_fellow_traveling(IDENTITY, GEN_T, PHI)
-        assert rep["R_measured"] <= rep["start_distance"] + 1e-9
-
-    def test_f3_line_proximity(self, sample):
-        rep = check_line_proximity(sample, Fraction(-1), boundary(PHI))
-        assert rep["members"] > 0
-        assert rep["R_measured"] < 4.0

@@ -1,11 +1,15 @@
-"""Source hygiene: every name a horocover module imports is referenced."""
+"""Source hygiene: every name a horocover module imports is referenced,
+and every layer the benchmark tracer patches exists."""
 
 import ast
+import importlib.util
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "horocover"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "horocover"
 # the package __init__ imports only to re-export
 MODULES = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
 
@@ -44,3 +48,20 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _traced():
+    """perfbench/spans.py's TRACED list, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TRACED
+
+
+@pytest.mark.parametrize("module,attr", _traced())
+def test_traced_layer_exists(module, attr):
+    # `--trace 1` patches each of these by name, so a deleted or renamed
+    # one breaks the traced benchmark
+    owner = importlib.import_module("horocover." + module)
+    assert callable(reduce(getattr, attr.split("."), owner))
