@@ -31,9 +31,6 @@ class NerveMap:
     order: int
     vectors: dict = field(default_factory=dict)  # point key -> {elt: weight}
 
-    def vector(self, key):
-        return self.vectors[key]
-
     def check_invariants(self):
         for key, vec in self.vectors.items():
             total = sum(vec.values(), Fraction(0))

@@ -141,10 +141,6 @@ class CertifiedReal:
             dps *= 2
         raise Undecided("cannot separate two certified reals")
 
-    def midpoint(self, dps: int = DEFAULT_DPS) -> Fraction:
-        lo, hi = self.interval(dps)
-        return (lo + hi) / 2
-
     def __float__(self):
         if self.exact is not None:
             return float(self.exact)

@@ -42,7 +42,7 @@ from .hyperbolic import (
     HOROBALL_INF,
     Horoball,
     IDENTITY,
-    chart_point,
+    chart_image,
     geodesic_point,
     hyperbolic_distance,
     locate,
@@ -106,7 +106,7 @@ def classify(g: GroupElement, xi, Theta: Fraction):
     its field (see projection_data.sup_projection), so it never ties with
     the rational Theta.
     """
-    w = chart_point(g.inverse().apply_boundary(xi))
+    w = chart_image(g.inverse(), xi)
     if not isinstance(w, Surd):
         return Horoball.at(w).translate(g), INFINITE
     sup = sup_projection(HOROBALL_INF, w)
@@ -565,8 +565,8 @@ def ambient_metric(p, q) -> float:
     distance between the base-chart endpoints."""
     (g, xi), (h, eta) = p, q
     wd = word_distance(g, h)
-    bd = boundary_distance(chart_point(g.inverse().apply_boundary(xi)),
-                           chart_point(h.inverse().apply_boundary(eta)))
+    bd = boundary_distance(chart_image(g.inverse(), xi),
+                           chart_image(h.inverse(), eta))
     return wd + bd
 
 

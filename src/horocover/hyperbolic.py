@@ -193,6 +193,20 @@ def chart_point(x):
     return x.as_fraction()
 
 
+def chart_image(g: GroupElement, x):
+    """chart_point(g.apply_boundary(x)).  INFINITY and a Fraction move by
+    the integer Moebius map on (numerator, denominator), to INFINITY or a
+    Fraction; any other point takes the Surd path."""
+    if x is INFINITY:
+        num, den = g.a, g.c
+    elif isinstance(x, Fraction):
+        n, m = x.numerator, x.denominator
+        num, den = g.a * n + g.b * m, g.c * n + g.d * m
+    else:
+        return chart_point(g.apply_boundary(x))
+    return INFINITY if den == 0 else Fraction(num, den)
+
+
 def _factor(Y: Horoball, x):
     """|q*x - p| for finite x, |q| for x = infinity (q > 0 there)."""
     if x is INFINITY:
@@ -238,43 +252,37 @@ def _proj_dist_iv(Y: Horoball, u, v):
     return num / (fac(u) * fac(v))
 
 
-def proj_dist_frac(Y: Horoball, u, v):
-    """Fast path: exact Fraction projection distance for rational endpoints.
+def rational_pair(x) -> tuple[int, int]:
+    """A horoball or a rational boundary point as the primitive integer
+    pair (a, b) with b >= 0 and infinity = (1, 0)."""
+    if isinstance(x, Horoball):
+        return x.p, x.q
+    if x is not INFINITY and not isinstance(x, Fraction):
+        x = chart_point(x)  # an int or a rational Surd
+    return (1, 0) if x is INFINITY else (x.numerator, x.denominator)
 
-    u, v are Fractions or INFINITY.  Returns a Fraction or INFINITE.
-    """
-    p, q = Y.p, Y.q
-    if u is INFINITY:
-        fu = Fraction(q)
-        if q == 0:
-            return INFINITE
-    else:
-        if q != 0 and u * q == p:
-            return INFINITE
-        if q == 0:
-            fu = Fraction(1)
-        else:
-            fu = abs(u * q - p)
-    if v is INFINITY:
-        fv = Fraction(q)
-        if q == 0:
-            return INFINITE
-    else:
-        if q != 0 and v * q == p:
-            return INFINITE
-        if q == 0:
-            fv = Fraction(1)
-        else:
-            fv = abs(v * q - p)
-    if u is INFINITY and v is INFINITY:
-        return Fraction(0)
-    if u is INFINITY or v is INFINITY:
-        num = Fraction(1)
-    else:
-        num = abs(u - v)
-        if num == 0:
-            return Fraction(0)
-    return num / (fu * fv)
+
+def proj_dist_int(Y: tuple, u: tuple, v: tuple) -> tuple[int, int, int]:
+    """The integer closed form of d^pi at rational data, on integer pairs
+    Y = (p, q), u = (a, b), v = (c, e) (see `rational_pair`):
+
+        d^pi_Y(u, v) = |a e - b c| / (|q a - p b| |q c - p e|).
+
+    Returns the numerator and the two factors.  A zero factor means the
+    value is infinite: that endpoint is the tangency of Y.  The value is
+    homogeneous of degree 0 in each pair, so u and v need not be reduced."""
+    (p, q), (a, b), (c, e) = Y, u, v
+    return abs(a * e - b * c), abs(q * a - p * b), abs(q * c - p * e)
+
+
+def proj_dist_frac(Y: Horoball, u, v):
+    """The value of `proj_dist_int` as a Fraction, or INFINITE, for Y and
+    endpoints u, v that are horoballs or rational chart points."""
+    n, fu, fv = proj_dist_int(rational_pair(Y), rational_pair(u),
+                              rational_pair(v))
+    if fu == 0 or fv == 0:
+        return INFINITE
+    return Fraction(n, fu * fv)
 
 
 def penetration_depth(Y: Horoball, u, v) -> CertifiedReal:

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certified import INFINITE
-from .hyperbolic import GroupElement, Horoball, proj_dist_frac
+from .hyperbolic import GroupElement, Horoball, proj_dist_frac, proj_dist_int
 from .projection_data import enumerate_large_projections
 
 
 def dpi(Y: Horoball, X: Horoball, Z: Horoball):
     """Exact projection distance between two horoballs, by tangency."""
-    return proj_dist_frac(Y, X.tangency, Z.tangency)
+    return proj_dist_frac(Y, X, Z)
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,14 @@ class ProjComplexGraph:
         self._dist_cache = {}
 
     def _edge(self, X: Horoball, Z: Horoball) -> bool:
+        """No third vertex Y has d^pi_Y(X, Z) infinite or above K."""
+        kn, kd = self.K.numerator, self.K.denominator
+        x, z = (X.p, X.q), (Z.p, Z.q)
         for Y in self.window.vertices:
             if Y == X or Y == Z:
                 continue
-            d = dpi(Y, X, Z)
-            if d is INFINITE or d > self.K:
+            n, fx, fz = proj_dist_int((Y.p, Y.q), x, z)
+            if fx == 0 or fz == 0 or n * kd > kn * fx * fz:
                 return False
         return True
 

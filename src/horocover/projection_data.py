@@ -3,7 +3,12 @@ enumeration.
 
 The Farey family is the Ford horoballs of SL2(Z) with Delta(Y) the whole
 boundary circle.  Its axioms (P1)-(P4) are checked exactly on rational
-data, and the Behrstock constant (P3) is calibrated exhaustively.  Large
+data through the integer closed form `proj_dist_int`: a distance is the
+terms (n, f_u, f_v) of n / (f_u f_v), and the checks cross-multiply
+instead of building Fractions ((P2) fails exactly when n_uv f_w + n_vw f_u
+< n_uw f_v).  The brute-force (P4) oracle tests n theta.den > theta.num
+f_u f_v over every q <= qmax.  The Behrstock constant (P3) is calibrated
+exhaustively.  Large
 projections are enumerated exactly, always at the cusp: one endpoint is
 moved to infinity, where a rational other endpoint a/b leaves the integer
 inequality q * |q*a - p*b| < b / theta, and a quadratic surd leaves its
@@ -23,9 +28,12 @@ from .certified import INFINITE
 from .hyperbolic import (
     HOROBALL_INF,
     Horoball,
+    chart_image,
     chart_point,
     normalizer,
     proj_dist_frac,
+    proj_dist_int,
+    rational_pair,
 )
 from .surd import INFINITY, PHI, SQRT2, Surd
 
@@ -38,8 +46,12 @@ class WindowRequiredError(ValueError):
 class FareyFamily:
     """Ford horoballs acting on the boundary circle; Delta(Y) is everything."""
 
-    def distance_frac(self, Y: Horoball, u, v):
-        return proj_dist_frac(Y, u, v)
+    def distance_terms(self, Y: Horoball, u, v) -> tuple[int, int, int]:
+        """d^pi_Y(u, v) as the integer terms (n, f_u, f_v) of
+        `proj_dist_int`, for endpoints that are horoballs or rational chart
+        points: the value is n / (f_u f_v), infinite at a zero factor."""
+        return proj_dist_int(rational_pair(Y), rational_pair(u),
+                             rational_pair(v))
 
 
 # -- exact enumeration of large projections --------------------------------
@@ -72,7 +84,7 @@ def enumerate_large_projections(u, v, theta: Fraction):
     if u is INFINITY:
         return _enumerate_at_infinity(v, theta)
     m = normalizer(Horoball.at(u))
-    hits = _enumerate_at_infinity(chart_point(m.apply_boundary(v)), theta)
+    hits = _enumerate_at_infinity(chart_image(m, v), theta)
     back = m.inverse()
     hits = [(Y.translate(back), d) for Y, d in hits]
     hits.sort(key=lambda t: (t[0].q, t[0].p))
@@ -110,7 +122,7 @@ def _enumerate_inf_rational(w: Fraction, theta: Fraction):
     qs = math.isqrt(math.ceil(C)) + 1
     for q in range(1, qs + 1):
         p0 = (q * a) // b
-        k = math.ceil(C / (q * b)) + 1
+        k = -(-td // (tn * q)) + 1  # ceil(C / (q b)) + 1, in integers
         for p in range(p0 - k, p0 + k + 1):
             consider(p, q)
     emax = math.floor(C / (qs + 1))
@@ -137,36 +149,39 @@ def _enumerate_inf_rational(w: Fraction, theta: Fraction):
 
 
 def brute_force_large_projections(u, v, theta: Fraction, qmax: int):
-    """Oracle: scan every horoball with denominator <= qmax directly."""
+    """Oracle: scan every horoball with denominator <= qmax directly,
+    comparing n / (f_u f_v) > theta in integers."""
     u, v = chart_point(u), chart_point(v)
     if u == v:
         return []
-    hits = []
-    finite = [w for w in (u, v) if w is not INFINITY]
+    tn, td = theta.numerator, theta.denominator
+    U, V = rational_pair(u), rational_pair(v)
+    finite = [w for w in (U, V) if w[1] != 0]
     # a hit needs |qu - p| |qv - p| < B = num / theta, so p lies within
     # sqrt(B) of qu or qv (both finite) or within B / q of the finite one
     num = Fraction(1) if len(finite) < 2 else abs(u - v)
     B = num / theta
     root = math.isqrt(math.ceil(B)) + 1
-    if INFINITY not in (u, v):
-        d_inf = proj_dist_frac(HOROBALL_INF, u, v)
-        if d_inf is not INFINITE and d_inf > theta:
-            hits.append((HOROBALL_INF, d_inf))
-    for q in range(1, qmax + 1):
-        pad = root if len(finite) == 2 else math.ceil(B / q) + 1
-        ps = set()
-        for w in finite:
-            center = math.floor(w * q)
-            ps.update(range(center - pad, center + pad + 2))
-        for p in sorted(ps):
-            if math.gcd(abs(p), q) != 1:
-                continue
-            Y = Horoball(p, q)
-            d = proj_dist_frac(Y, u, v)
-            if d is INFINITE:
-                continue
-            if d > theta:
-                hits.append((Y, d))
+
+    def candidates():
+        if len(finite) == 2:
+            yield HOROBALL_INF.p, HOROBALL_INF.q
+        for q in range(1, qmax + 1):
+            pad = root if len(finite) == 2 else \
+                -(-B.numerator // (B.denominator * q)) + 1
+            ps = set()
+            for a, b in finite:
+                center = (a * q) // b
+                ps.update(range(center - pad, center + pad + 2))
+            for p in sorted(ps):
+                if math.gcd(p, q) == 1:
+                    yield p, q
+
+    hits = []
+    for Y in candidates():
+        n, fu, fv = proj_dist_int(Y, U, V)
+        if fu and fv and n * td > tn * fu * fv:
+            hits.append((Horoball(*Y), Fraction(n, fu * fv)))
     hits.sort(key=lambda t: (t[0].q, t[0].p))
     return hits
 
@@ -304,7 +319,7 @@ def sup_projection(X: Horoball, xi) -> SupResult:
     chart of X.
     """
     m = normalizer(X)
-    w = chart_point(m.apply_boundary(xi))
+    w = chart_image(m, xi)
     if w is INFINITY:
         return SupResult(Fraction(0))  # xi is the tangency of X
     if isinstance(w, Surd):
@@ -331,8 +346,7 @@ def pair_maxmin(Y: Horoball, Yp: Horoball):
     Ypp = Yp.translate(m)  # finite: only Y itself goes to infinity
     q = Ypp.q
     xi_hat = Fraction(Ypp.p + 1, q)
-    xi = m.inverse().apply_boundary(xi_hat)
-    return Fraction(1, q), xi
+    return Fraction(1, q), chart_image(m.inverse(), xi_hat)
 
 
 def calibrate_behrstock(qmax: int = 50):
@@ -349,7 +363,6 @@ def calibrate_behrstock(qmax: int = 50):
         for p in range(0, q + 1):
             if math.gcd(p, q) == 1:
                 window.append(Horoball(p, q))
-    fam = FareyFamily()
     best = Fraction(0)
     witness = None
     checked = 0
@@ -358,14 +371,11 @@ def calibrate_behrstock(qmax: int = 50):
             val, xi = pair_maxmin(Y, Yp)
             if val > best:
                 # independent evaluation at the crossing point
-                xi_f = chart_point(xi)
-                d1 = fam.distance_frac(Y, Yp.tangency, xi_f)
-                d2 = fam.distance_frac(Yp, Y.tangency, xi_f)
-                got = min(d1, d2)
+                got = min(proj_dist_frac(Y, Yp, xi), proj_dist_frac(Yp, Y, xi))
                 if got != val:
                     raise AssertionError(
                         f"crossing check failed for {Y},{Yp}: {got} != {val}")
-                best, witness = val, (Y, Yp, xi_f)
+                best, witness = val, (Y, Yp, xi)
                 checked += 1
     rep = AxiomReport("P3-calibration")
     rep.samples = len(window) * (len(window) - 1) // 2
@@ -404,33 +414,35 @@ def _hb_str(Y: Horoball) -> str:
 
 
 def check_symmetry(family: FareyFamily, sample) -> AxiomReport:
-    """(P1): d^pi_Y(X, Z) = d^pi_Y(Z, X), exact on rational data."""
+    """(P1): d^pi_Y(X, Z) = d^pi_Y(Z, X), exact on rational data: the two
+    values compare by cross-multiplying, and infinite equals infinite."""
     rep = AxiomReport("P1")
     for (Y, u, v) in sample:
         rep.samples += 1
-        d1 = family.distance_frac(Y, u, v)
-        d2 = family.distance_frac(Y, v, u)
-        if d1 != d2:
+        n1, fu1, fv1 = family.distance_terms(Y, u, v)
+        n2, fu2, fv2 = family.distance_terms(Y, v, u)
+        d1, d2 = fu1 * fv1, fu2 * fv2  # 0 means infinite
+        if (d1 == 0) != (d2 == 0) or n1 * d2 != n2 * d1:
             rep.violations += 1
             rep.witnesses.append({"Y": _hb_str(Y), "u": str(u), "v": str(v)})
     return rep
 
 
 def check_triangle(family: FareyFamily, sample) -> AxiomReport:
-    """(P2): d^pi_Y(X, Z) + d^pi_Y(Z, xi) >= d^pi_Y(X, xi), exact."""
+    """(P2): d^pi_Y(X, Z) + d^pi_Y(Z, xi) >= d^pi_Y(X, xi), exact.
+
+    With values n / (f f') and one factor per endpoint, (P2) fails exactly
+    when n_uv f_w + n_vw f_u < n_uw f_v.  That needs no infinite case: a
+    zero factor is an infinite side, where (P2) holds, and the test stays
+    false there: its two sides are equal at u = Y (n_uv = f_v, n_uw = f_w)
+    and at w = Y, and its right side is 0 at v = Y."""
     rep = AxiomReport("P2")
     for (Y, u, v, w) in sample:
         rep.samples += 1
-        duv = family.distance_frac(Y, u, v)
-        dvw = family.distance_frac(Y, v, w)
-        duw = family.distance_frac(Y, u, w)
-        if duw is INFINITE:
-            if duv is INFINITE or dvw is INFINITE:
-                continue
-            rep.violations += 1
-        elif duv is INFINITE or dvw is INFINITE:
-            continue
-        elif duv + dvw < duw:
+        n_uv, f_u, f_v = family.distance_terms(Y, u, v)
+        n_vw, _, f_w = family.distance_terms(Y, v, w)
+        n_uw = family.distance_terms(Y, u, w)[0]
+        if n_uv * f_w + n_vw * f_u < n_uw * f_v:
             rep.violations += 1
             rep.witnesses.append(
                 {"Y": _hb_str(Y), "u": str(u), "v": str(v), "w": str(w)})
@@ -442,6 +454,8 @@ def check_behrstock(family: FareyFamily, sample,
     """(P3): min{d^pi_Y(Y', xi), d^pi_Y'(Y, xi)} stays below theta.
 
     Reports the measured maximum of the min over the sample as `constant`.
+    Values n / d compare by cross-multiplying; a Fraction is built only for
+    a new maximum.
     """
     rep = AxiomReport("P3")
     best = Fraction(0)
@@ -449,18 +463,21 @@ def check_behrstock(family: FareyFamily, sample,
         if Y == Yp:
             continue
         rep.samples += 1
-        d1 = family.distance_frac(Y, Yp.tangency, xi)
-        d2 = family.distance_frac(Yp, Y.tangency, xi)
-        if d1 is INFINITE and d2 is INFINITE:
+        n1, f1, g1 = family.distance_terms(Y, Yp, xi)
+        n2, f2, g2 = family.distance_terms(Yp, Y, xi)
+        d1, d2 = f1 * g1, f2 * g2  # 0 means infinite
+        if d1 == 0 and d2 == 0:
             rep.violations += 1  # cannot happen for distinct tangencies
             continue
-        m = d2 if d1 is INFINITE else (d1 if d2 is INFINITE else min(d1, d2))
-        if m > best:
-            best = m
+        # the min, an infinite value giving way to the finite one
+        n, d = (n2, d2) if d1 == 0 or (d2 and n2 * d1 < n1 * d2) else (n1, d1)
+        if n * best.denominator > best.numerator * d:
+            best = Fraction(n, d)
             rep.witnesses = [{
                 "Y": _hb_str(Y), "Y'": _hb_str(Yp), "xi": str(xi),
-                "min": float(m)}]
-        if theta is not None and m >= theta:
+                "min": float(best)}]
+        if theta is not None and \
+                n * theta.denominator >= theta.numerator * d:
             rep.violations += 1
     rep.constant = float(best)
     rep.exact_constant = best

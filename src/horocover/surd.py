@@ -232,24 +232,6 @@ class Surd:
             n -= 1
         return n
 
-    def continued_fraction(self, max_terms: int = 64) -> tuple[list[int], list[int]]:
-        """Partial quotients as (preperiod, period); period empty iff rational."""
-        if self.q == 0:
-            a, b = self.p, self.r
-            terms = []
-            while b:
-                terms.append(a // b)
-                a, b = b, a - (a // b) * b
-            # canonical: last term > 1 unless expansion is just [a0]
-            if len(terms) > 1 and terms[-1] == 1:
-                terms[-2] += 1
-                terms.pop()
-            return terms, []
-        terms, _, start = self.expansion()
-        if len(terms) >= max_terms:
-            return terms[:max_terms], []
-        return terms[:start], terms[start:]
-
     def expansion(self) -> tuple[list[int], list["Surd"], int]:
         """(a, alpha, start) for an irrational value x = alpha[0].
 
@@ -276,16 +258,6 @@ class Surd:
             P = a * Q - P
             Q = (N - P * P) // Q
         return terms, alphas, seen[(P, Q)]
-
-    def convergents(self, limit: int = 64):
-        """Yield (numerator, denominator) convergents, exact and in order."""
-        pre, per = self.continued_fraction(max_terms=limit)
-        terms = pre + per * ((limit - len(pre)) // max(1, len(per)) + 1) if per else pre
-        h0, h1, k0, k1 = 1, 0, 0, 1
-        for a in terms[:limit]:
-            h0, h1 = a * h0 + h1, h0
-            k0, k1 = a * k0 + k1, k0
-            yield h0, k0
 
     # -- misc -------------------------------------------------------------
 

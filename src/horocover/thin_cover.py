@@ -21,7 +21,8 @@ from .hyperbolic import (
     HOROBALL_INF,
     GroupElement,
     Horoball,
-    chart_point,
+    chart_image,
+    proj_dist_int,
     word_ball,
 )
 from .projection_complex import ProjComplexGraph
@@ -123,7 +124,7 @@ def theta_S(S: FinitePart, theta_P: Fraction,
 def select_Z(g: GroupElement, xi, ladder: ThetaLadder) -> Horoball | None:
     """Equivariant choice of a Theta_4-large (preferably Theta_5-large)
     projection index for (g, xi); None if no certified candidate exists."""
-    w = chart_point(g.inverse().apply_boundary(xi))
+    w = chart_image(g.inverse(), xi)
     Z0 = _select_z_base(w, ladder)
     return None if Z0 is None else Z0.translate(g)
 
@@ -164,15 +165,14 @@ def _chain(p: int, q: int, theta: Fraction) -> tuple:
 
 def chain_angle(chain: tuple, k: int, Z: Horoball) -> Fraction:
     """d^max at chain[k] along oo -> ... -> Z: the projection distance
-    between its neighbours A, C in the order (endpoints at oo and Z), in
-    integers as |A ^ C| / (|V ^ A| |V ^ C|) with (p, q) ^ (r, s) = ps - qr."""
+    between its neighbours A, C in the order (endpoints at oo and Z)."""
     V = chain[k]
     A = BASE_INDEX if k == 0 else chain[k - 1]
     C = Z if k == len(chain) - 1 else chain[k + 1]
-    va, vc = abs(V.p * A.q - V.q * A.p), abs(V.p * C.q - V.q * C.p)
+    n, va, vc = proj_dist_int((V.p, V.q), (A.p, A.q), (C.p, C.q))
     if va == 0 or vc == 0:
         raise WindowRequiredError("tangent neighbours in the chain")
-    return Fraction(abs(A.p * C.q - A.q * C.p), va * vc)
+    return Fraction(n, va * vc)
 
 
 def select_Yi(g: GroupElement, xi, i: int, ladder: ThetaLadder,
@@ -182,7 +182,7 @@ def select_Yi(g: GroupElement, xi, i: int, ladder: ThetaLadder,
     When a window graph is supplied, d^max is measured there (oracle path
     for small data); otherwise angles come from the linear order itself.
     """
-    w = chart_point(g.inverse().apply_boundary(xi))
+    w = chart_image(g.inverse(), xi)
     Y0 = _select_yi_base(w, i, ladder, graph)
     return None if Y0 is None else Y0.translate(g)
 
@@ -267,7 +267,8 @@ def _exceeds(Y: Horoball, a: int, b: int, m: Fraction):
     """Whether d^pi_Y(X, a/b) > m in the base chart (b > 0, a/b in any
     terms), in integers: the value is b / (q |q a - p b|), so the test is
     b m.den > m.num q |q a - p b|.  None where the value is infinite: at
-    the pole a/b = p/q, and everywhere for the basepoint index (q = 0)."""
+    the pole a/b = p/q, and everywhere for the basepoint index (q = 0).
+    This is `proj_dist_int` at (1, 0), (a, b), inlined on the hot path."""
     p, q = Y.p, Y.q
     gap = abs(q * a - p * b)
     if q == 0 or gap == 0:
@@ -303,7 +304,7 @@ def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
     if i not in (1, 2):
         raise ValueError("the thin families are U(.,1) and U(.,2)")
     ginv = g.inverse()
-    w = chart_point(ginv.apply_boundary(xi))
+    w = chart_image(ginv, xi)
     Y0 = Y.translate(ginv)
     return _membership_base(Y0, i, w, ladder, max_halvings)
 
@@ -423,7 +424,7 @@ class ThinReport:
 def is_theta5_thin(g: GroupElement, xi, ladder: ThetaLadder) -> bool:
     """d^pi_Y(g X, xi) > Theta_5 for some Y: trivially true at rational xi
     away from the moved basepoint tangency."""
-    w = chart_point(g.inverse().apply_boundary(xi))
+    w = chart_image(g.inverse(), xi)
     if w is INFINITY:
         return False
     if isinstance(w, Fraction):
@@ -492,7 +493,7 @@ def _disjointness_probes(Y: Horoball, i: int, g: GroupElement, xi,
                          ladder: ThetaLadder):
     """A few competing (Y', i) in the same family to probe disjointness:
     the first three walk vertices toward Z(g, xi) other than Y."""
-    w = chart_point(g.inverse().apply_boundary(xi))
+    w = chart_image(g.inverse(), xi)
     if not isinstance(w, Fraction):
         return []
     Z = Horoball(w.numerator, w.denominator)

@@ -47,7 +47,7 @@ class TestPartition:
         samples = [Fraction(0), Fraction(3, 2), Fraction(3)]
         nerve = partition_of_unity(interval_membership, line_metric,
                                    samples, order=1)
-        assert nerve.vector("0")["left"] == 1
+        assert nerve.vectors["0"]["left"] == 1
 
     def test_uncovered_raises(self):
         with pytest.raises(UncoveredSampleError):

@@ -59,12 +59,6 @@ class TestCertifiedReal:
         with pytest.raises(Undecided):
             a.compare(b, max_dps=60)
 
-    def test_interval_contains_midpoint(self):
-        c = CertifiedReal.from_expression(lambda: iv.log(3))
-        lo, hi = c.interval(30)
-        assert lo <= c.midpoint(30) <= hi
-        assert float(lo) == pytest.approx(math.log(3), abs=1e-20)
-
     def test_of_surd(self):
         c = CertifiedReal.of(PHI)
         assert c.compare(Fraction(8, 5)) == 1

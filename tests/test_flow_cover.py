@@ -117,13 +117,19 @@ class TestClassify:
         assert params.depth_bound == pytest.approx(1.0, abs=1e-3)
 
 
+def _midpoint(c: CertifiedReal) -> Fraction:
+    """The midpoint of the dps-40 enclosure of c."""
+    lo, hi = c.interval(40)
+    return (lo + hi) / 2
+
+
 def reference_orbit_points_near(point, rho, slack=0.05):
     """The per-candidate loop the filter replaced: a float prefilter that
     drops d > rho + slack, then a certified compare of every candidate it
     leaves, kept when Undecided."""
     px, py = point
     if isinstance(px, CertifiedReal):
-        sx, sy = px.midpoint(40), py.midpoint(40)
+        sx, sy = _midpoint(px), _midpoint(py)
     else:
         sx, sy = Fraction(px), Fraction(py)
     h = locate((sx, sy))
@@ -162,7 +168,7 @@ def _no_compare(monkeypatch):
 
 def _starts_kept(g, t, origin):
     pt = geodesic_point(g, boundary(SQRT2), t)
-    m = tuple(c.midpoint(40) for c in pt)
+    m = tuple(_midpoint(c) for c in pt)
     start = orbit_point(g)
     assert any(orbit_point(locate(m) * u) == start for u in _neighbors())
     kept = orbit_points_near(pt, RHO, (g, t) if origin else None)

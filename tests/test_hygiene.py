@@ -1,8 +1,10 @@
 """Source hygiene: every name a horocover module imports is referenced,
-and every layer the benchmark tracer patches exists."""
+every function, class and public method it defines is used by the program
+or the benchmark, and every layer the benchmark tracer patches exists."""
 
 import ast
 import importlib.util
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -48,6 +50,90 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# defined for the tests alone, on purpose: oracles and audits that check
+# the program from outside its own code paths
+TEST_ONLY = {
+    "penetration_depth": "acceptance 2 checks the depth identity "
+                         "log(d/2) against mpmath",
+    "ProjComplexGraph.dmax_brute": "path-enumeration oracle for ProjComplexGraph.dmax",
+    "audit_window": "checks a window's distances are stable under a "
+                    "lower enumeration threshold",
+    "angle_table_equivariant": "checks the angle table commutes with "
+                               "translation",
+    "select_Z": "the selected index Z(g, xi), checked for equivariance "
+                "apart from Y_i",
+    "Surd.sqrt_of": "builds sqrt(n) in the surd and kernel tests",
+    "surd_sample_set": "the surd directions of the kernel and flow tests",
+}
+
+
+def _referenced_names(node) -> list[str]:
+    """Every use of a name in the tree: identifiers, attributes, and the
+    parts of dotted-name strings (looked up by name, as in spans.TRACED)."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            parts = n.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out += parts
+    return out
+
+
+def unreferenced(sources: list[str], corpus: list[str]) -> list[str]:
+    """Top-level functions and classes, and public methods, defined in
+    `sources` whose name the `corpus` sources never use outside the
+    definition itself; methods are named Class.method."""
+    uses = Counter()
+    for text in corpus:
+        uses.update(_referenced_names(ast.parse(text)))
+    found = []
+    for source in sources:
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not m.name.startswith("_")]
+            for qualname, d in defs:
+                name = qualname.rpartition(".")[2]
+                own = Counter(_referenced_names(d))[name]
+                if uses[name] - own == 0:
+                    found.append(qualname)
+    return found
+
+
+def test_detector_flags_unreferenced_definitions():
+    lib = ("def used(): pass\n"
+           "def spare(): pass\n"
+           "def recursive(n): return recursive(n - 1)\n"
+           "class Box:\n"
+           "    def get(self): return self.get_other()\n"
+           "    def get_other(self): pass\n"
+           "    def put(self): pass\n"
+           "    def _private(self): pass\n"
+           "class Lonely: pass\n")
+    caller = ("import lib\n"
+              "lib.used(); lib.Box().get()\n"
+              "TRACED = ['lib.put']\n")
+    assert unreferenced([lib], [lib, caller]) == [
+        "spare", "recursive", "Lonely"]
+
+
+def test_no_unused_api():
+    corpus = [p.read_text() for p in SRC.glob("*.py")] + \
+        [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    found = unreferenced([p.read_text() for p in MODULES], corpus)
+    assert sorted(set(found) - set(TEST_ONLY)) == []
+    # an allowlisted name that the program came to use needs no entry
+    assert sorted(set(TEST_ONLY) - set(found)) == []
 
 
 def _traced():

@@ -11,9 +11,11 @@ from hypothesis import given, strategies as st
 from horocover.hyperbolic import (
     GEN_S,
     GEN_T,
+    HOROBALL_INF,
     IDENTITY,
     GroupElement,
     Horoball,
+    chart_image,
     chart_point,
     geodesic_point,
     hyperbolic_distance,
@@ -22,7 +24,9 @@ from horocover.hyperbolic import (
     orbit_point,
     penetration_depth,
     proj_dist_frac,
+    proj_dist_int,
     projection_distance,
+    rational_pair,
     word_ball,
 )
 from horocover.certified import INFINITE
@@ -33,6 +37,61 @@ frac = st.fractions(min_value=-5, max_value=5, max_denominator=40)
 
 def small_elements(radius=3):
     return st.sampled_from(word_ball(radius))
+
+
+# random words in S, T and T^-1, multiplied out
+words = st.lists(st.sampled_from([GEN_S, GEN_T, GEN_T.inverse()]),
+                 max_size=12).map(lambda w: math.prod(w, start=IDENTITY))
+horoballs = st.one_of(
+    st.just(HOROBALL_INF),
+    st.builds(Horoball, st.integers(-60, 60), st.integers(1, 30)))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(Y, u, v) with Y at infinity or with negative p, and endpoints that
+    are rationals, INFINITY, the tangency of Y, or equal."""
+    Y = draw(horoballs)
+    point = st.one_of(frac, st.just(INFINITY), st.just(Y.tangency))
+    u = draw(point)
+    return Y, u, draw(st.one_of(point, st.just(u)))
+
+
+def reference_proj_dist_frac(Y: Horoball, u, v):
+    """proj_dist_frac as it was before the integer kernel, in Fraction
+    arithmetic: u, v are Fractions or INFINITY; a Fraction or INFINITE."""
+    p, q = Y.p, Y.q
+    if u is INFINITY:
+        fu = Fraction(q)
+        if q == 0:
+            return INFINITE
+    else:
+        if q != 0 and u * q == p:
+            return INFINITE
+        if q == 0:
+            fu = Fraction(1)
+        else:
+            fu = abs(u * q - p)
+    if v is INFINITY:
+        fv = Fraction(q)
+        if q == 0:
+            return INFINITE
+    else:
+        if q != 0 and v * q == p:
+            return INFINITE
+        if q == 0:
+            fv = Fraction(1)
+        else:
+            fv = abs(v * q - p)
+    if u is INFINITY and v is INFINITY:
+        return Fraction(0)
+    if u is INFINITY or v is INFINITY:
+        num = Fraction(1)
+    else:
+        num = abs(u - v)
+        if num == 0:
+            return Fraction(0)
+    return num / (fu * fv)
 
 
 class TestGroup:
@@ -134,6 +193,57 @@ class TestProjectionDistance:
         d = projection_distance(Horoball(1, 1), SQRT2, INFINITY)
         # 1 / |sqrt2 - 1| = sqrt2 + 1
         assert float(d) == pytest.approx(math.sqrt(2) + 1, abs=1e-12)
+
+
+class TestKernel:
+    @given(kernel_cases())
+    def test_kernel_matches_fraction_reference(self, case):
+        Y, u, v = case
+        n, fu, fv = proj_dist_int(rational_pair(Y), rational_pair(u),
+                                  rational_pair(v))
+        want = reference_proj_dist_frac(Y, u, v)
+        if want is INFINITE:
+            assert fu == 0 or fv == 0
+        else:
+            assert fu != 0 and fv != 0 and Fraction(n, fu * fv) == want
+        assert proj_dist_frac(Y, u, v) == want
+
+    @given(words, kernel_cases())
+    def test_kernel_invariant_under_words(self, g, case):
+        # g preserves the determinants |u ^ v|, |Y ^ u| and |Y ^ v|, so the
+        # terms themselves are invariant, and with them the value
+        Y, u, v = case
+        terms = proj_dist_int(rational_pair(Y), rational_pair(u),
+                              rational_pair(v))
+
+        def act(pair):
+            a, b = pair
+            return g.a * a + g.b * b, g.c * a + g.d * b
+
+        assert proj_dist_int(act(rational_pair(Y)), act(rational_pair(u)),
+                             act(rational_pair(v))) == terms
+        assert proj_dist_frac(Y.translate(g), chart_image(g, u),
+                              chart_image(g, v)) == proj_dist_frac(Y, u, v)
+
+    def test_terms(self):
+        # Y = 1/2, u = 0, v = 1: |0 - 1| / (|0 - 1| |2 - 1|)
+        assert proj_dist_int((1, 2), (0, 1), (1, 1)) == (1, 1, 1)
+        # at infinity the factors are the denominators: |1/3 - 1/2|
+        assert proj_dist_int((1, 0), (1, 3), (1, 2)) == (1, 3, 2)
+        # the tangency gives a zero factor
+        assert proj_dist_int((1, 2), (1, 2), (0, 1))[1] == 0
+
+    @given(words, st.one_of(frac, st.just(INFINITY)))
+    def test_chart_image_is_chart_point_of_action(self, g, x):
+        got = chart_image(g, x)
+        want = chart_point(g.apply_boundary(x))
+        assert got == want and type(got) is type(want)
+        if x is INFINITY:
+            assert got == (INFINITY if g.c == 0 else Fraction(g.a, g.c))
+
+    @given(words)
+    def test_chart_image_of_surd(self, g):
+        assert chart_image(g, PHI) == chart_point(g.apply_boundary(PHI))
 
 
 class TestDepth:

@@ -9,6 +9,9 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_hyperbolic import reference_proj_dist_frac
+
+from horocover.certified import INFINITE
 
 from horocover.hyperbolic import (
     GEN_S,
@@ -20,6 +23,7 @@ from horocover.hyperbolic import (
     word_ball,
 )
 from horocover.projection_data import (
+    AxiomReport,
     FareyFamily,
     WindowRequiredError,
     brute_force_large_projections,
@@ -119,6 +123,165 @@ class TestAxioms:
         pairs.append((INFINITY, Fraction(3, 7)))
         rep = check_finiteness(family, pairs, theta=Fraction(1, 4), qmax=60)
         assert rep.violations == 0
+
+
+# -- the axiom checks against Fraction loops --------------------------------
+
+
+def reference_triangle(sample, branches):
+    """check_triangle as it was before the integer kernel; adds the branch
+    each quadruple takes to `branches`."""
+    rep = AxiomReport("P2")
+    for (Y, u, v, w) in sample:
+        rep.samples += 1
+        duv = reference_proj_dist_frac(Y, u, v)
+        dvw = reference_proj_dist_frac(Y, v, w)
+        duw = reference_proj_dist_frac(Y, u, w)
+        if duw is INFINITE:
+            branches.add("uw infinite")
+            if duv is INFINITE or dvw is INFINITE:
+                continue
+            rep.violations += 1
+        elif duv is INFINITE or dvw is INFINITE:
+            branches.add("side infinite")
+            continue
+        elif duv + dvw < duw:
+            rep.violations += 1
+            rep.witnesses.append(
+                {"Y": str(Y), "u": str(u), "v": str(v), "w": str(w)})
+        else:
+            branches.add("finite")
+    return rep
+
+
+def reference_behrstock(sample, theta, branches):
+    """check_behrstock as it was before the integer kernel; adds the
+    branches it takes to `branches`."""
+    rep = AxiomReport("P3")
+    best = Fraction(0)
+    for (Y, Yp, xi) in sample:
+        if Y == Yp:
+            continue
+        rep.samples += 1
+        d1 = reference_proj_dist_frac(Y, Yp.tangency, xi)
+        d2 = reference_proj_dist_frac(Yp, Y.tangency, xi)
+        if d1 is INFINITE and d2 is INFINITE:
+            rep.violations += 1
+            continue
+        branches.add("d1 infinite" if d1 is INFINITE else
+                     "d2 infinite" if d2 is INFINITE else "finite")
+        m = d2 if d1 is INFINITE else (d1 if d2 is INFINITE else min(d1, d2))
+        if m > best:
+            branches.add("new maximum")
+            best = m
+            rep.witnesses = [{
+                "Y": _hb(Y), "Y'": _hb(Yp), "xi": str(xi), "min": float(m)}]
+        if theta is not None and m >= theta:
+            branches.add("violation")
+            rep.violations += 1
+    rep.constant = float(best)
+    rep.exact_constant = best
+    return rep
+
+
+def _hb(Y):
+    return "oo" if Y.q == 0 else f"{Y.p}/{Y.q}"
+
+
+def branch_samples(seed: int, n: int):
+    """Seeded (Y, u, v, w) whose endpoints are often INFINITY, the tangency
+    of Y or a repeat, over a pool of horoballs with the cusp among them."""
+    rng = random.Random(seed)
+    pool = [HOROBALL_INF] + [stern_brocot_horoball(rng, 6) for _ in range(30)]
+    out = []
+    for _ in range(n):
+        Y = rng.choice(pool)
+        pts = []
+        for _ in range(3):
+            r = rng.random()
+            pts.append(INFINITY if r < 0.15 else Y.tangency if r < 0.3
+                       else rng.choice(pts) if r < 0.4 and pts
+                       else random_rational(rng, 12))
+        out.append((Y, *pts))
+    return out, pool
+
+
+class TestAxiomKernel:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_triangle_matches_fraction_loop(self, family, seed):
+        sample, _ = branch_samples(seed, 3000)
+        branches = set()
+        want = reference_triangle(sample, branches)
+        # an infinite d_uw always comes with an infinite side, and a side
+        # is infinite with d_uw finite only at v = the tangency of Y
+        assert branches == {"uw infinite", "side infinite", "finite"}
+        assert check_triangle(family, sample) == want
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [None, Fraction(1, 2), Fraction(2)])
+    def test_behrstock_matches_fraction_loop(self, family, seed, theta):
+        quads, pool = branch_samples(seed, 3000)
+        rng = random.Random(seed)
+        sample = []
+        for Y, u, _v, _w in quads:
+            Yp = rng.choice(pool)
+            sample.append((Y, Yp, Yp.tangency if rng.random() < 0.1 else u))
+        branches = set()
+        want = reference_behrstock(sample, theta, branches)
+        assert {"d1 infinite", "d2 infinite", "finite",
+                "new maximum"} <= branches
+        assert ("violation" in branches) == (theta == Fraction(1, 2))
+        got = check_behrstock(family, sample, theta)
+        assert got == want and got.exact_constant == want.exact_constant
+
+    def test_symmetry_matches_fraction_loop(self, family):
+        sample = [(Y, u, v) for Y, u, v, _ in branch_samples(4, 3000)[0]]
+        assert all(reference_proj_dist_frac(Y, u, v)
+                   == reference_proj_dist_frac(Y, v, u) for Y, u, v in sample)
+        rep = check_symmetry(family, sample)
+        assert (rep.samples, rep.violations) == (len(sample), 0)
+
+    def test_planted_violations_flagged(self):
+        # Y = 0/1, u = 1, v = 2, w = 3 are additive: 1/2 + 1/6 = 2/3; a
+        # kernel reading d_uw three times too large breaks (P2), and one
+        # that drops the numerator's order breaks (P1)
+        Y, u, v, w = Horoball(0, 1), Fraction(1), Fraction(2), Fraction(3)
+
+        class Inflated(FareyFamily):
+            def distance_terms(self, Y, a, b):
+                n, fa, fb = super().distance_terms(Y, a, b)
+                return (3 * n if {a, b} == {u, w} else n), fa, fb
+
+        class Lopsided(FareyFamily):
+            def distance_terms(self, Y, a, b):
+                n, fa, fb = super().distance_terms(Y, a, b)
+                return n + (a < b), fa, fb
+
+        assert check_triangle(FareyFamily(), [(Y, u, v, w)]).violations == 0
+        rep = check_triangle(Inflated(), [(Y, u, v, w)])
+        assert rep.violations == 1
+        assert rep.witnesses == [{"Y": "0/1", "u": "1", "v": "2", "w": "3"}]
+        assert check_symmetry(Lopsided(), [(Y, u, v)]).violations == 1
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 4), Fraction(1, 2), 3])
+    def test_brute_force_matches_fraction_loop(self, theta):
+        rng = random.Random(9)
+        pairs = [(random_rational(rng, 20), random_rational(rng, 20))
+                 for _ in range(12)]
+        pairs += [(INFINITY, Fraction(3, 7)), (Fraction(-5, 2), INFINITY),
+                  (Fraction(1, 3), Fraction(1, 3))]
+        for u, v in pairs:
+            want = []
+            if u != v:
+                cands = [(1, 0)] + [(p, q) for q in range(1, 41)
+                                    for p in range(-160, 161)
+                                    if math.gcd(p, q) == 1]
+                for Y in (Horoball(p, q) for p, q in cands):
+                    d = reference_proj_dist_frac(Y, u, v)
+                    if d is not INFINITE and d > theta:
+                        want.append((Y, d))
+                want.sort(key=lambda hit: (hit[0].q, hit[0].p))
+            assert brute_force_large_projections(u, v, theta, 40) == want
 
 
 class TestEnumeration:

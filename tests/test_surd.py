@@ -3,10 +3,12 @@ fractions, and the boundary coercion."""
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
 
+from horocover.projection_data import cusp_projections
 from horocover.surd import (
     INFINITY,
     MixedFieldError,
@@ -15,6 +17,11 @@ from horocover.surd import (
     Surd,
     boundary,
 )
+
+
+def convergents(w, n):
+    """The first n convergents (p, q) of w, from the cusp kernel."""
+    return [(Y.p, Y.q) for Y, _ in islice(cusp_projections(w), n)]
 
 
 def surds(d):
@@ -87,22 +94,22 @@ class TestOrder:
 
 class TestContinuedFractions:
     def test_sqrt2_expansion(self):
-        head, cycle = SQRT2.continued_fraction()
-        assert head == [1] and cycle == [2]
+        terms, _, start = SQRT2.expansion()
+        assert terms[:start] == [1] and terms[start:] == [2]
 
     def test_phi_expansion(self):
-        head, cycle = PHI.continued_fraction()
+        terms, _, start = PHI.expansion()
         # purely periodic: [1; 1, 1, ...]
-        assert head == [] and cycle == [1]
+        assert terms[:start] == [] and terms[start:] == [1]
 
     def test_phi_convergents_are_fibonacci(self):
-        convs = list(PHI.convergents(8))
+        convs = convergents(PHI, 8)
         fib = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
         for k, (p, q) in enumerate(convs):
             assert (p, q) == (fib[k + 1], fib[k])
 
     def test_convergents_alternate_and_converge(self):
-        convs = list(SQRT2.convergents(12))
+        convs = convergents(SQRT2, 12)
         signs = [SQRT2.compare(Fraction(p, q)) for p, q in convs]
         assert all(a * b < 0 for a, b in zip(signs, signs[1:]))
         p, q = convs[-1]
@@ -110,8 +117,8 @@ class TestContinuedFractions:
         assert abs(float(SQRT2) - p / q) < 1 / q**2
 
     def test_rational_expansion_terminates(self):
-        head, cycle = Surd.from_fraction(Fraction(22, 7)).continued_fraction()
-        assert cycle == [] and head[0] == 3
+        with pytest.raises(ValueError, match="terminates"):
+            Surd.from_fraction(Fraction(22, 7)).expansion()
 
 
 class TestBoundary:
