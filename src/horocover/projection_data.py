@@ -11,8 +11,9 @@ f_u f_v over every q <= qmax.  The Behrstock constant (P3) is calibrated
 exhaustively.  Large
 projections are enumerated exactly, always at the cusp: one endpoint is
 moved to infinity, where a rational other endpoint a/b leaves the integer
-inequality q * |q*a - p*b| < b / theta, and a quadratic surd leaves its
-convergents (Legendre, for theta >= 2), whose values and supremum are exact
+inequality q * |q*a - p*b| < b / theta, which for theta >= 2 only its
+convergents meet (Legendre; one Euclid walk, and a scan below 2), and a
+quadratic surd leaves its convergents, whose values and supremum are exact
 in Q(sqrt(D)) by the continued-fraction kernel.
 """
 
@@ -46,12 +47,11 @@ class WindowRequiredError(ValueError):
 class FareyFamily:
     """Ford horoballs acting on the boundary circle; Delta(Y) is everything."""
 
-    def distance_terms(self, Y: Horoball, u, v) -> tuple[int, int, int]:
+    def distance_terms(self, Y, u, v) -> tuple[int, int, int]:
         """d^pi_Y(u, v) as the integer terms (n, f_u, f_v) of
-        `proj_dist_int`, for endpoints that are horoballs or rational chart
-        points: the value is n / (f_u f_v), infinite at a zero factor."""
-        return proj_dist_int(rational_pair(Y), rational_pair(u),
-                             rational_pair(v))
+        `proj_dist_int`, for points given as their `rational_pair`s: the
+        value is n / (f_u f_v), infinite at a zero factor."""
+        return proj_dist_int(Y, u, v)
 
 
 # -- exact enumeration of large projections --------------------------------
@@ -66,10 +66,11 @@ def enumerate_large_projections(u, v, theta: Fraction):
     index against itself).  Computed at the cusp: d^pi is SL2(Z)-invariant,
     so a rational endpoint is moved to infinity by `normalizer`, the hits
     against the image w of the other endpoint are enumerated there and
-    translated back.  Exact throughout: for rational w by integer
-    arithmetic, for a quadratic surd w by the continued-fraction kernel
-    (theta >= 2).  Two irrational endpoints have no kernel and raise
-    WindowRequiredError, as do surd hits that accumulate.
+    translated back.  Exact throughout: for rational w by its convergents
+    (theta >= 2) or an integer scan (theta < 2), for a quadratic surd w by
+    the continued-fraction kernel (theta >= 2).  Two irrational endpoints
+    have no kernel and raise WindowRequiredError, as do surd hits that
+    accumulate.
     """
     theta = Fraction(theta)
     if theta <= 0:
@@ -94,11 +95,37 @@ def enumerate_large_projections(u, v, theta: Fraction):
 def _enumerate_at_infinity(w, theta: Fraction):
     if isinstance(w, Surd):
         return enumerate_large_projections_windowed(w, theta)[0]
+    if theta >= 2:
+        return _enumerate_inf_convergents(w, theta)
     return _enumerate_inf_rational(w, theta)
 
 
+def _enumerate_inf_convergents(w: Fraction, theta: Fraction):
+    """Hits for the pair (infinity, a/b) at theta >= 2, in (q, p) order
+    (q_0 = q_1 = 1 only when a_1 = 1, and then p_1 > p_0).
+
+    A value b / (q |q*a - p*b|) > 2 means |a/b - p/q| < 1/(2 q^2), so p/q is
+    a convergent of a/b (Legendre); the extra convergent of the long
+    expansion [..., a_n - 1, 1] has value q_n / (q_n - q_{n-1}) <= 2.  The
+    residual |q*a - p*b| of p_n/q_n is the Euclid remainder r_{n+1}, and the
+    walk ends at r = 0, at a/b itself: O(log b) steps.
+    """
+    b, tn, td = w.denominator, theta.numerator, theta.denominator
+    hits = []
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    x, e = w.numerator, b
+    while True:
+        t, (x, e) = x // e, (e, x % e)
+        p, p_prev, q, q_prev = t * p + p_prev, p, t * q + q_prev, q
+        if e == 0:
+            return hits
+        if q * e * tn < b * td:
+            hits.append((Horoball(p, q), Fraction(b, q * e)))
+
+
 def _enumerate_inf_rational(w: Fraction, theta: Fraction):
-    """Hits for the pair (infinity, a/b): Y = p/q with q*|q*a - p*b| < b/theta.
+    """Hits for the pair (infinity, a/b) at theta < 2, where they need not
+    be convergents: Y = p/q with q*|q*a - p*b| < b/theta.
 
     Split on the residual e = |q*a - p*b|: small q by direct scan, large q
     (hence small e) along the arithmetic progressions q*a = +-e mod b.
@@ -419,8 +446,9 @@ def check_symmetry(family: FareyFamily, sample) -> AxiomReport:
     rep = AxiomReport("P1")
     for (Y, u, v) in sample:
         rep.samples += 1
-        n1, fu1, fv1 = family.distance_terms(Y, u, v)
-        n2, fu2, fv2 = family.distance_terms(Y, v, u)
+        P, U, V = map(rational_pair, (Y, u, v))
+        n1, fu1, fv1 = family.distance_terms(P, U, V)
+        n2, fu2, fv2 = family.distance_terms(P, V, U)
         d1, d2 = fu1 * fv1, fu2 * fv2  # 0 means infinite
         if (d1 == 0) != (d2 == 0) or n1 * d2 != n2 * d1:
             rep.violations += 1
@@ -439,9 +467,10 @@ def check_triangle(family: FareyFamily, sample) -> AxiomReport:
     rep = AxiomReport("P2")
     for (Y, u, v, w) in sample:
         rep.samples += 1
-        n_uv, f_u, f_v = family.distance_terms(Y, u, v)
-        n_vw, _, f_w = family.distance_terms(Y, v, w)
-        n_uw = family.distance_terms(Y, u, w)[0]
+        P, U, V, W = map(rational_pair, (Y, u, v, w))
+        n_uv, f_u, f_v = family.distance_terms(P, U, V)
+        n_vw, _, f_w = family.distance_terms(P, V, W)
+        n_uw = family.distance_terms(P, U, W)[0]
         if n_uv * f_w + n_vw * f_u < n_uw * f_v:
             rep.violations += 1
             rep.witnesses.append(
@@ -463,8 +492,9 @@ def check_behrstock(family: FareyFamily, sample,
         if Y == Yp:
             continue
         rep.samples += 1
-        n1, f1, g1 = family.distance_terms(Y, Yp, xi)
-        n2, f2, g2 = family.distance_terms(Yp, Y, xi)
+        P, Q, X = map(rational_pair, (Y, Yp, xi))
+        n1, f1, g1 = family.distance_terms(P, Q, X)
+        n2, f2, g2 = family.distance_terms(Q, P, X)
         d1, d2 = f1 * g1, f2 * g2  # 0 means infinite
         if d1 == 0 and d2 == 0:
             rep.violations += 1  # cannot happen for distinct tangencies

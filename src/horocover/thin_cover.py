@@ -12,6 +12,7 @@ under-approximation of the interior.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -354,7 +355,12 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
     1/4, 1/8, ...; the first delta to pass wins.  The tests that see no pole
     (the basepoint angle, and each competitor of (2) with value <= margin,
     excused exactly while its tangency lies in the interval) are hoisted
-    into the range of delta; the loop tests the rest in integers.
+    into the range of delta; the rest are tested in integers, and the first
+    k to pass is found by bisection, as each test is monotone in k (delta =
+    2^-(k+2)): the intervals are nested and `_inf_exceeds` is exactly "the
+    infimum over the closed interval exceeds m" (the pole's value taken as
+    +infinity; constantly false at Y.q = 0), so it can only turn true as k
+    grows, and so can conjunctions and disjunctions of such tests.
     """
     # competitors with a pole outside the (doubled) interval: any V with
     # d^pi_V(oo, t) > Theta_4 at some t within delta of w and pole at
@@ -394,15 +400,19 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
     reach = max((max(lo0 - t, t - hi0) for t in blockers), default=0)
     first, stop = _halvings(room, max_halvings), _halvings(reach, max_halvings)
     (a0, b0), (a1, b1) = lo0.as_integer_ratio(), hi0.as_integer_ratio()
-    for k in range(first, stop):
+
+    def passes(k):
         s = 2 << k  # 1 / (2 delta)
         lo, hi = (a0 * s - b0, b0 * s), (a1 * s + b1, b1 * s)
         # (1), then a robust Theta_4 witness on the interval
-        if (base or _inf_exceeds(Y0, lo, hi, margin)) and \
-                (_inf_exceeds(Z, lo, hi, margin4)
-                 or _inf_exceeds(Y0, lo, hi, margin4)):
-            return Membership("yes", delta=Fraction(1, 2 * s))
-    return Membership("boundary-uncertain", detail="delta exhausted")
+        return (base or _inf_exceeds(Y0, lo, hi, margin)) and \
+            (_inf_exceeds(Z, lo, hi, margin4)
+             or _inf_exceeds(Y0, lo, hi, margin4))
+
+    k = first + bisect_left(range(first, stop), True, key=passes)
+    if k >= stop:
+        return Membership("boundary-uncertain", detail="delta exhausted")
+    return Membership("yes", delta=Fraction(1, 4 << k))
 
 
 # -- theorem-level verification --------------------------------------------

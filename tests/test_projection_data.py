@@ -26,6 +26,8 @@ from horocover.projection_data import (
     AxiomReport,
     FareyFamily,
     WindowRequiredError,
+    _enumerate_at_infinity,
+    _enumerate_inf_rational,
     brute_force_large_projections,
     calibrate_behrstock,
     check_behrstock,
@@ -84,6 +86,18 @@ def surd_oracle(w: Surd, qmax: int = ORACLE_QMAX):
     return out
 
 
+def p4_pairs():
+    """Seeded pairs of distinct rationals, and one pair at the cusp."""
+    rng = random.Random(5)
+    pairs = []
+    while len(pairs) < 40:
+        u, v = random_rational(rng, 30), random_rational(rng, 30)
+        if u != v:
+            pairs.append((u, v))
+    pairs.append((INFINITY, Fraction(3, 7)))
+    return pairs
+
+
 @pytest.fixture(scope="module")
 def family():
     return FareyFamily()
@@ -114,15 +128,16 @@ class TestAxioms:
         assert rep.exact_constant <= 1
 
     def test_p4_enumeration_matches_brute_force(self, family):
-        rng = random.Random(5)
-        pairs = []
-        while len(pairs) < 40:
-            u, v = random_rational(rng, 30), random_rational(rng, 30)
-            if u != v:
-                pairs.append((u, v))
-        pairs.append((INFINITY, Fraction(3, 7)))
-        rep = check_finiteness(family, pairs, theta=Fraction(1, 4), qmax=60)
+        rep = check_finiteness(family, p4_pairs(), theta=Fraction(1, 4),
+                               qmax=60)
         assert rep.violations == 0
+
+    @pytest.mark.parametrize("theta", [Fraction(2), Fraction(5, 2)], ids=str)
+    def test_p4_convergent_enumeration_matches_brute_force(self, family,
+                                                           theta):
+        # at theta >= 2 the two-rational pairs go through the convergents
+        rep = check_finiteness(family, p4_pairs(), theta=theta, qmax=60)
+        assert rep.violations == 0 and rep.samples == 41
 
 
 # -- the axiom checks against Fraction loops --------------------------------
@@ -246,11 +261,13 @@ class TestAxiomKernel:
         # kernel reading d_uw three times too large breaks (P2), and one
         # that drops the numerator's order breaks (P1)
         Y, u, v, w = Horoball(0, 1), Fraction(1), Fraction(2), Fraction(3)
+        # distance_terms receives each point as its rational_pair
+        U, W = (1, 1), (3, 1)
 
         class Inflated(FareyFamily):
             def distance_terms(self, Y, a, b):
                 n, fa, fb = super().distance_terms(Y, a, b)
-                return (3 * n if {a, b} == {u, w} else n), fa, fb
+                return (3 * n if {a, b} == {U, W} else n), fa, fb
 
         class Lopsided(FareyFamily):
             def distance_terms(self, Y, a, b):
@@ -290,6 +307,33 @@ class TestEnumeration:
         hits = dict(enumerate_large_projections(INFINITY, Fraction(1, 100),
                                                 Fraction(50)))
         assert hits[Horoball(0, 1)] == 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10 ** 5, 10 ** 5), st.integers(1, 10 ** 5) | st.just(1),
+           st.sampled_from(THRESHOLDS + (Fraction(2001, 1000),)))
+    def test_convergent_hits_match_scan(self, a, b, theta):
+        w = Fraction(a, b)
+        assert _enumerate_at_infinity(w, theta) == \
+            _enumerate_inf_rational(w, theta)
+
+    def test_convergent_hits_exclude_ties(self):
+        # d^pi at 0/1 and at 1/1 against (oo, 1/2) is exactly 2: no hit
+        # at theta = 2, two hits just below it, where the scan runs
+        w = Fraction(1, 2)
+        assert enumerate_large_projections(INFINITY, w, Fraction(2)) == []
+        assert enumerate_large_projections(
+            INFINITY, w, Fraction(1999, 1000)) == [
+                (Horoball(0, 1), 2), (Horoball(1, 1), 2)]
+
+    def test_convergent_hit_at_the_ceiling(self):
+        # 3/5 = [0; 1, 1, 2]: a_1 = 1 makes the convergent 1/1, the
+        # ceiling, a hit beside 1/2, while the floor 0/1 is at 5/3
+        hits = enumerate_large_projections(INFINITY, Fraction(3, 5),
+                                           Fraction(2))
+        assert hits == [(Horoball(1, 1), Fraction(5, 2)),
+                        (Horoball(1, 2), Fraction(5, 2))]
+        assert hits == brute_force_large_projections(
+            INFINITY, Fraction(3, 5), Fraction(2), qmax=5)
 
     def test_brute_force_subset(self):
         theta = Fraction(1, 2)

@@ -1,6 +1,7 @@
 """Thin cover: the ladder, the selection walk (chain vs window-graph
 oracle), certified membership, and the theorem check at small scale."""
 
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from horocover import thin_cover
 from horocover.certified import INFINITE, surd_interval
 from horocover.hyperbolic import (
     GEN_S,
@@ -21,6 +23,7 @@ from horocover.hyperbolic import (
 from horocover.projection_complex import ProjComplexGraph, build_window
 from horocover.projection_data import (
     WindowRequiredError,
+    brute_force_large_projections,
     enumerate_large_projections,
 )
 from horocover.surd import INFINITY, PHI, SQRT2, Surd
@@ -28,10 +31,12 @@ from horocover.thin_cover import (
     BASE_INDEX,
     FinitePart,
     LadderAuditError,
+    Membership,
     ThetaLadder,
     _certify_yes,
     _chain,
     _exceeds,
+    _inf_exceeds,
     _select_z_base,
     _walk_chain,
     chain_angle,
@@ -70,7 +75,10 @@ def near_ladder_points():
 def certify_reference(Y0, i, w, Z, ladder, max_halvings):
     """The halving loop of _certify_yes in Fractions: values from
     proj_dist_frac, infima as the least finite endpoint value, and every
-    competitor of a fresh enumeration at w re-tested at every delta."""
+    competitor of a fresh enumeration at w re-tested at every delta, each
+    delta in turn.  At a rational w = a/b the competitors come from the
+    brute-force scan, independent of the convergent enumeration: a hit
+    Y = p/q has q |q a - p b| < b / theta, so q <= b / theta."""
     def dpi(Y, e):
         return proj_dist_frac(Y, INFINITY, e)
 
@@ -83,8 +91,14 @@ def certify_reference(Y0, i, w, Z, ladder, max_halvings):
 
     Th, Th4 = ladder.Theta(i), ladder.Theta(4)
     margin, margin4 = Th + ladder.theta_P, Th4 + ladder.theta_P
-    lo0, hi0 = surd_interval(w, 60) if isinstance(w, Surd) else (w, w)
-    hits = [V for V, _ in enumerate_large_projections(INFINITY, w, Th4 / 2)]
+    if isinstance(w, Surd):
+        lo0, hi0 = surd_interval(w, 60)
+        hits = enumerate_large_projections(INFINITY, w, Th4 / 2)
+    else:
+        lo0 = hi0 = w
+        hits = brute_force_large_projections(
+            INFINITY, w, Th4 / 2, qmax=math.floor(w.denominator / (Th4 / 2)))
+    hits = [V for V, _ in hits]
     delta = Fraction(1, 4)
     for _ in range(max_halvings):
         lo, hi = lo0 - 2 * delta, hi0 + 2 * delta
@@ -293,6 +307,59 @@ class TestMembership:
             m = _certify_yes(Y0, i, w, Z, ladder, 48)
             assert (m.verdict, m.delta) == \
                 certify_reference(Y0, i, w, Z, ladder, 48)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(-300, 300, max_denominator=60),
+           st.fractions(0, 1, max_denominator=16), st.data())
+    def test_inf_exceeds_monotone_in_k(self, lo0, width, data):
+        # step k of _certify_yes tests [lo0 - 2^-(k+1), hi0 + 2^-(k+1)]:
+        # nested intervals, along which every test only turns true, which
+        # is what lets the first passing k be found by bisection
+        hi0 = lo0 + width
+        steps = 24
+        ends = [t for k in range(steps) for t in
+                (lo0 - Fraction(1, 2 << k), hi0 + Fraction(1, 2 << k))]
+        Y = data.draw(st.one_of(
+            st.just(BASE_INDEX),
+            st.sampled_from([Horoball.at(t) for t in ends]),  # pole at an end
+            st.builds(lambda q, off: Horoball(math.floor(lo0 * q) + off, q),
+                      st.integers(1, 60), st.integers(-2, 3))))
+        # m near the values Y takes on the intervals, so that the tests flip
+        vals = [1 / abs(Y.q * (Y.q * t - Y.p)) for t in ends
+                if Y.q and Y.q * t != Y.p] or [1]
+        m = data.draw(st.sampled_from(vals)) * data.draw(
+            st.fractions(Fraction(1, 2), 2, max_denominator=64))
+        (a0, b0), (a1, b1) = lo0.as_integer_ratio(), hi0.as_integer_ratio()
+        got = [_inf_exceeds(Y, (a0 * s - b0, b0 * s), (a1 * s + b1, b1 * s),
+                            m) for s in (2 << k for k in range(steps))]
+        assert got == sorted(got)
+        if Y == BASE_INDEX:
+            assert not any(got)
+
+    @pytest.mark.parametrize("w, Y0, i, searched", [
+        # the basepoint angle |w| = 233 never exceeds Theta_1 + theta_P
+        (Fraction(233), BASE_INDEX, 1, 0),
+        # |w| > Theta_1 leaves no room, and a blocker stops the halvings
+        # at k = 8: the range of k is empty with first > stop
+        (Fraction(-191136, 301), Horoball(-191136, 301), 1, 0),
+        # every k is searched and none passes
+        (Fraction(233), Horoball(0, 1), 1, 48),
+        (Fraction(27, 2), Horoball(14, 1), 2, 48),
+    ], ids=str)
+    def test_delta_exhausted(self, ladder, monkeypatch, w, Y0, i, searched):
+        ranges = []
+
+        def spy(r, x, key):
+            ranges.append(r)
+            return bisect.bisect_left(r, x, key=key)
+
+        monkeypatch.setattr(thin_cover, "bisect_left", spy)
+        Z = _select_z_base(w, ladder)
+        m = _certify_yes(Y0, i, w, Z, ladder, 48)
+        assert [len(r) for r in ranges] == [searched]
+        assert m == Membership("boundary-uncertain", detail="delta exhausted")
+        assert certify_reference(Y0, i, w, Z, ladder, 48) == \
+            ("boundary-uncertain", None)
 
     def test_family_index_validated(self, ladder):
         with pytest.raises(ValueError):
