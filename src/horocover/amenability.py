@@ -80,12 +80,6 @@ def partition_of_unity(membership, metric, samples, order: int,
 class DefectReport:
     defect: Fraction
     pairs: int
-    breakdown: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {"defect": str(self.defect), "defect_float": float(self.defect),
-                "pairs": self.pairs,
-                "breakdown": self.breakdown[:10]}
 
 
 def ell1(u: dict, v: dict) -> Fraction:
@@ -108,10 +102,7 @@ def defect(nerve: NerveMap, moves, action) -> DefectReport:
         pushed = {action(s, e): w for e, w in nerve.vectors[key].items()}
         d = ell1(nerve.vectors[moved_key], pushed)
         report.pairs += 1
-        if d > worst:
-            worst = d
-            report.breakdown.append({"s": str(s), "key": str(key),
-                                     "ell1": float(d)})
+        worst = max(worst, d)
     report.defect = worst
     if not 0 <= worst <= 2:
         raise AssertionError("ell^1 defect outside the simplex diameter")

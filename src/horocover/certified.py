@@ -83,16 +83,7 @@ class CertifiedReal:
     def of(value) -> "CertifiedReal":
         if isinstance(value, CertifiedReal):
             return value
-        if isinstance(value, Surd):
-            if value.is_rational:
-                return CertifiedReal(exact=value.as_fraction())
-            return CertifiedReal(refine=lambda dps: surd_iv(value))
         return CertifiedReal(exact=Fraction(value))
-
-    @staticmethod
-    def from_expression(fn) -> "CertifiedReal":
-        """fn() is evaluated in iv arithmetic at the ambient precision."""
-        return CertifiedReal(refine=lambda dps: fn())
 
     # -- core -------------------------------------------------------------
 
@@ -107,12 +98,8 @@ class CertifiedReal:
             iv.dps = old
 
     def compare(self, other, max_dps: int = MAX_DPS) -> int:
-        """-1, 0 or +1; raises Undecided when refinement cannot separate."""
-        if isinstance(other, CertifiedReal):
-            if self.exact is not None and other.exact is not None:
-                v = self.exact - other.exact
-                return (v > 0) - (v < 0)
-            return self._compare_dynamic(other, max_dps)
+        """-1, 0 or +1 against a rational; raises Undecided when refinement
+        cannot separate."""
         other = Fraction(other)
         if self.exact is not None:
             v = self.exact - other
@@ -128,18 +115,6 @@ class CertifiedReal:
                 return 0
             dps *= 2
         raise Undecided(f"cannot separate from {other} at dps {max_dps}")
-
-    def _compare_dynamic(self, other: "CertifiedReal", max_dps: int) -> int:
-        dps = DEFAULT_DPS
-        while dps <= max_dps:
-            lo1, hi1 = self.interval(dps)
-            lo2, hi2 = other.interval(dps)
-            if hi1 < lo2:
-                return -1
-            if hi2 < lo1:
-                return 1
-            dps *= 2
-        raise Undecided("cannot separate two certified reals")
 
     def __float__(self):
         if self.exact is not None:

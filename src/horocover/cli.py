@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .hyperbolic import Horoball, IDENTITY, word_ball
+from .hyperbolic import GEN_S, Horoball, IDENTITY, word_ball
 from .projection_complex import (
     ProjComplexGraph,
     build_window,
@@ -37,7 +37,7 @@ from .projection_data import (
     check_triangle,
     sample_triples_rational,
 )
-from .surd import PHI, SQRT2, boundary
+from .surd import PHI, SQRT2
 from . import amenability, flow_cover, thin_cover
 
 DEFAULT_CONFIG = {
@@ -68,10 +68,6 @@ DEFAULT_CONFIG = {
     "tau_budget": "16",
     "N_hat": 2,
 }
-
-
-def _frac(s) -> Fraction:
-    return Fraction(s)
 
 
 def _hb(name: str) -> Horoball:
@@ -116,8 +112,8 @@ def write_report(out: Path, command: str, cfg: dict, results: dict) -> Path:
 def _graphs(cfg: dict):
     for spec in cfg["windows"]:
         anchors = tuple(_hb(a) for a in spec["anchors"])
-        window = build_window(anchors, _frac(spec["theta"]),
-                              _frac(spec["K"]))
+        window = build_window(anchors, Fraction(spec["theta"]),
+                              Fraction(spec["K"]))
         yield spec, ProjComplexGraph(window)
 
 
@@ -140,7 +136,7 @@ def cmd_axioms(cfg: dict, out: Path) -> int:
     p3_triples = [(Y, Yp, xi) for (Y, _u, xi), (Yp, _u2, _v2)
                   in zip(triples[:200], triples[200:400]) if Y != Yp]
     p3 = check_behrstock(family, p3_triples,
-                         theta=2 * _frac(cfg["theta_hat"]))
+                         theta=2 * Fraction(cfg["theta_hat"]))
     results = {"P1": p1.to_dict(), "P2": p2.to_dict(), "P3": p3.to_dict(),
                "P4": p4.to_dict()}
     write_report(out, "axioms", cfg, results)
@@ -160,7 +156,7 @@ def cmd_complex(cfg: dict, out: Path) -> int:
         # theta_P by calibration; the identity must be clean at the
         # calibrated global value
         g_inst, g_fails, _gw = check_angle_transfer(graph,
-                                                    _frac(cfg["theta_P"]))
+                                                    Fraction(cfg["theta_P"]))
         entry = {
             "anchors": spec["anchors"],
             "vertices": len(graph.vertices),
@@ -188,9 +184,9 @@ def cmd_complex(cfg: dict, out: Path) -> int:
 
 def _ladder(cfg: dict) -> thin_cover.ThetaLadder:
     S = thin_cover.FinitePart.word_ball(cfg["theta_S_radius"])
-    ts = thin_cover.theta_S(S, _frac(cfg["theta_P"]))
-    return thin_cover.ThetaLadder(_frac(cfg["theta"]), ts,
-                                  _frac(cfg["theta_P"]))
+    ts = thin_cover.theta_S(S, Fraction(cfg["theta_P"]))
+    return thin_cover.ThetaLadder(Fraction(cfg["theta"]), ts,
+                                  Fraction(cfg["theta_P"]))
 
 
 def _thin_samples(cfg: dict):
@@ -216,10 +212,10 @@ def cmd_thin(cfg: dict, out: Path) -> int:
 
 
 def _thick_params(cfg: dict) -> flow_cover.ThickParams:
-    return flow_cover.ThickParams(Theta=_frac(cfg["thick_Theta"]),
-                                  rho=_frac(cfg["thick_rho"]),
-                                  beta=_frac(cfg["thick_beta"]),
-                                  t_max=_frac(cfg["thick_t_max"]))
+    return flow_cover.ThickParams(Theta=Fraction(cfg["thick_Theta"]),
+                                  rho=Fraction(cfg["thick_rho"]),
+                                  beta=Fraction(cfg["thick_beta"]),
+                                  t_max=Fraction(cfg["thick_t_max"]))
 
 
 def _thick_xis(cfg: dict):
@@ -239,7 +235,7 @@ def cmd_thick(cfg: dict, out: Path) -> int:
     S = word_ball(1)
     rep = flow_cover.verify_thick_theorem(
         S, params, cfg["thick_word_radius"], _thick_xis(cfg),
-        pinned_order=cfg["N_hat"], tau_max=_frac(cfg["tau_budget"]))
+        pinned_order=cfg["N_hat"], tau_max=Fraction(cfg["tau_budget"]))
     write_report(out, "thick", cfg, rep)
     ok = (rep["tau"]["status"] == "ok" and rep["longness_ok"]
           and rep["fsubset_failures"] == 0
@@ -268,9 +264,9 @@ def cmd_amenability(cfg: dict, out: Path) -> int:
     defects = {}
     for radius in (1, 3):
         S = thin_cover.FinitePart.word_ball(radius)
-        ts = thin_cover.theta_S(S, _frac(cfg["theta_P"]))
-        ladder = thin_cover.ThetaLadder(_frac(cfg["theta"]), ts,
-                                        _frac(cfg["theta_P"]))
+        ts = thin_cover.theta_S(S, Fraction(cfg["theta_P"]))
+        ladder = thin_cover.ThetaLadder(Fraction(cfg["theta"]), ts,
+                                        Fraction(cfg["theta_P"]))
         defects[radius] = _thin_nerve_defect(ladder, radius)
     results["defect_radius_1"] = str(defects[1])
     results["defect_radius_3"] = str(defects[3])
@@ -290,6 +286,17 @@ def cmd_amenability(cfg: dict, out: Path) -> int:
 _DEFECT_KS = (600, 660, 718, 800, 900, 1050, 1200, 1600, 2400)
 
 
+def _thin_members(xi, ladder) -> list:
+    """The (Y, i), i = 1, 2, whose U(Y, i) certifiably contains (e, xi)."""
+    out = []
+    for i in (1, 2):
+        Y = thin_cover.select_Yi(IDENTITY, xi, i, ladder)
+        if Y is not None and thin_cover.membership_U(
+                Y, i, IDENTITY, xi, ladder).verdict == "yes":
+            out.append((Y, i))
+    return out
+
+
 def _thin_nerve_defect(ladder, radius: int) -> Fraction:
     """Nerve defect of the boundary-only thin nerve map on the pinned
     sample {1/2 + 1/k} plus its exact inversion images.
@@ -299,31 +306,16 @@ def _thin_nerve_defect(ladder, radius: int) -> Fraction:
     threshold windows around the ladder values.  A larger longness radius
     enlarges the ladder and moves those windows off the fixed sample, so
     the measured defect must not increase with the radius."""
-    from .hyperbolic import GEN_S
-
     xs = [Fraction(1, 2) + Fraction(1, k) for k in _DEFECT_KS]
     sample = xs + [Fraction(-1) / x for x in xs]
-    e = IDENTITY
-
-    def membership(xi):
-        out = []
-        for i in (1, 2):
-            Y = thin_cover.select_Yi(e, xi, i, ladder)
-            if Y is None:
-                continue
-            if thin_cover.membership_U(Y, i, e, xi, ladder).verdict == "yes":
-                out.append((repr(Y), i))
-        return out
-
     nerve = amenability.partition_of_unity(
-        membership, lambda a, b: abs(float(a - b)), sample,
-        order=1, key=str)
+        lambda xi: _thin_members(xi, ladder), lambda a, b: abs(float(a - b)),
+        sample, order=1, key=str)
     nerve.check_invariants()
 
     def action(s, elt):
-        name, i = elt
-        Y = _hb(name.replace("Horoball(", "").replace(")", ""))
-        return (repr(Y.translate(GEN_S)), i)
+        Y, i = elt
+        return (Y.translate(GEN_S), i)
 
     moves = [("S", str(xi), str(Fraction(-1) / xi)) for xi in xs]
     rep = amenability.defect(nerve, moves, action)
@@ -335,8 +327,6 @@ def _combined_cover(cfg: dict) -> dict:
     ladder = _ladder(cfg)
     params = _thick_params(cfg)
     rng = random.Random(cfg["seed"])
-    e = IDENTITY
-
     thin_xis = []
     while len(thin_xis) < 20:
         q = rng.randint(1, 100)
@@ -346,29 +336,21 @@ def _combined_cover(cfg: dict) -> dict:
     thick_xis = [PHI, SQRT2]
     sample = flow_cover.sample_coarse_flow(params, 2, thick_xis)
     cover = flow_cover.build_long_thin_cover(sample, params.beta)
-    tau = _frac(cfg["thick_beta"])
+    tau = Fraction(cfg["thick_beta"])
 
     def classify_fn(xi):
-        res = flow_cover.classify(e, xi, params.Theta)
+        res = flow_cover.classify(IDENTITY, xi, params.Theta)
         return "thick" if isinstance(res, flow_cover.ThickCertificate) \
             else "thin"
 
     def thin_membership(xi):
-        if boundary(xi).is_rational:
-            out = []
-            for i in (1, 2):
-                Y = thin_cover.select_Yi(e, xi, i, ladder)
-                if Y is not None and thin_cover.membership_U(
-                        Y, i, e, xi, ladder).verdict == "yes":
-                    out.append((repr(Y), i))
-            return out
-        return []
+        return _thin_members(xi, ladder) if isinstance(xi, Fraction) else []
 
     def thick_membership(xi):
-        if boundary(xi).is_rational:
+        if isinstance(xi, Fraction):
             return []
-        got = flow_cover._s_long_element(e, xi, [IDENTITY], tau, cover,
-                                         params)
+        got = flow_cover._s_long_element(IDENTITY, xi, [IDENTITY], tau,
+                                         cover, params)
         return [] if got is None else [got]
 
     return amenability.combine_covers(

@@ -42,7 +42,6 @@ from .hyperbolic import (
     HOROBALL_INF,
     Horoball,
     IDENTITY,
-    chart_image,
     geodesic_point,
     hyperbolic_distance,
     locate,
@@ -51,7 +50,7 @@ from .hyperbolic import (
     word_spheres,
 )
 from .projection_data import cusp_projections, sup_projection
-from .surd import INFINITY, Surd, boundary
+from .surd import INFINITY, Surd
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,12 @@ def classify(g: GroupElement, xi, Theta: Fraction):
     its field (see projection_data.sup_projection), so it never ties with
     the rational Theta.
     """
-    w = chart_image(g.inverse(), xi)
+    w = g.inverse().apply_boundary(xi)
     if not isinstance(w, Surd):
         return Horoball.at(w).translate(g), INFINITE
     sup = sup_projection(HOROBALL_INF, w)
     if sup.below(Theta):
-        return ThickCertificate(g, boundary(xi), sup.value)
+        return ThickCertificate(g, xi, sup.value)
     if sup.witness is None:
         # a class limit above Theta: its convergents pass Theta infinitely
         # often, so the first convergent above Theta is a witness
@@ -220,10 +219,6 @@ class FlowTriple:
     v: GroupElement
     xi_plus: object  # boundary point
 
-    def translate(self, gamma: GroupElement) -> "FlowTriple":
-        return FlowTriple(gamma * self.x_minus, gamma * self.v,
-                          gamma.apply_boundary(self.xi_plus))
-
 
 @dataclass
 class CoarseFlowSample:
@@ -242,7 +237,6 @@ def sample_coarse_flow(params: ThickParams, generators_radius: int,
     sample = CoarseFlowSample(params)
     for g in word_ball(generators_radius):
         for xi in xi_set:
-            xi = boundary(xi)
             for t in params.t_grid():
                 pt = geodesic_point(g, xi, t)
                 for v in orbit_points_near(pt, params.rho, (g, t)):
@@ -253,7 +247,7 @@ def sample_coarse_flow(params: ThickParams, generators_radius: int,
 def flow_point(g: GroupElement, xi, tau, params: ThickParams) -> set:
     """iota_tau(g, xi): orbit points within rho of the time-tau point of
     the witness ray from g x0 toward xi."""
-    pt = geodesic_point(g, boundary(xi), tau)
+    pt = geodesic_point(g, xi, tau)
     return set(orbit_points_near(pt, params.rho, (g, tau)))
 
 
@@ -335,9 +329,6 @@ class FlowLineChart:
                              abs(self.members[v] - t_observed))
         return True
 
-    def parameter(self, v: GroupElement):
-        return self.members.get(v)
-
     def audit_embedding(self, mu_hat: float = 2.0):
         """The parameter map is a (mu_hat, A_hat)-quasi-isometric embedding
         of (members, d_T) into the reals: measure the best additive A_hat
@@ -416,7 +407,7 @@ class LongThinCover:
         forward endpoint xi_plus, the chart every flow triple belongs to."""
         key = str(xi_plus)
         chart = self.charts.get(key)
-        t = None if chart is None else chart.parameter(v)
+        t = None if chart is None else chart.members.get(v)
         return [] if t is None else self.elements_containing(key, t)
 
 
@@ -555,8 +546,8 @@ def boundary_distance(x, y) -> float:
         f = float(z)
         return (2 * f / (1 + f * f), (f * f - 1) / (1 + f * f))
 
-    ax, ay = chart(boundary(x))
-    bx, by = chart(boundary(y))
+    ax, ay = chart(x)
+    bx, by = chart(y)
     return math.hypot(ax - bx, ay - by)
 
 
@@ -565,8 +556,8 @@ def ambient_metric(p, q) -> float:
     distance between the base-chart endpoints."""
     (g, xi), (h, eta) = p, q
     wd = word_distance(g, h)
-    bd = boundary_distance(chart_image(g.inverse(), xi),
-                           chart_image(h.inverse(), eta))
+    bd = boundary_distance(g.inverse().apply_boundary(xi),
+                           h.inverse().apply_boundary(eta))
     return wd + bd
 
 
@@ -610,7 +601,7 @@ def verify_thick_theorem(S, params: ThickParams, generators_radius: int,
                          tau_max: Fraction = Fraction(16)) -> dict:
     """Build the sample, the long thin cover, choose tau, pull back, and
     check order and S-longness on the thick pairs."""
-    thick_xis = [boundary(xi) for xi in xi_set if isinstance(
+    thick_xis = [xi for xi in xi_set if isinstance(
         classify(IDENTITY, xi, params.Theta), ThickCertificate)]
     sample = sample_coarse_flow(params, generators_radius, thick_xis)
     cover = build_long_thin_cover(sample, params.beta)

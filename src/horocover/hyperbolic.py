@@ -2,7 +2,8 @@
 
 Group elements are integer matrices of determinant one, identified with their
 negatives (the boundary action factors through PSL2).  Boundary points are
-exact rationals or quadratic surds (see surd.py).  Ford horoballs are indexed
+INFINITY, exact Fractions or irrational quadratic surds (see chart_point),
+and the group moves them in that form.  Ford horoballs are indexed
 by their rational tangency point; the horoball at p/q is the open Euclidean
 disk of diameter 1/q^2 tangent at p/q, and the horoball at infinity is the
 open region above height 1.  Projection distances are measured in the path
@@ -26,7 +27,7 @@ from .certified import (
     iv_acosh,
     surd_iv,
 )
-from .surd import INFINITY, MixedFieldError, Surd, boundary
+from .surd import INFINITY, Surd
 
 
 class GroupElement:
@@ -68,17 +69,20 @@ class GroupElement:
         return f"GroupElement({self.a},{self.b},{self.c},{self.d})"
 
     def apply_boundary(self, x):
-        """The Moebius action on the boundary circle, exact."""
-        x = boundary(x)
+        """The Moebius action on the boundary circle, exact, in the form of
+        `chart_point`.  INFINITY and a Fraction move by the integer map on
+        (numerator, denominator); an irrational Surd moves by Surd
+        arithmetic and stays irrational, so it never reaches INFINITY."""
+        x = chart_point(x)
         a, b, c, d = self.a, self.b, self.c, self.d
+        if isinstance(x, Surd):
+            return (x * a + b) / (x * c + d)
         if x is INFINITY:
-            if c == 0:
-                return INFINITY
-            return Surd(a, 0, 0, c)
-        den = x * c + d
-        if den.sign() == 0:
-            return INFINITY
-        return (x * a + b) / den
+            num, den = a, c
+        else:
+            n, m = x.numerator, x.denominator
+            num, den = a * n + b * m, c * n + d * m
+        return INFINITY if den == 0 else Fraction(num, den)
 
     def apply_point(self, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
         """The action on an interior point with rational coordinates."""
@@ -113,11 +117,8 @@ class Horoball:
 
     @staticmethod
     def at(x) -> "Horoball":
-        x = boundary(x)
-        if x is INFINITY:
-            return Horoball(1, 0)
-        f = x.as_fraction()
-        return Horoball(f.numerator, f.denominator)
+        """The horoball tangent at a rational boundary point."""
+        return Horoball(*rational_pair(x))
 
     @property
     def tangency(self):
@@ -183,73 +184,17 @@ def _ext_gcd(p: int, q: int) -> tuple[int, int]:
 
 def chart_point(x):
     """A horoball's tangency point, or a boundary point, as INFINITY, an
-    exact Fraction or an irrational Surd: the form every chart computation
-    takes its points in, the base-chart point g^{-1} xi among them."""
+    exact Fraction or an irrational Surd: the one form every chart
+    computation takes its points in.  INFINITY, a Fraction and an
+    irrational Surd are returned as they are; an int and a rational Surd
+    become Fractions."""
+    if x is INFINITY or isinstance(x, Fraction):
+        return x
     if isinstance(x, Horoball):
         return x.tangency
-    x = boundary(x)
-    if x is INFINITY or not x.is_rational:
-        return x
-    return x.as_fraction()
-
-
-def chart_image(g: GroupElement, x):
-    """chart_point(g.apply_boundary(x)).  INFINITY and a Fraction move by
-    the integer Moebius map on (numerator, denominator), to INFINITY or a
-    Fraction; any other point takes the Surd path."""
-    if x is INFINITY:
-        num, den = g.a, g.c
-    elif isinstance(x, Fraction):
-        n, m = x.numerator, x.denominator
-        num, den = g.a * n + g.b * m, g.c * n + g.d * m
-    else:
-        return chart_point(g.apply_boundary(x))
-    return INFINITY if den == 0 else Fraction(num, den)
-
-
-def _factor(Y: Horoball, x):
-    """|q*x - p| for finite x, |q| for x = infinity (q > 0 there)."""
-    if x is INFINITY:
-        return Surd(Y.q)
-    return abs(x * Y.q - Surd(Y.p))
-
-
-def projection_distance(Y: Horoball, u, v):
-    """Exact closed-form projection distance onto the horocycle of Y.
-
-    Returns a CertifiedReal (exact when the data is rational or lies in a
-    single quadratic field) or INFINITE when an argument is the tangency
-    point of Y itself.
-    """
-    u, v = chart_point(u), chart_point(v)
-    t = Y.tangency
-    if u == t or v == t:
-        return INFINITE
-    if u == v:
-        return CertifiedReal(exact=Fraction(0))
-    try:
-        fu, fv = _factor(Y, u), _factor(Y, v)
-        if u is INFINITY or v is INFINITY:
-            num = Surd(1)
-        else:
-            num = abs(u - v)
-        val = num / (fu * fv)
-        return CertifiedReal.of(val)
-    except MixedFieldError:
-        return CertifiedReal.from_expression(
-            lambda: _proj_dist_iv(Y, u, v))
-
-
-def _proj_dist_iv(Y: Horoball, u, v):
-    def fac(x):
-        if x is INFINITY:
-            return iv.mpf(Y.q)
-        return abs(surd_iv(x) * Y.q - Y.p)
-    if u is INFINITY or v is INFINITY:
-        num = iv.mpf(1)
-    else:
-        num = abs(surd_iv(u) - surd_iv(v))
-    return num / (fac(u) * fac(v))
+    if isinstance(x, Surd):
+        return x.as_fraction() if x.is_rational else x
+    return Fraction(x)
 
 
 def rational_pair(x) -> tuple[int, int]:
@@ -285,6 +230,14 @@ def proj_dist_frac(Y: Horoball, u, v):
     return Fraction(n, fu * fv)
 
 
+def projection_distance(Y: Horoball, u, v):
+    """The projection distance onto the horocycle of Y at rational data,
+    as an exact CertifiedReal, or INFINITE when an endpoint is the
+    tangency point of Y (see `proj_dist_frac`)."""
+    d = proj_dist_frac(Y, u, v)
+    return d if d is INFINITE else CertifiedReal(exact=d)
+
+
 def penetration_depth(Y: Horoball, u, v) -> CertifiedReal:
     """log(d/2) for d the projection distance: the depth to which the full
     geodesic (u, v) dips into the open horoball (negative when disjoint)."""
@@ -294,15 +247,10 @@ def penetration_depth(Y: Horoball, u, v) -> CertifiedReal:
         raise ValueError("endpoint at the tangency point of Y")
     if u == v:
         raise ValueError("penetration depth needs distinct endpoints")
-    d = projection_distance(Y, u, v)
-    if d.exact is not None:
-        ex = d.exact
-        if ex == 2:
-            return CertifiedReal(exact=Fraction(0))
-        return CertifiedReal(
-            refine=lambda dps: iv.log(fraction_to_iv(ex) / 2))
-    return CertifiedReal(
-        refine=lambda dps: iv.log(d._refine(dps) / 2))
+    d = projection_distance(Y, u, v).exact
+    if d == 2:
+        return CertifiedReal(exact=Fraction(0))
+    return CertifiedReal(refine=lambda dps: iv.log(fraction_to_iv(d) / 2))
 
 
 # -- ray geometry ---------------------------------------------------------
@@ -312,13 +260,10 @@ def _geodesic_circle(x0: Fraction, y0: Fraction, xi):
     """Center and squared radius of the geodesic through (x0, y0) with
     boundary endpoint xi; None for a vertical line (xi = infinity or below
     the point)."""
-    if xi is INFINITY:
-        return None
-    xi_m_x0 = xi - x0
-    if xi_m_x0.sign() == 0:
-        return None
+    if xi is INFINITY or isinstance(xi, Fraction) and xi == x0:
+        return None  # an irrational xi never equals the rational x0
     # (x0-c)^2 + y0^2 = (xi-c)^2
-    c = (xi * xi - Surd.from_fraction(x0 * x0 + y0 * y0)) / (xi_m_x0 * 2)
+    c = (xi * xi - Surd.from_fraction(x0 * x0 + y0 * y0)) / ((xi - x0) * 2)
     r2 = (xi - c) * (xi - c)
     return c, r2
 
@@ -371,7 +316,7 @@ def _round_half_down(x: Fraction) -> int:
 def geodesic_point(g: GroupElement, xi, t) -> tuple[CertifiedReal, CertifiedReal]:
     """The point at arclength t >= 0 along the unit-speed ray from g*x0
     toward xi, as certified coordinates."""
-    xi = boundary(xi)
+    xi = chart_point(xi)
     x0, y0 = g.apply_point(*BASEPOINT)
     t = CertifiedReal.of(t)
 

@@ -19,11 +19,6 @@ from .hyperbolic import GroupElement, Horoball, proj_dist_frac, proj_dist_int
 from .projection_data import enumerate_large_projections
 
 
-def dpi(Y: Horoball, X: Horoball, Z: Horoball):
-    """Exact projection distance between two horoballs, by tangency."""
-    return proj_dist_frac(Y, X, Z)
-
-
 @dataclass(frozen=True)
 class Window:
     vertices: tuple  # sorted Horoballs
@@ -149,7 +144,7 @@ class ProjComplexGraph:
         pairs = self.angle_pairs(X, Z, Y)
         if not pairs:
             return Fraction(0)
-        return max(dpi(Y, p, s) for p, s in pairs)
+        return max(proj_dist_frac(Y, p, s) for p, s in pairs)
 
     def dmax_brute(self, X: Horoball, Z: Horoball, Y: Horoball) -> Fraction:
         """Oracle: enumerate every geodesic explicitly."""
@@ -159,7 +154,7 @@ class ProjComplexGraph:
         for path in self.geodesics(X, Z):
             if Y in path[1:-1]:
                 k = path.index(Y)
-                best = max(best, dpi(Y, path[k - 1], path[k + 1]))
+                best = max(best, proj_dist_frac(Y, path[k - 1], path[k + 1]))
         return best
 
     def avoidable(self, X: Horoball, Z: Horoball, Y: Horoball) -> bool:
@@ -196,7 +191,7 @@ def verify_local_estimate(graph: ProjComplexGraph) -> Fraction:
             for Y in on:
                 if Y in (X, Z):
                     continue
-                base = dpi(Y, X, Z)
+                base = proj_dist_frac(Y, X, Z)
                 if base is INFINITE:
                     continue
                 dY = graph._bfs(Y)
@@ -206,7 +201,7 @@ def verify_local_estimate(graph: ProjComplexGraph) -> Fraction:
                           if v != Y and dY[v] + dZ[v] == dZ[Y]]
                 for Xp in befores:
                     for Zp in afters:
-                        d2 = dpi(Y, Xp, Zp)
+                        d2 = proj_dist_frac(Y, Xp, Zp)
                         if d2 is INFINITE:
                             continue
                         best = max(best, abs(base - d2))
@@ -225,7 +220,7 @@ def verify_attraction(graph: ProjComplexGraph) -> Fraction:
             for Y in vs:
                 if Y in (X, Z):
                     continue
-                d = dpi(Y, X, Z)
+                d = proj_dist_frac(Y, X, Z)
                 if d is INFINITE:
                     continue
                 if graph.avoidable(X, Z, Y):
@@ -257,7 +252,7 @@ def check_angle_transfer(graph: ProjComplexGraph, theta_P: Fraction):
                     # Y0 then Y on a common geodesic
                     if dX[Y0] + dY0[Y] + dZ[Y] != dX[Z] or dX[Y0] >= dX[Y]:
                         continue
-                    vals = [dpi(Y0, X, Y), dpi(Y0, X, Z),
+                    vals = [proj_dist_frac(Y0, X, Y), proj_dist_frac(Y0, X, Z),
                             graph.dmax(X, Z, Y0)]
                     vals = [v for v in vals if v is not INFINITE]
                     if not vals or max(vals) < theta_P:

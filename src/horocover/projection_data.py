@@ -29,7 +29,6 @@ from .certified import INFINITE
 from .hyperbolic import (
     HOROBALL_INF,
     Horoball,
-    chart_image,
     chart_point,
     normalizer,
     proj_dist_frac,
@@ -85,7 +84,7 @@ def enumerate_large_projections(u, v, theta: Fraction):
     if u is INFINITY:
         return _enumerate_at_infinity(v, theta)
     m = normalizer(Horoball.at(u))
-    hits = _enumerate_at_infinity(chart_image(m, v), theta)
+    hits = _enumerate_at_infinity(m.apply_boundary(v), theta)
     back = m.inverse()
     hits = [(Y.translate(back), d) for Y, d in hits]
     hits.sort(key=lambda t: (t[0].q, t[0].p))
@@ -346,7 +345,7 @@ def sup_projection(X: Horoball, xi) -> SupResult:
     chart of X.
     """
     m = normalizer(X)
-    w = chart_image(m, xi)
+    w = m.apply_boundary(xi)
     if w is INFINITY:
         return SupResult(Fraction(0))  # xi is the tangency of X
     if isinstance(w, Surd):
@@ -373,7 +372,7 @@ def pair_maxmin(Y: Horoball, Yp: Horoball):
     Ypp = Yp.translate(m)  # finite: only Y itself goes to infinity
     q = Ypp.q
     xi_hat = Fraction(Ypp.p + 1, q)
-    return Fraction(1, q), chart_image(m.inverse(), xi_hat)
+    return Fraction(1, q), m.inverse().apply_boundary(xi_hat)
 
 
 def calibrate_behrstock(qmax: int = 50):

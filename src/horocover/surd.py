@@ -1,11 +1,12 @@
 """Exact arithmetic for boundary points: rationals, quadratic surds, infinity.
 
-A finite boundary point is stored in the canonical form (p + q*sqrt(d))/r with
-integer p, q, r, r > 0, d squarefree, and gcd(p, q, r) = 1.  q = 0 forces
+A Surd is stored in the canonical form (p + q*sqrt(d))/r with integer
+p, q, r, r > 0, d squarefree, and gcd(p, q, r) = 1.  q = 0 forces
 d = 0, so every rational has exactly one representation.  Arithmetic is closed
 as long as at most one quadratic field is involved; mixing two distinct
-irrational fields raises MixedFieldError and callers fall back to certified
-interval evaluation.
+irrational fields raises MixedFieldError, and only the ordering falls back
+to certified interval evaluation.  As a boundary point a Surd is irrational:
+rational boundary points are Fractions (see hyperbolic.chart_point).
 """
 
 from __future__ import annotations
@@ -293,13 +294,6 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
-
-
-def boundary(x):
-    """Coerce int/Fraction/Surd/INFINITY to a boundary point."""
-    if x is INFINITY or isinstance(x, Surd):
-        return x
-    return Surd.from_fraction(x)
 
 
 PHI = Surd(1, 1, 5, 2)

@@ -22,7 +22,6 @@ from .hyperbolic import (
     HOROBALL_INF,
     GroupElement,
     Horoball,
-    chart_image,
     proj_dist_int,
     word_ball,
 )
@@ -125,7 +124,7 @@ def theta_S(S: FinitePart, theta_P: Fraction,
 def select_Z(g: GroupElement, xi, ladder: ThetaLadder) -> Horoball | None:
     """Equivariant choice of a Theta_4-large (preferably Theta_5-large)
     projection index for (g, xi); None if no certified candidate exists."""
-    w = chart_image(g.inverse(), xi)
+    w = g.inverse().apply_boundary(xi)
     Z0 = _select_z_base(w, ladder)
     return None if Z0 is None else Z0.translate(g)
 
@@ -183,7 +182,7 @@ def select_Yi(g: GroupElement, xi, i: int, ladder: ThetaLadder,
     When a window graph is supplied, d^max is measured there (oracle path
     for small data); otherwise angles come from the linear order itself.
     """
-    w = chart_image(g.inverse(), xi)
+    w = g.inverse().apply_boundary(xi)
     Y0 = _select_yi_base(w, i, ladder, graph)
     return None if Y0 is None else Y0.translate(g)
 
@@ -305,7 +304,7 @@ def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
     if i not in (1, 2):
         raise ValueError("the thin families are U(.,1) and U(.,2)")
     ginv = g.inverse()
-    w = chart_image(ginv, xi)
+    w = ginv.apply_boundary(xi)
     Y0 = Y.translate(ginv)
     return _membership_base(Y0, i, w, ladder, max_halvings)
 
@@ -434,7 +433,7 @@ class ThinReport:
 def is_theta5_thin(g: GroupElement, xi, ladder: ThetaLadder) -> bool:
     """d^pi_Y(g X, xi) > Theta_5 for some Y: trivially true at rational xi
     away from the moved basepoint tangency."""
-    w = chart_image(g.inverse(), xi)
+    w = g.inverse().apply_boundary(xi)
     if w is INFINITY:
         return False
     if isinstance(w, Fraction):
@@ -503,7 +502,7 @@ def _disjointness_probes(Y: Horoball, i: int, g: GroupElement, xi,
                          ladder: ThetaLadder):
     """A few competing (Y', i) in the same family to probe disjointness:
     the first three walk vertices toward Z(g, xi) other than Y."""
-    w = chart_image(g.inverse(), xi)
+    w = g.inverse().apply_boundary(xi)
     if not isinstance(w, Fraction):
         return []
     Z = Horoball(w.numerator, w.denominator)

@@ -17,6 +17,7 @@ from horocover.certified import (
     iv_acosh,
     iv_to_fractions,
     surd_interval,
+    surd_iv,
 )
 from horocover.surd import PHI, SQRT2
 
@@ -49,18 +50,21 @@ class TestCertifiedReal:
         assert float(c) == pytest.approx(5 / 3)
 
     def test_refined_comparison(self):
-        root2 = CertifiedReal.from_expression(lambda: iv.sqrt(2))
+        root2 = CertifiedReal(refine=lambda dps: iv.sqrt(2))
         assert root2.compare(Fraction(3, 2)) == -1
         assert root2.compare(Fraction(7, 5)) == 1
 
     def test_equal_expressions_undecided(self):
-        a = CertifiedReal.from_expression(lambda: iv.sqrt(2))
-        b = CertifiedReal.from_expression(lambda: iv.sqrt(2))
+        # the band compare of orbit_points_near: an inexact enclosure of
+        # 1/3 never separates from the rational 1/3, so it ends Undecided
+        third = CertifiedReal(refine=lambda dps: iv.mpf(1) / 3)
+        lo, hi = third.interval()
+        assert lo < Fraction(1, 3) < hi
         with pytest.raises(Undecided):
-            a.compare(b, max_dps=60)
+            third.compare(Fraction(1, 3), max_dps=60)
 
     def test_of_surd(self):
-        c = CertifiedReal.of(PHI)
+        c = CertifiedReal(refine=lambda dps: surd_iv(PHI))
         assert c.compare(Fraction(8, 5)) == 1
         assert c.compare(Fraction(13, 8)) == -1
 

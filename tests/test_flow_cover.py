@@ -48,7 +48,7 @@ from horocover.hyperbolic import (
     word_ball,
 )
 from horocover.projection_data import surd_sample_set
-from horocover.surd import PHI, SQRT2, Surd, boundary
+from horocover.surd import PHI, SQRT2, Surd
 
 # thick and thin surd directions: (1, 0, c, 1) PHI = [0; c, 1, 1, ...]
 # has the projection c + 1/phi at 0/1; the projections toward sqrt(2)/4 =
@@ -66,9 +66,8 @@ def params():
 
 @pytest.fixture(scope="module")
 def sample(params):
-    xis = [boundary(PHI), boundary(SQRT2),
-           boundary(GEN_T.apply_boundary(PHI)),
-           boundary(GEN_S.apply_boundary(SQRT2))]
+    xis = [PHI, SQRT2, GEN_T.apply_boundary(PHI),
+           GEN_S.apply_boundary(SQRT2)]
     return sample_coarse_flow(params, 3, xis)
 
 
@@ -167,7 +166,7 @@ def _no_compare(monkeypatch):
 
 
 def _starts_kept(g, t, origin):
-    pt = geodesic_point(g, boundary(SQRT2), t)
+    pt = geodesic_point(g, SQRT2, t)
     m = tuple(_midpoint(c) for c in pt)
     start = orbit_point(g)
     assert any(orbit_point(locate(m) * u) == start for u in _neighbors())
@@ -273,14 +272,14 @@ class TestCharts:
 
 class TestPullback:
     def test_tau_found(self, sample, cover, params):
-        pairs = [(g, boundary(PHI)) for g in word_ball(1)]
+        pairs = [(g, PHI) for g in word_ball(1)]
         rep = choose_tau([IDENTITY, GEN_T], params, pairs, cover,
                          Fraction(16))
         assert rep["status"] == "ok"
         assert Fraction(rep["tau_chosen"]) <= 4
 
     def test_pullback_membership(self, sample, cover, params):
-        xi = boundary(PHI)
+        xi = PHI
         pts = flow_point(IDENTITY, xi, Fraction(3), params)
         assert pts
         hits = flow_elements(IDENTITY, xi, Fraction(3), cover, params)
@@ -311,7 +310,7 @@ class TestMetrics:
         assert word_distance(g, g * w) == radius
 
     def test_boundary_distance_symmetric(self):
-        a, b = Fraction(1, 3), boundary(SQRT2)
+        a, b = Fraction(1, 3), SQRT2
         assert boundary_distance(a, b) == pytest.approx(
             boundary_distance(b, a))
         assert boundary_distance(a, a) == 0

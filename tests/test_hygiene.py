@@ -1,6 +1,7 @@
 """Source hygiene: every name a horocover module imports is referenced,
 every function, class and public method it defines is used by the program
-or the benchmark, and every layer the benchmark tracer patches exists."""
+or the benchmark, no function is a mere alias of another, and every layer
+the benchmark tracer patches exists."""
 
 import ast
 import importlib.util
@@ -134,6 +135,79 @@ def test_no_unused_api():
     assert sorted(set(found) - set(TEST_ONLY)) == []
     # an allowlisted name that the program came to use needs no entry
     assert sorted(set(TEST_ONLY) - set(found)) == []
+
+
+def alias_functions(source: str, module: str) -> list[str]:
+    """Functions and methods, nested ones included, whose body after the
+    docstring is one `return f(...)` passing the function's own parameters
+    (a method's after self or cls), in order and nothing else, to another
+    callable; named module.Class.method or module.function."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = f"{prefix}.{child.name}" if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else prefix
+            if isinstance(child, ast.FunctionDef) and _is_alias(
+                    child, isinstance(node, ast.ClassDef)):
+                found.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def _is_alias(fn: ast.FunctionDef, method: bool) -> bool:
+    body = fn.body[ast.get_docstring(fn) is not None:]
+    params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    if method and params[:1] in (["self"], ["cls"]):
+        params = params[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or not params:
+        return False
+    call = body[0].value
+    return isinstance(call, ast.Call) and not call.keywords and [
+        a.id if isinstance(a, ast.Name) else None for a in call.args] == params
+
+
+def test_detector_flags_alias_functions():
+    source = ('def to_int(s):\n'
+              '    """An alias."""\n'
+              '    return int(s)\n'
+              'def swapped(a, b): return pow(b, a)\n'
+              'def extra(a): return pow(a, 2)\n'
+              'def starred(a): return max(*a)\n'
+              'def keyword(a): return sorted(a, key=len)\n'
+              'def two_steps(a):\n'
+              '    b = a\n'
+              '    return abs(b)\n'
+              'def thunk(): return list()\n'
+              'class Box:\n'
+              '    def get(self, k): return self.items.get(k)\n'
+              '    def own(self): return len(self)\n'
+              '    @staticmethod\n'
+              '    def make(x, y): return Box.build(x, y)\n'
+              'def outer(a):\n'
+              '    def inner(a, b): return divmod(a, b)\n'
+              '    return inner\n')
+    assert alias_functions(source, "lib") == [
+        "lib.to_int", "lib.Box.get", "lib.Box.make", "lib.outer.inner"]
+
+
+# aliases kept on purpose, one reason each
+ALIASES = {
+    "projection_data.FareyFamily.distance_terms":
+        "the family's interface: perfbench/workloads.py passes a family to "
+        "the check_* functions",
+    "thin_cover._base_angle": "names the basepoint angle |w| of the walk",
+}
+
+
+def test_no_alias_functions():
+    found = [name for path in MODULES
+             for name in alias_functions(path.read_text(), path.stem)]
+    assert sorted(set(found) - set(ALIASES)) == []
+    # an allowlisted name that stopped being an alias needs no entry
+    assert sorted(set(ALIASES) - set(found)) == []
 
 
 def _traced():

@@ -15,7 +15,6 @@ from horocover.hyperbolic import (
     IDENTITY,
     GroupElement,
     Horoball,
-    chart_image,
     chart_point,
     geodesic_point,
     hyperbolic_distance,
@@ -55,6 +54,28 @@ def kernel_cases(draw):
     point = st.one_of(frac, st.just(INFINITY), st.just(Y.tangency))
     u = draw(point)
     return Y, u, draw(st.one_of(point, st.just(u)))
+
+
+def reference_apply_boundary(g: GroupElement, x):
+    """The boundary action in Surd arithmetic throughout, a rational point
+    taken as a rational Surd, then put in the form of `chart_point`: an
+    oracle for the integer path of `apply_boundary`."""
+    if x is not INFINITY and not isinstance(x, Surd):
+        x = Surd.from_fraction(x)
+    a, b, c, d = g.a, g.b, g.c, g.d
+    if x is INFINITY:
+        y = INFINITY if c == 0 else Surd(a, 0, 0, c)
+    else:
+        den = x * c + d
+        y = INFINITY if den.sign() == 0 else (x * a + b) / den
+    return chart_point(y)
+
+
+# INFINITY, Fractions, ints and irrational Surds with their translates
+boundary_points = st.one_of(
+    frac, st.integers(-20, 20), st.just(INFINITY),
+    st.builds(reference_apply_boundary, words,
+              st.sampled_from([PHI, SQRT2])))
 
 
 def reference_proj_dist_frac(Y: Horoball, u, v):
@@ -189,11 +210,6 @@ class TestProjectionDistance:
         d = projection_distance(Y, Fraction(1, 2), INFINITY)
         assert d.exact == proj_dist_frac(Y, Fraction(1, 2), INFINITY)
 
-    def test_surd_endpoints(self):
-        d = projection_distance(Horoball(1, 1), SQRT2, INFINITY)
-        # 1 / |sqrt2 - 1| = sqrt2 + 1
-        assert float(d) == pytest.approx(math.sqrt(2) + 1, abs=1e-12)
-
 
 class TestKernel:
     @given(kernel_cases())
@@ -222,8 +238,8 @@ class TestKernel:
 
         assert proj_dist_int(act(rational_pair(Y)), act(rational_pair(u)),
                              act(rational_pair(v))) == terms
-        assert proj_dist_frac(Y.translate(g), chart_image(g, u),
-                              chart_image(g, v)) == proj_dist_frac(Y, u, v)
+        assert proj_dist_frac(Y.translate(g), g.apply_boundary(u),
+                              g.apply_boundary(v)) == proj_dist_frac(Y, u, v)
 
     def test_terms(self):
         # Y = 1/2, u = 0, v = 1: |0 - 1| / (|0 - 1| |2 - 1|)
@@ -233,17 +249,16 @@ class TestKernel:
         # the tangency gives a zero factor
         assert proj_dist_int((1, 2), (1, 2), (0, 1))[1] == 0
 
-    @given(words, st.one_of(frac, st.just(INFINITY)))
-    def test_chart_image_is_chart_point_of_action(self, g, x):
-        got = chart_image(g, x)
-        want = chart_point(g.apply_boundary(x))
+    @given(words, boundary_points)
+    def test_apply_boundary_matches_surd_reference(self, g, x):
+        got = g.apply_boundary(x)
+        want = reference_apply_boundary(g, x)
         assert got == want and type(got) is type(want)
+        assert got is INFINITY or isinstance(got, Fraction) or (
+            isinstance(got, Surd) and not got.is_rational)
+        assert chart_point(got) is got
         if x is INFINITY:
             assert got == (INFINITY if g.c == 0 else Fraction(g.a, g.c))
-
-    @given(words)
-    def test_chart_image_of_surd(self, g):
-        assert chart_image(g, PHI) == chart_point(g.apply_boundary(PHI))
 
 
 class TestDepth:
@@ -276,6 +291,17 @@ class TestModel:
         x, y = geodesic_point(IDENTITY, INFINITY, Fraction(1))
         assert float(x) == pytest.approx(0.0, abs=1e-12)
         assert float(y) == pytest.approx(math.e, abs=1e-12)
+
+    def test_geodesic_point_rational_direction(self):
+        # toward 0 the ray from i runs straight down; toward 1 it follows
+        # the unit circle; an int and a rational Surd are the same point
+        x, y = geodesic_point(IDENTITY, Fraction(0), Fraction(1))
+        assert (float(x), float(y)) == pytest.approx((0.0, 1 / math.e))
+        for xi in (Fraction(1), 1, Surd(2, 0, 0, 2)):
+            x, y = (float(c) for c in geodesic_point(IDENTITY, xi,
+                                                     Fraction(1)))
+            assert x * x + y * y == pytest.approx(1.0, abs=1e-12)
+            assert x == pytest.approx(math.tanh(1), abs=1e-12)
 
     def test_hyperbolic_distance_vertical(self):
         d = hyperbolic_distance((Fraction(0), Fraction(1)),

@@ -1,5 +1,5 @@
 """Exact quadratic-surd arithmetic: field operations, ordering, continued
-fractions, and the boundary coercion."""
+fractions, and the point at infinity."""
 
 import math
 from fractions import Fraction
@@ -15,7 +15,6 @@ from horocover.surd import (
     PHI,
     SQRT2,
     Surd,
-    boundary,
 )
 
 
@@ -122,13 +121,7 @@ class TestContinuedFractions:
 
 
 class TestBoundary:
-    def test_boundary_canonicalizes(self):
-        assert boundary(Fraction(1, 2)) == Fraction(1, 2)
-        assert boundary(INFINITY) is INFINITY
-        s = boundary(Surd(2, 0, 0, 4))
-        assert s == Fraction(1, 2)
-
     def test_infinity_singleton(self):
-        assert boundary(INFINITY) is INFINITY
+        assert type(INFINITY)() is INFINITY
         assert INFINITY == INFINITY
         assert INFINITY != Fraction(0)
