@@ -254,11 +254,24 @@ class TestKernel:
         got = g.apply_boundary(x)
         want = reference_apply_boundary(g, x)
         assert got == want and type(got) is type(want)
+
+    @given(words, boundary_points)
+    def test_chart_image_is_chart_point_of_action(self, g, x):
+        # the image of the action is already in the form of chart_point
+        got = g.apply_boundary(x)
         assert got is INFINITY or isinstance(got, Fraction) or (
             isinstance(got, Surd) and not got.is_rational)
         assert chart_point(got) is got
         if x is INFINITY:
             assert got == (INFINITY if g.c == 0 else Fraction(g.a, g.c))
+
+    @given(words)
+    def test_chart_image_of_surd(self, g):
+        # an irrational point stays an irrational Surd under the action
+        for xi in (PHI, SQRT2):
+            got = g.apply_boundary(xi)
+            assert isinstance(got, Surd) and not got.is_rational
+            assert got == reference_apply_boundary(g, xi)
 
 
 class TestDepth:
