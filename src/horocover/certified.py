@@ -29,8 +29,8 @@ def _mpf_to_fraction(t) -> Fraction:
         if exp == 0:
             return Fraction(0)
         raise OverflowError("non-finite interval endpoint")
-    v = Fraction(int(man)) * Fraction(2) ** exp
-    return -v if sign else v
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def iv_to_fractions(x) -> tuple[Fraction, Fraction]:

@@ -267,7 +267,7 @@ def cmd_amenability(cfg: dict, out: Path) -> int:
         ts = thin_cover.theta_S(S, Fraction(cfg["theta_P"]))
         ladder = thin_cover.ThetaLadder(Fraction(cfg["theta"]), ts,
                                         Fraction(cfg["theta_P"]))
-        defects[radius] = _thin_nerve_defect(ladder, radius)
+        defects[radius] = _thin_nerve_defect(ladder)
     results["defect_radius_1"] = str(defects[1])
     results["defect_radius_3"] = str(defects[3])
     results["monotone"] = defects[3] <= defects[1]
@@ -297,15 +297,16 @@ def _thin_members(xi, ladder) -> list:
     return out
 
 
-def _thin_nerve_defect(ladder, radius: int) -> Fraction:
+def _thin_nerve_defect(ladder) -> Fraction:
     """Nerve defect of the boundary-only thin nerve map on the pinned
     sample {1/2 + 1/k} plus its exact inversion images.
 
     The boundary-only map f(xi) uses the selection at the identity chart,
     which the inversion genuinely fails to intertwine inside narrow
     threshold windows around the ladder values.  A larger longness radius
-    enlarges the ladder and moves those windows off the fixed sample, so
-    the measured defect must not increase with the radius."""
+    (that of the S the ladder is built from) enlarges the ladder and moves
+    those windows off the fixed sample, so the measured defect must not
+    increase with the radius."""
     xs = [Fraction(1, 2) + Fraction(1, k) for k in _DEFECT_KS]
     sample = xs + [Fraction(-1) / x for x in xs]
     nerve = amenability.partition_of_unity(

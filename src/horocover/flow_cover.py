@@ -17,7 +17,9 @@ distance on both sides of cosh rho, so a candidate is kept or dropped
 without further interval work unless it falls in the band between the
 bounds, where a certified compare decides.  The ray's own start, at
 distance exactly t from its time-t point, is decided exactly, since no
-enclosure separates the tie t = rho.
+enclosure separates the tie t = rho.  A ray's geometry is computed once per
+ray, so a point along it costs an exponential and a rational map, and is
+located by a reduction run in floats and finished exactly.
 """
 
 from __future__ import annotations
@@ -292,11 +294,6 @@ def _line_distance_fn(xi):
     return dist
 
 
-def _float_hyp(p, q) -> float:
-    arg = 1 + ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) / (2 * p[1] * q[1])
-    return math.acosh(max(arg, 1.0))
-
-
 @dataclass
 class FlowLineChart:
     """Orbit points near a common forward endpoint, with an arclength
@@ -320,7 +317,8 @@ class FlowLineChart:
 
     def add(self, v: GroupElement, t_observed: Fraction) -> bool:
         if v not in self.members:
-            x, y = (float(w) for w in orbit_point(v))
+            a, n = _orbit_ints(v)
+            x, y = a / n, 1 / n  # v x0, correctly rounded
             if self._dist_fn(x, y) > self.line_R:
                 return False
             self._coords[v] = (x, y)
@@ -335,15 +333,14 @@ class FlowLineChart:
         for the given multiplicative bound, over all member pairs."""
         vs = sorted(self.members, key=lambda v: (self.members[v], v.a, v.b,
                                                  v.c, v.d))
+        # quarter-integer parameters: their float differences are exact
+        pts = [(*self._coords[v], float(self.members[v])) for v in vs]
         A_hat = 0.0
-        for i, u in enumerate(vs):
-            pu = self._coords.get(u) or tuple(
-                float(w) for w in orbit_point(u))
-            for w in vs[i + 1:]:
-                pw = self._coords.get(w) or tuple(
-                    float(z) for z in orbit_point(w))
-                d = _float_hyp(pu, pw)
-                dt = abs(float(self.members[u] - self.members[w]))
+        for i, (xu, yu, tu) in enumerate(pts):
+            for xw, yw, tw in pts[i + 1:]:
+                arg = 1 + ((xu - xw) ** 2 + (yu - yw) ** 2) / (2 * yu * yw)
+                d = math.acosh(max(arg, 1.0))
+                dt = abs(tu - tw)
                 A_hat = max(A_hat, dt - mu_hat * d, d - mu_hat * dt)
         return mu_hat, A_hat
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 from mpmath import iv
@@ -272,22 +273,29 @@ def _geodesic_circle(x0: Fraction, y0: Fraction, xi):
 
 
 def locate(z) -> GroupElement:
-    """g with g^{-1} z in the standard fundamental domain.
+    """g with g^{-1} z in the standard fundamental domain, for rational
+    z = (x, y) with y > 0: -1/2 <= Re < 1/2, |z| >= 1, and Re <= 0 on the
+    unit circle.  The reduction runs in floats to a word h0 and is finished
+    exactly from h0^{-1} z.  Off the orbit of i the element is unique in
+    PSL2(Z), so this is the exact loop's result whatever h0 is; a point
+    reducing to i, the domain's only rational point with a nontrivial
+    stabiliser, is reduced again from z, whose path picks the element."""
+    x, y = Fraction(z[0]), Fraction(z[1])
+    if y <= 0:
+        raise ValueError("interior point needs y > 0")
+    h0 = _float_guide(float(x), float(y))
+    acc, rx, ry = _reduce(*h0.inverse().apply_point(x, y))
+    if (rx, ry) == BASEPOINT:
+        h0, (acc, _, _) = IDENTITY, _reduce(x, y)
+    return h0 * acc.inverse()
 
-    z is a GroupElement (meaning z = g*x0) or a rational coordinate pair
-    (x, y) with y > 0; the reduction is exact in both cases.  The canonical
-    representative satisfies -1/2 <= Re < 1/2, |z| >= 1, and Re <= 0 on the
-    unit circle.
-    """
-    if isinstance(z, GroupElement):
-        x, y = z.apply_point(*BASEPOINT)
-    else:
-        x, y = Fraction(z[0]), Fraction(z[1])
-        if y <= 0:
-            raise ValueError("interior point needs y > 0")
-    acc = IDENTITY  # accumulates the reducing word; result is its inverse
+
+def _reduce(x: Fraction, y: Fraction):
+    """The exact reduction loop: (acc, x', y') with acc (x + iy) = x' + iy'
+    in the canonical domain."""
+    acc = IDENTITY
     for _ in range(10000):
-        n = _round_half_down(x)
+        n = math.floor(x + Fraction(1, 2))  # x - n in [-1/2, 1/2)
         if n != 0:
             x -= n
             acc = GroupElement(1, -n, 0, 1) * acc
@@ -299,57 +307,74 @@ def locate(z) -> GroupElement:
         if norm == 1 and x > 0:
             x = -x
             acc = GEN_S.inverse() * acc
-        break
-    else:  # pragma: no cover
-        raise RuntimeError("reduction loop did not terminate")
-    return acc.inverse()
+        return acc, x, y
+    raise RuntimeError("reduction loop did not terminate")  # pragma: no cover
 
 
-def _round_half_down(x: Fraction) -> int:
-    """Nearest integer, mapping half-integers so that x - n in [-1/2, 1/2)."""
-    return math.floor(x + Fraction(1, 2))
+def _float_guide(x: float, y: float) -> GroupElement:
+    """The inverse of the word the reduction loop accumulates, run in
+    floats: a candidate for `locate`, exact or not."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(10000):
+        n = math.floor(x + 0.5)
+        x -= n
+        a, b = a - n * c, b - n * d  # T^-n acc
+        norm = x * x + y * y
+        if not 0 < norm < 1:
+            break
+        x, y = -x / norm, y / norm
+        a, b, c, d = c, d, -a, -b  # S^-1 acc
+    return GroupElement(d, -b, -c, a)
 
 
 # -- geodesic parametrization ---------------------------------------------
 
 
+@lru_cache(maxsize=256)  # reuse is along one ray and across tau attempts
+def _ray(g: GroupElement, xi) -> tuple:
+    """The t-independent part of the ray from g x0 toward the chart point
+    xi: the start (x0, y0), the sign s in exp(s t), and for a circular ray
+    a function giving enclosures of its centre c, radius r and start
+    parameter u0 = tan(theta0 / 2), once per iv precision (else None)."""
+    x0, y0 = g.apply_point(*BASEPOINT)
+    circ = _geodesic_circle(x0, y0, xi)
+    if circ is None:
+        return x0, y0, (1 if xi is INFINITY else -1), None
+    c, r2 = circ
+    enclosures = {}  # iv.prec -> (c, r, u0)
+
+    def circle():
+        if iv.prec not in enclosures:
+            civ = surd_iv(c)
+            riv = iv.sqrt(surd_iv(r2))
+            theta0 = iv_acos((fraction_to_iv(x0) - civ) / riv)
+            enclosures[iv.prec] = civ, riv, iv.tan(theta0 / 2)
+        return enclosures[iv.prec]
+
+    return x0, y0, (-1 if (xi - c).sign() > 0 else 1), circle
+
+
 def geodesic_point(g: GroupElement, xi, t) -> tuple[CertifiedReal, CertifiedReal]:
     """The point at arclength t >= 0 along the unit-speed ray from g*x0
     toward xi, as certified coordinates."""
-    xi = chart_point(xi)
-    x0, y0 = g.apply_point(*BASEPOINT)
-    t = CertifiedReal.of(t)
+    x0, y0, s, circle = _ray(g, chart_point(xi))
+    t = Fraction(t)
 
-    def tval():
-        if t.exact is not None:
-            return fraction_to_iv(t.exact)
-        return t._refine(iv.dps)
+    def growth():  # exp(s t)
+        return iv.exp(fraction_to_iv(t) if s > 0 else -fraction_to_iv(t))
 
-    if xi is INFINITY:
-        fx = CertifiedReal(exact=x0)
-        fy = CertifiedReal(refine=lambda dps: fraction_to_iv(y0) * iv.exp(tval()))
-        return fx, fy
-    circ = _geodesic_circle(x0, y0, xi)
-    if circ is None:
-        fx = CertifiedReal(exact=x0)
-        fy = CertifiedReal(refine=lambda dps: fraction_to_iv(y0) * iv.exp(-tval()))
-        return fx, fy
-    c, r2 = circ
-    toward_zero = (xi - c).sign() > 0
+    if circle is None:
+        fy = CertifiedReal(refine=lambda dps: fraction_to_iv(y0) * growth())
+        return CertifiedReal(exact=x0), fy
     evaluated = {}  # iv.prec -> (x, y): one evaluation serves both
 
     def coords():
-        if iv.prec in evaluated:
-            return evaluated[iv.prec]
-        civ = surd_iv(c)
-        riv = iv.sqrt(surd_iv(r2))
-        x0v = fraction_to_iv(x0)
-        theta0 = iv_acos((x0v - civ) / riv)
-        u0 = iv.tan(theta0 / 2)
-        u = u0 * iv.exp(-tval()) if toward_zero else u0 * iv.exp(tval())
-        cos_t = (1 - u * u) / (1 + u * u)
-        sin_t = 2 * u / (1 + u * u)
-        evaluated[iv.prec] = civ + riv * cos_t, riv * sin_t
+        if iv.prec not in evaluated:
+            civ, riv, u0 = circle()
+            u = u0 * growth()
+            cos_t = (1 - u * u) / (1 + u * u)
+            sin_t = 2 * u / (1 + u * u)
+            evaluated[iv.prec] = civ + riv * cos_t, riv * sin_t
         return evaluated[iv.prec]
 
     fx = CertifiedReal(refine=lambda dps: coords()[0])

@@ -36,6 +36,15 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
+def _sign(p: int, q: int, d: int) -> int:
+    """The sign of p + q sqrt(d), for d squarefree when q != 0."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sq == 0 or sp == sq:
+        return sp
+    # opposite signs, or p = 0: compare p^2 with q^2*d, never equal
+    return sp if p * p > q * q * d else sq
+
+
 class Surd:
     """The real number (p + q*sqrt(d)) / r in canonical form."""
 
@@ -145,25 +154,19 @@ class Surd:
     # -- order ------------------------------------------------------------
 
     def sign(self) -> int:
-        p, q, d = self.p, self.q, self.d
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # p and q of opposite signs: compare p^2 with q^2*d
-        big_p = p * p > q * q * d
-        if p > 0:
-            return 1 if big_p else -1
-        return -1 if big_p else 1
+        return _sign(self.p, self.q, self.d)
 
     def compare(self, other) -> int:
+        if isinstance(other, (int, Fraction)):
+            # s - m/n has the sign of (n p - m r) + n q sqrt(d)
+            m, n = other.numerator, other.denominator
+            return _sign(n * self.p - m * self.r, n * self.q, self.d)
         return (self - self._coerce(other)).sign()
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.q == 0 and self.p * other.denominator == \
+                other.numerator * self.r
         if other is INFINITY:
             return False
         try:

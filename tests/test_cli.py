@@ -93,7 +93,7 @@ class TestPins:
     def test_defect_pins(self, cfg):
         for radius, pin in ((1, Fraction(1)), (3, Fraction(125, 208))):
             ladder = cli._ladder(dict(cfg, theta_S_radius=radius))
-            assert cli._thin_nerve_defect(ladder, radius) == pin
+            assert cli._thin_nerve_defect(ladder) == pin
 
     def test_ladder_from_config(self, cfg):
         ladder = cli._ladder(cfg)

@@ -1,6 +1,7 @@
 """Thick cover: classification, the filtered orbit-point predicate against
-the per-candidate loop it replaced, flow-line charts, the staggered
-interval cover, and pullback longness."""
+the per-candidate loop it replaced, the per-ray walk against the per-point
+one, flow-line charts, the staggered interval cover, and pullback
+longness."""
 
 import math
 from fractions import Fraction
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv
 
+from horocover import flow_cover
 from horocover.certified import (
     INFINITE,
     CertifiedReal,
     Undecided,
     fraction_to_iv,
+    iv_acos,
+    surd_iv,
 )
 from horocover.flow_cover import (
     ThickCertificate,
@@ -36,11 +40,14 @@ from horocover.flow_cover import (
     word_distance,
 )
 from horocover.hyperbolic import (
+    BASEPOINT,
     GEN_S,
     GEN_T,
     IDENTITY,
     GroupElement,
     Horoball,
+    _geodesic_circle,
+    chart_point,
     geodesic_point,
     hyperbolic_distance,
     locate,
@@ -48,7 +55,8 @@ from horocover.hyperbolic import (
     word_ball,
 )
 from horocover.projection_data import surd_sample_set
-from horocover.surd import PHI, SQRT2, Surd
+from horocover.surd import INFINITY, PHI, SQRT2, Surd
+from test_hyperbolic import reference_locate
 
 # thick and thin surd directions: (1, 0, c, 1) PHI = [0; c, 1, 1, ...]
 # has the projection c + 1/phi at 0/1; the projections toward sqrt(2)/4 =
@@ -246,6 +254,65 @@ class TestOrbitPointsNear:
                 assert min(vals) > c_lo
             if not keep and v in kept:
                 assert max(vals) < c_hi
+
+
+def reference_geodesic_point(g, xi, t):
+    """geodesic_point as it was before the per-ray cache: the circle, the
+    start angle by iv_acos and its half-angle tangent, all redone at every
+    t."""
+    xi = chart_point(xi)
+    x0, y0 = g.apply_point(*BASEPOINT)
+
+    def tv():
+        return fraction_to_iv(Fraction(t))
+
+    if xi is INFINITY:
+        return (CertifiedReal(exact=x0), CertifiedReal(
+            refine=lambda dps: fraction_to_iv(y0) * iv.exp(tv())))
+    circ = _geodesic_circle(x0, y0, xi)
+    if circ is None:
+        return (CertifiedReal(exact=x0), CertifiedReal(
+            refine=lambda dps: fraction_to_iv(y0) * iv.exp(-tv())))
+    c, r2 = circ
+    toward_zero = (xi - c).sign() > 0
+
+    def coords():
+        civ = surd_iv(c)
+        riv = iv.sqrt(surd_iv(r2))
+        theta0 = iv_acos((fraction_to_iv(x0) - civ) / riv)
+        u0 = iv.tan(theta0 / 2)
+        u = u0 * iv.exp(-tv()) if toward_zero else u0 * iv.exp(tv())
+        cos_t = (1 - u * u) / (1 + u * u)
+        sin_t = 2 * u / (1 + u * u)
+        return civ + riv * cos_t, riv * sin_t
+
+    return (CertifiedReal(refine=lambda dps: coords()[0]),
+            CertifiedReal(refine=lambda dps: coords()[1]))
+
+
+class TestRayWalk:
+    def test_sample_equals_reference_walk(self, monkeypatch):
+        # the thick benchmark's settings: word radius 1 toward PHI and
+        # SQRT2; every ray walked point by point as before, each point
+        # located by the exact loop alone, gives the same triples
+        params = ThickParams(Theta=Fraction(5437, 1000), rho=Fraction(2),
+                             beta=Fraction(3), t_max=Fraction(12))
+        got = sample_coarse_flow(params, 1, [PHI, SQRT2]).triples
+        monkeypatch.setattr(flow_cover, "geodesic_point",
+                            reference_geodesic_point)
+        monkeypatch.setattr(flow_cover, "locate", reference_locate)
+        want = sample_coarse_flow(params, 1, [PHI, SQRT2]).triples
+        assert len(got) > 8 * 25 and got == want
+
+    @pytest.mark.parametrize("xi", [PHI, -SQRT2, INFINITY, Fraction(0),
+                                    Fraction(5, 2)])
+    def test_points_equal_reference(self, xi):
+        for g in word_ball(2):
+            for t in (Fraction(0), Fraction(1, 2), Fraction(7)):
+                got = geodesic_point(g, xi, t)
+                want = reference_geodesic_point(g, xi, t)
+                assert [c.interval(40) for c in got] == \
+                    [c.interval(40) for c in want]
 
 
 class TestCharts:

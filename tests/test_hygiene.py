@@ -1,7 +1,8 @@
 """Source hygiene: every name a horocover module imports is referenced,
 every function, class and public method it defines is used by the program
-or the benchmark, no function is a mere alias of another, and every layer
-the benchmark tracer patches exists."""
+or the benchmark, no function is a mere alias of another, every cache has
+a chosen finite size, and every layer the benchmark tracer patches
+exists."""
 
 import ast
 import importlib.util
@@ -51,6 +52,62 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Functions, nested ones included, decorated by `functools.cache` or
+    by an `lru_cache` without an explicit positive integer maxsize: a cache
+    whose size nobody chose, or one that grows with the run."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = dec.func if call else dec
+            name = getattr(target, "attr", getattr(target, "id", None))
+            if name not in ("cache", "lru_cache"):
+                continue
+            size = None
+            if call is not None and name == "lru_cache":
+                given = call.args[:1] + [k.value for k in call.keywords
+                                         if k.arg == "maxsize"]
+                size = given[0].value if given and isinstance(
+                    given[0], ast.Constant) else None
+            if not (isinstance(size, int) and not isinstance(size, bool)
+                    and size > 0):
+                found.append(node.name)
+    return found
+
+
+def test_detector_flags_unbounded_caches():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=64)\n"
+              "def sized(): pass\n"
+              "@functools.lru_cache(16)\n"
+              "def positional(): pass\n"
+              "@lru_cache(maxsize=None)\n"
+              "def unbounded(): pass\n"
+              "@cache\n"
+              "def plain_cache(): pass\n"
+              "@functools.lru_cache\n"
+              "def default_size(): pass\n"
+              "@lru_cache()\n"
+              "def empty_call(): pass\n"
+              "def outer():\n"
+              "    @lru_cache(maxsize=SIZE)\n"
+              "    def named_size(): pass\n")
+    assert sorted(unbounded_caches(source)) == sorted([
+        "unbounded", "plain_cache", "default_size", "empty_call",
+        "named_size"])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_caches_bounded(path):
+    # a module-level cache lives as long as the process: `horocover thick`
+    # at radius 5 walks thousands of rays through one
+    assert unbounded_caches(path.read_text()) == []
 
 
 # defined for the tests alone, on purpose: oracles and audits that check

@@ -1,13 +1,15 @@
 """Upper half-plane geometry: the group action, Ford horoballs, the exact
-projection distance and its depth identity, and fundamental-domain
-reduction."""
+projection distance and its depth identity, fundamental-domain reduction
+against the exact loop, and ray points against mpmath."""
 
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from horocover import hyperbolic
 from horocover.hyperbolic import (
     GEN_S,
     GEN_T,
@@ -329,3 +331,138 @@ class TestModel:
             moved = float(hyperbolic_distance(g.apply_point(*p1),
                                               g.apply_point(*p2)))
             assert moved == pytest.approx(base, abs=1e-9)
+
+
+def reference_locate(z) -> GroupElement:
+    """The exact reduction loop from z, without the float guide: the
+    oracle for `locate`, whose path also decides at the orbit points of i."""
+    x, y = Fraction(z[0]), Fraction(z[1])
+    acc = IDENTITY
+    for _ in range(10000):
+        n = math.floor(x + Fraction(1, 2))
+        if n != 0:
+            x -= n
+            acc = GroupElement(1, -n, 0, 1) * acc
+        norm = x * x + y * y
+        if norm < 1:
+            x, y = -x / norm, y / norm
+            acc = GEN_S.inverse() * acc
+            continue
+        if norm == 1 and x > 0:
+            x = -x
+            acc = GEN_S.inverse() * acc
+        break
+    return acc.inverse()
+
+
+# dyadic points with denominators near 2^140, like the midpoints of the
+# dps-40 enclosures that flow_cover locates
+dyadic_points = st.builds(
+    lambda a, b, e: (Fraction(a, 2 ** e), Fraction(b, 2 ** e)),
+    st.integers(-2 ** 142, 2 ** 142), st.integers(1, 2 ** 142),
+    st.integers(136, 144))
+# deep points, y < 1e-8, where the float loop drifts from the exact one
+deep_points = st.builds(
+    lambda x, k: (x, Fraction(1, k)),
+    st.one_of(frac, st.fractions(-3, 3, max_denominator=10 ** 12)),
+    st.integers(10 ** 8 + 1, 10 ** 30))
+# the boundary of the canonical domain, Re = +-1/2 and the arc |z| = 1,
+# moved by random words
+domain_boundary = st.one_of(
+    st.tuples(st.sampled_from([Fraction(-1, 2), Fraction(1, 2)]),
+              st.fractions(Fraction(1, 100), 20, max_denominator=100)),
+    st.sampled_from([(Fraction(3, 5), Fraction(4, 5)),
+                     (Fraction(-3, 5), Fraction(4, 5)),
+                     (Fraction(5, 13), Fraction(12, 13)),
+                     (Fraction(-8, 17), Fraction(15, 17))]))
+moved_boundary = st.builds(lambda g, z: g.apply_point(*z), words,
+                           domain_boundary)
+orbit_points_of_i = st.builds(orbit_point, words)
+
+
+class TestLocate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(dyadic_points, deep_points, domain_boundary,
+                     moved_boundary))
+    def test_equals_exact_loop(self, z):
+        assert locate(z) == reference_locate(z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(orbit_points_of_i)
+    def test_orbit_of_i_restarts_exactly(self, z):
+        # g i reduces to i, fixed by S: the element depends on the path, so
+        # locate reduces again from z, and agrees with the exact loop
+        calls = []
+        reduce = hyperbolic._reduce
+
+        def spy(x, y):
+            calls.append((x, y))
+            return reduce(x, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hyperbolic, "_reduce", spy)
+            assert locate(z) == reference_locate(z)
+        assert len(calls) == 2 and calls[1] == z
+
+    def test_off_the_orbit_one_exact_pass(self, monkeypatch):
+        calls = []
+        reduce = hyperbolic._reduce
+        monkeypatch.setattr(hyperbolic, "_reduce",
+                            lambda x, y: calls.append(1) or reduce(x, y))
+        z = (Fraction(7, 2), Fraction(1, 5))
+        assert locate(z) == reference_locate(z) and calls == [1]
+
+
+def _mp_geodesic_point(g: GroupElement, xi, t: Fraction):
+    """The ray's time-t point in mpmath at dps 80, by another route: the
+    isometry z -> -1/(z - xi) sends xi to infinity and the ray to a
+    vertical one, along which Im grows as e^t."""
+    with mpmath.workdps(80):
+        x0, y0 = orbit_point(g)
+        tv = mpmath.mpf(t.numerator) / t.denominator
+        z0 = mpmath.mpc(mpmath.mpf(x0.numerator) / x0.denominator,
+                        mpmath.mpf(y0.numerator) / y0.denominator)
+        if xi is INFINITY:
+            z = mpmath.mpc(z0.real, z0.imag * mpmath.exp(tv))
+        else:
+            if isinstance(xi, Fraction):
+                xv = mpmath.mpf(xi.numerator) / xi.denominator
+            else:
+                xv = (xi.p + xi.q * mpmath.sqrt(xi.d)) / mpmath.mpf(xi.r)
+            w0 = -1 / (z0 - xv)
+            z = xv - 1 / mpmath.mpc(w0.real, w0.imag * mpmath.exp(tv))
+        return Fraction(str(z.real)), Fraction(str(z.imag))
+
+
+rays = st.tuples(
+    st.sampled_from(word_ball(3)),
+    st.one_of(st.sampled_from([PHI, SQRT2, INFINITY, Fraction(0),
+                               Fraction(1, 3)]),
+              st.builds(lambda g, w: g.apply_boundary(w), words,
+                        st.sampled_from([PHI, SQRT2]))))
+times = st.fractions(0, 12, max_denominator=4)
+
+
+class TestGeodesicPoint:
+    @settings(max_examples=60, deadline=None)
+    @given(rays, times)
+    def test_encloses_the_dps80_value(self, ray, t):
+        g, xi = ray
+        tol = Fraction(1, 10 ** 70)
+        for c, v in zip(geodesic_point(g, xi, t), _mp_geodesic_point(g, xi, t)):
+            lo, hi = c.interval(40)
+            assert lo - tol * (1 + abs(v)) <= v <= hi + tol * (1 + abs(v))
+            assert hi - lo < Fraction(1, 10 ** 30) * (1 + abs(v))
+
+    @settings(max_examples=30, deadline=None)
+    @given(rays, times, times)
+    def test_precisions_do_not_mix(self, ray, t, s):
+        # the ray's enclosures are kept per precision: a dps-80 interval
+        # taken after a dps-40 one on the same ray is as narrow as dps 80
+        # gives, and a dps-40 interval taken after it equals the first
+        g, xi = ray
+        hyperbolic._ray.cache_clear()
+        first = [c.interval(40) for c in geodesic_point(g, xi, t)]
+        for lo, hi in (c.interval(80) for c in geodesic_point(g, xi, s)):
+            assert hi - lo < Fraction(1, 10 ** 70) * (1 + abs(lo))
+        assert [c.interval(40) for c in geodesic_point(g, xi, t)] == first

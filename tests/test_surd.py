@@ -85,6 +85,17 @@ class TestOrder:
     def test_trichotomy(self, a, b):
         assert (a < b) + (a == b) + (a > b) == 1
 
+    @given(st.one_of(surds(2), surds(5), surds(0)),
+           st.one_of(st.integers(-40, 40),
+                     st.fractions(-40, 40, max_denominator=60)))
+    def test_rational_operand_matches_surd_path(self, s, x):
+        # an int or Fraction is compared by an integer sign test; the
+        # reference builds the Surd and subtracts
+        ref = Surd.from_fraction(x)
+        assert s.compare(x) == (s - ref).sign()
+        assert (s == x) == (s == ref)
+        assert (s < x, s >= x) == (s < ref, s >= ref)
+
     @given(surds(5))
     def test_float_consistent_with_compare(self, a):
         if abs(float(a) - float(PHI)) > 1e-9:
