@@ -1,8 +1,8 @@
 """Partitions of unity over covers, the ell^1 almost-equivariance defect,
 cover combination, and coinduction on finite toy instances.
 
-Weights are exact rationals: margins are measured in the invariant ambient
-metric, snapped to dyadic rationals, and normalized with Fraction
+Weights are exact rationals: margins are measured in the metric the caller
+passes, snapped to dyadic rationals, and normalized with Fraction
 arithmetic, so every simplex invariant and every ell^1 distance is exact.
 """
 

@@ -1,11 +1,12 @@
 """Command-line harness: axioms, complex, thin, thick, amenability, render.
 
 A single flat JSON config pins every constant the runs consume; the
-`--calibrate` flag re-derives the pins from brute-force oracles and writes
-them back.  Reports are deterministic JSON files keyed by a config hash,
-one per command, and exit codes are 0 exactly when no violations or hard
-errors occurred (undecided/boundary-uncertain counts are reported but
-never fail a run).
+`--calibrate` flag re-derives the pins and writes them back: the Behrstock
+constant from the exact certificate `pair_maxmin`, the window constants by
+exhaustive measurement on each window.  Reports are deterministic JSON
+files keyed by a config hash, one per command, and exit codes are 0 exactly
+when no violations or hard errors occurred (undecided/boundary-uncertain
+counts are reported but never fail a run).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .hyperbolic import GEN_S, Horoball, IDENTITY, word_ball
+from .hyperbolic import GEN_S, HOROBALL_INF, Horoball, IDENTITY, word_ball
 from .projection_complex import (
     ProjComplexGraph,
     build_window,
@@ -30,11 +31,11 @@ from .projection_complex import (
 )
 from .projection_data import (
     FareyFamily,
-    calibrate_behrstock,
     check_behrstock,
     check_finiteness,
     check_symmetry,
     check_triangle,
+    pair_maxmin,
     sample_triples_rational,
 )
 from .surd import PHI, SQRT2
@@ -363,7 +364,8 @@ def _combined_cover(cfg: dict) -> dict:
 
 
 def calibrate(cfg: dict) -> dict:
-    theta_hat, _rep = calibrate_behrstock(cfg["axiom_qmax"])
+    # each pair's sup-min is 1 / |p'q - pq'| <= 1; Farey neighbours attain 1
+    theta_hat, _xi = pair_maxmin(HOROBALL_INF, Horoball(0, 1))
     cfg["theta_hat"] = str(theta_hat)
     cfg["theta"] = str(2 * theta_hat)
     pins = []
@@ -392,14 +394,19 @@ def calibrate(cfg: dict) -> dict:
 def cmd_render(cfg: dict, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "ford.svg"
-    path.write_text(render_ford_scene(cfg))
+    path.write_text(render_ford_scene())
     return 0
 
 
-def render_ford_scene(cfg: dict, width: int = 800, height: int = 420,
-                      qmax: int = 12) -> str:
+# the picture's size in pixels, and the largest denominator of its circles
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_QMAX = 800, 420, 12
+
+
+def render_ford_scene() -> str:
     """Upper half-plane strip [-1, 2] with Ford circles, the horoball at
     infinity, and the witness rays toward the pinned surds."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
+
     def X(x):
         return (x + 1.0) / 3.0 * width
 
@@ -416,7 +423,7 @@ def render_ford_scene(cfg: dict, width: int = 800, height: int = 420,
         'stroke="#88a" stroke-dasharray="6 4"/>',
     ]
     seen = set()
-    for q in range(1, qmax + 1):
+    for q in range(1, _SVG_QMAX + 1):
         for p in range(-q - 1, 2 * q + 2):
             if math.gcd(p, q) != 1:
                 continue

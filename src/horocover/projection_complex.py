@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certified import INFINITE
-from .hyperbolic import GroupElement, Horoball, proj_dist_frac, proj_dist_int
+from .hyperbolic import Horoball, proj_dist_frac, proj_dist_int
 from .projection_data import enumerate_large_projections
 
 
@@ -28,9 +28,6 @@ class Window:
         object.__setattr__(self, "vertices",
                            tuple(sorted(set(self.vertices),
                                         key=lambda Y: (Y.q, Y.p))))
-
-    def translate(self, g: GroupElement) -> "Window":
-        return Window(tuple(Y.translate(g) for Y in self.vertices), self.K)
 
 
 def build_window(anchors, theta: Fraction, K: Fraction | None = None) -> Window:
@@ -113,20 +110,6 @@ class ProjComplexGraph:
               if v in dX and v in dZ and dX[v] + dZ[v] == D}
         return on, dX, dZ
 
-    def geodesics(self, X: Horoball, Z: Horoball):
-        """All geodesic paths from X to Z, for oracle checks on small data."""
-        on, dX, dZ = self.geodesic_dag(X, Z)
-
-        def walk(v, path):
-            if v == Z:
-                yield path
-                return
-            for w in self.adj[v]:
-                if w in on and dX[w] == dX[v] + 1:
-                    yield from walk(w, path + [w])
-
-        yield from walk(X, [X])
-
     def angle_pairs(self, X: Horoball, Z: Horoball, Y: Horoball):
         """Admissible (pred, succ) pairs of Y on geodesics X -> Z."""
         if Y == X or Y == Z:
@@ -145,17 +128,6 @@ class ProjComplexGraph:
         if not pairs:
             return Fraction(0)
         return max(proj_dist_frac(Y, p, s) for p, s in pairs)
-
-    def dmax_brute(self, X: Horoball, Z: Horoball, Y: Horoball) -> Fraction:
-        """Oracle: enumerate every geodesic explicitly."""
-        if Y == X or Y == Z:
-            raise ValueError("the angle at an endpoint is undefined")
-        best = Fraction(0)
-        for path in self.geodesics(X, Z):
-            if Y in path[1:-1]:
-                k = path.index(Y)
-                best = max(best, proj_dist_frac(Y, path[k - 1], path[k + 1]))
-        return best
 
     def avoidable(self, X: Horoball, Z: Horoball, Y: Horoball) -> bool:
         """Does some geodesic X -> Z miss Y?  (Exact, via BFS without Y.)"""
@@ -265,37 +237,3 @@ def check_angle_transfer(graph: ProjComplexGraph, theta_P: Fraction):
                         if len(witnesses) < 5:
                             witnesses.append((X, Y0, Y, Z, lhs, rhs))
     return instances, failures, witnesses
-
-
-def audit_window(window: Window, theta: Fraction) -> bool:
-    """Self-consistency: enlarging the enumeration threshold to theta/4 must
-    not change any pairwise graph distance on the original vertices."""
-    graph = ProjComplexGraph(window)
-    verts = set(window.vertices)
-    for i, a in enumerate(window.vertices):
-        for b in window.vertices[i + 1:]:
-            for Y, _ in enumerate_large_projections(a, b, Fraction(theta) / 4):
-                verts.add(Y)
-    bigger = ProjComplexGraph(Window(tuple(verts), window.K))
-    for a in window.vertices:
-        for b in window.vertices:
-            if graph.distance(a, b) != bigger.distance(a, b):
-                return False
-    return True
-
-
-def angle_table_equivariant(graph: ProjComplexGraph, g: GroupElement) -> bool:
-    """The full angle table commutes with translation by g (exact)."""
-    moved = ProjComplexGraph(graph.window.translate(g))
-    for X in graph.vertices:
-        for Z in graph.vertices:
-            if X == Z or graph.distance(X, Z) is None:
-                continue
-            for Y in graph.vertices:
-                if Y in (X, Z):
-                    continue
-                a = graph.dmax(X, Z, Y)
-                b = moved.dmax(X.translate(g), Z.translate(g), Y.translate(g))
-                if a != b:
-                    return False
-    return True

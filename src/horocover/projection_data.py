@@ -7,14 +7,15 @@ data through the integer closed form `proj_dist_int`: a distance is the
 terms (n, f_u, f_v) of n / (f_u f_v), and the checks cross-multiply
 instead of building Fractions ((P2) fails exactly when n_uv f_w + n_vw f_u
 < n_uw f_v).  The brute-force (P4) oracle tests n theta.den > theta.num
-f_u f_v over every q <= qmax.  The Behrstock constant (P3) is calibrated
-exhaustively.  Large
-projections are enumerated exactly, always at the cusp: one endpoint is
-moved to infinity, where a rational other endpoint a/b leaves the integer
-inequality q * |q*a - p*b| < b / theta, which for theta >= 2 only its
-convergents meet (Legendre; one Euclid walk, and a scan below 2), and a
-quadratic surd leaves its convergents, whose values and supremum are exact
-in Q(sqrt(D)) by the continued-fraction kernel.
+f_u f_v over every q <= qmax.  The Behrstock constant (P3) comes from the
+exact certificate `pair_maxmin`: a pair's sup-min is 1 / |p'q - pq'|, at
+most 1 and equal to 1 at Farey neighbours.  Large projections are
+enumerated exactly, always at the cusp: one endpoint is moved to infinity,
+where a rational other endpoint a/b leaves the integer inequality
+q * |q*a - p*b| < b / theta, which for theta >= 2 only its convergents
+meet (Legendre; one Euclid walk, and a scan below 2), and a quadratic surd
+leaves its convergents, whose values and supremum are exact in Q(sqrt(D))
+by the continued-fraction kernel.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from .hyperbolic import (
     Horoball,
     chart_point,
     normalizer,
-    proj_dist_frac,
     proj_dist_int,
     rational_pair,
 )
-from .surd import INFINITY, PHI, SQRT2, Surd
+from .surd import INFINITY, Surd
 
 
 class WindowRequiredError(ValueError):
@@ -375,42 +375,6 @@ def pair_maxmin(Y: Horoball, Yp: Horoball):
     return Fraction(1, q), m.inverse().apply_boundary(xi_hat)
 
 
-def calibrate_behrstock(qmax: int = 50):
-    """Exhaustive (P3) calibration over the window 0 <= p <= q <= qmax.
-
-    Every pair of distinct horoballs is equivalent under the group action to
-    a pair handled here (translate one tangency into [0,1] and shift), so
-    the exhaustive window determines the constant.  Each pair's exact
-    sup-min is evaluated at its crossing point as an independent check.
-    Returns (theta_hat, report).
-    """
-    window = [Horoball(1, 0)]
-    for q in range(1, qmax + 1):
-        for p in range(0, q + 1):
-            if math.gcd(p, q) == 1:
-                window.append(Horoball(p, q))
-    best = Fraction(0)
-    witness = None
-    checked = 0
-    for i, Y in enumerate(window):
-        for Yp in window[i + 1:]:
-            val, xi = pair_maxmin(Y, Yp)
-            if val > best:
-                # independent evaluation at the crossing point
-                got = min(proj_dist_frac(Y, Yp, xi), proj_dist_frac(Yp, Y, xi))
-                if got != val:
-                    raise AssertionError(
-                        f"crossing check failed for {Y},{Yp}: {got} != {val}")
-                best, witness = val, (Y, Yp, xi)
-                checked += 1
-    rep = AxiomReport("P3-calibration")
-    rep.samples = len(window) * (len(window) - 1) // 2
-    rep.constant = float(best)
-    rep.witnesses = [{"Y": _hb_str(witness[0]), "Y'": _hb_str(witness[1]),
-                      "xi": str(witness[2])}]
-    return best, rep
-
-
 # -- axiom reports ---------------------------------------------------------
 
 
@@ -554,12 +518,6 @@ def random_rational(rng: random.Random, qmax: int = 50) -> Fraction:
     q = rng.randint(1, qmax)
     p = rng.randint(-2 * q, 2 * q)
     return Fraction(p, q)
-
-
-def surd_sample_set() -> list[Surd]:
-    base = [PHI, SQRT2, Surd(1, 1, 3, 1)]
-    out = list(base) + [s.conjugate() for s in base]
-    return out
 
 
 def sample_triples_rational(rng: random.Random, n: int, qmax: int = 50):

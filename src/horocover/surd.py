@@ -75,10 +75,6 @@ class Surd:
         f = Fraction(x)
         return Surd(f.numerator, 0, 0, f.denominator)
 
-    @staticmethod
-    def sqrt_of(n: int) -> "Surd":
-        return Surd(0, 1, n, 1)
-
     # -- predicates -------------------------------------------------------
 
     @property

@@ -5,8 +5,8 @@ at infinity, and all operations at (g, xi) reduce to (e, g^{-1} xi) with
 indices translated by g^{-1}.  Equivariance is therefore definitional.  The
 selection Z(e, xi) is the deterministic argmax of d^pi_Y(X, xi) with
 lexicographic (q, p) tie-breaks, preferring values above Theta_5; Y_i walks
-the linear order of large-projection vertices in the anchor window graph.
-Membership in U(Y, i) is certified on explicit delta-intervals: a sound
+the linear order of large-projection vertices toward Z.  Membership in
+U(Y, i) is certified on explicit delta-intervals: a sound
 under-approximation of the interior.
 """
 
@@ -25,7 +25,6 @@ from .hyperbolic import (
     proj_dist_int,
     word_ball,
 )
-from .projection_complex import ProjComplexGraph
 from .projection_data import (
     WindowRequiredError,
     enumerate_large_projections,
@@ -105,31 +104,28 @@ class FinitePart:
                       key=lambda Y: (Y.q, Y.p))
 
 
-def theta_S(S: FinitePart, theta_P: Fraction,
-            floor: Fraction = Fraction(1, 4)) -> Fraction:
+# theta_S's enumeration floor: a certified upper bound on a pair without hits
+_THETA_S_FLOOR = Fraction(1, 4)
+
+
+def theta_S(S: FinitePart, theta_P: Fraction) -> Fraction:
     """sup of d^pi_Y(X, X') over X, X' in the S-orbit of the basepoint
     index, inflated by the measured complex margin theta_P."""
     orbit = S.orbit()
     if len(orbit) <= 1:
         return Fraction(0)
-    # floor is a certified upper bound on a pair without hits
-    return theta_P + max([floor] + [
+    return theta_P + max([_THETA_S_FLOOR] + [
         d for i, A in enumerate(orbit) for B in orbit[i + 1:]
-        for _, d in enumerate_large_projections(A, B, floor)])
+        for _, d in enumerate_large_projections(A, B, _THETA_S_FLOOR)])
 
 
 # -- the selection machinery (base chart) ----------------------------------
 
 
-def select_Z(g: GroupElement, xi, ladder: ThetaLadder) -> Horoball | None:
-    """Equivariant choice of a Theta_4-large (preferably Theta_5-large)
-    projection index for (g, xi); None if no certified candidate exists."""
-    w = g.inverse().apply_boundary(xi)
-    Z0 = _select_z_base(w, ladder)
-    return None if Z0 is None else Z0.translate(g)
-
-
 def _select_z_base(w, ladder: ThetaLadder) -> Horoball | None:
+    """Z(e, w): the choice of a Theta_4-large (preferably Theta_5-large)
+    projection index in the base chart; None if no certified candidate
+    exists."""
     if w is INFINITY:
         return None  # xi is the tangency of the basepoint index itself
     if isinstance(w, Fraction):
@@ -163,38 +159,29 @@ def _chain(p: int, q: int, theta: Fraction) -> tuple:
                         key=lambda V: (V.q, abs(V.p), V.p)))
 
 
-def chain_angle(chain: tuple, k: int, Z: Horoball) -> Fraction:
-    """d^max at chain[k] along oo -> ... -> Z: the projection distance
-    between its neighbours A, C in the order (endpoints at oo and Z)."""
+def chain_angle_reaches(chain: tuple, k: int, Z: Horoball,
+                        Th: Fraction) -> bool:
+    """Whether d^max at chain[k] along oo -> ... -> Z is at least Th: the
+    projection distance n / (f_a f_c) between its neighbours A, C in the
+    order (endpoints at oo and Z), compared by cross-multiplying."""
     V = chain[k]
     A = BASE_INDEX if k == 0 else chain[k - 1]
     C = Z if k == len(chain) - 1 else chain[k + 1]
-    n, va, vc = proj_dist_int((V.p, V.q), (A.p, A.q), (C.p, C.q))
-    if va == 0 or vc == 0:
+    n, fa, fc = proj_dist_int((V.p, V.q), (A.p, A.q), (C.p, C.q))
+    if fa == 0 or fc == 0:
         raise WindowRequiredError("tangent neighbours in the chain")
-    return Fraction(n, va * vc)
+    return n * Th.denominator >= Th.numerator * fa * fc
 
 
-def select_Yi(g: GroupElement, xi, i: int, ladder: ThetaLadder,
-              graph: ProjComplexGraph | None = None) -> Horoball | None:
-    """The vertex Y_i(g, xi), or None when Z(g, xi) is undefined.
-
-    When a window graph is supplied, d^max is measured there (oracle path
-    for small data); otherwise angles come from the linear order itself.
-    """
+def select_Yi(g: GroupElement, xi, i: int,
+              ladder: ThetaLadder) -> Horoball | None:
+    """The vertex Y_i(g, xi), or None when Z(g, xi) is undefined; angles
+    come from the linear order of large projections itself."""
     w = g.inverse().apply_boundary(xi)
-    Y0 = _select_yi_base(w, i, ladder, graph)
-    return None if Y0 is None else Y0.translate(g)
-
-
-def _select_yi_base(w, i: int, ladder: ThetaLadder,
-                    graph: ProjComplexGraph | None = None) -> Horoball | None:
     Z = _select_z_base(w, ladder)
     if Z is None or Z == BASE_INDEX:
         return None
-    if graph is not None:
-        return _walk_graph(Z, i, ladder, graph, w)
-    return _walk_chain(Z, i, ladder, w)
+    return _walk_chain(Z, i, ladder, w).translate(g)
 
 
 def _walk_chain(Z: Horoball, i: int, ladder: ThetaLadder, w) -> Horoball:
@@ -212,45 +199,18 @@ def _walk_toward(Z: Horoball, i: int, Th: Fraction,
     vertex with angle >= Th = Theta_i, and the prefix audit of that vertex."""
     chain = _chain(Z.p, Z.q, theta)
     for k in range(len(chain)):
-        if chain_angle(chain, k, Z) >= Th:
+        if chain_angle_reaches(chain, k, Z, Th):
             Yi = chain[k]
             # prefix audit: re-measure the earlier angles with the walk
             # truncated at Y_i; they must stay below Theta_i
             prefix = chain[:k]
             for j in range(len(prefix)):
-                if chain_angle(prefix, j, Yi) >= Th:
+                if chain_angle_reaches(prefix, j, Yi, Th):
                     raise WindowRequiredError(
                         f"prefix audit failed at Theta_{i}: "
                         f"{prefix[j]} before {Yi}")
             return Yi
     return Z
-
-
-def _walk_graph(Z: Horoball, i: int, ladder: ThetaLadder,
-                graph: ProjComplexGraph, w) -> Horoball:
-    """Graph oracle for the walk: candidates by d^max, nearest first."""
-    X = BASE_INDEX
-    if graph.distance(X, Z) is None:
-        raise WindowRequiredError("anchor window disconnected")
-    Th = ladder.Theta(i)
-    if _base_angle(w) >= Th:
-        return X
-    cands = [V for V in graph.vertices if V not in (X, Z)
-             and graph.dmax(X, Z, V) >= Th]
-    if not cands:
-        return Z
-    dX = graph._bfs(X)
-    cands.sort(key=lambda V: (dX[V], V.q, V.p))
-    if len(cands) > 1 and dX[cands[0]] == dX[cands[1]]:
-        raise WindowRequiredError(
-            f"uniqueness audit failed at Theta_{i}: {cands[0]} vs {cands[1]}")
-    Yi = cands[0]
-    on, _, _ = graph.geodesic_dag(X, Yi)
-    for V in on:
-        if V not in (X, Yi) and graph.dmax(X, Yi, V) >= Th:
-            raise WindowRequiredError(
-                f"prefix audit failed at Theta_{i}: {V} before {Yi}")
-    return Yi
 
 
 # -- membership in U(Y, i) with interval certification ---------------------
@@ -294,8 +254,12 @@ def _halvings(r: Fraction, cap: int) -> int:
     return min(cap, max(0, (r.denominator // r.numerator).bit_length() - 1))
 
 
+# the number of halvings delta = 1/4, 1/8, ... that membership_U tries
+_MAX_HALVINGS = 48
+
+
 def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
-                 ladder: ThetaLadder, max_halvings: int = 48) -> Membership:
+                 ladder: ThetaLadder) -> Membership:
     """Certified membership of (g, xi) in U(Y, i).
 
     Reduces to the base chart at (e, g^{-1} xi) with Y0 = g^{-1} Y, so the
@@ -306,11 +270,6 @@ def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
     ginv = g.inverse()
     w = ginv.apply_boundary(xi)
     Y0 = Y.translate(ginv)
-    return _membership_base(Y0, i, w, ladder, max_halvings)
-
-
-def _membership_base(Y0: Horoball, i: int, w, ladder: ThetaLadder,
-                     max_halvings: int) -> Membership:
     if w is INFINITY:
         return Membership("no", detail="xi at the basepoint tangency")
     try:
@@ -328,9 +287,9 @@ def _membership_base(Y0: Horoball, i: int, w, ladder: ThetaLadder,
     except WindowRequiredError as err:
         return Membership("boundary-uncertain", detail=str(err))
     if Yi == Y0:
-        return _certify_yes(Y0, i, w, Z, ladder, max_halvings)
+        return _certify_yes(Y0, i, w, Z, ladder, _MAX_HALVINGS)
     # certify the complement: the actual member's interval excludes U(Y0,i)
-    other = _certify_yes(Yi, i, w, Z, ladder, max_halvings)
+    other = _certify_yes(Yi, i, w, Z, ladder, _MAX_HALVINGS)
     if other.verdict == "yes":
         return Membership("no", detail=f"certified member of U({Yi},{i})")
     return Membership("boundary-uncertain", detail="competitor uncertified")

@@ -1,0 +1,162 @@
+"""Brute-force references that the tests compare the program with.
+
+Each one answers a question the program answers by a faster route: the
+Behrstock scan against the `pair_maxmin` certificate, the path enumeration
+against `ProjComplexGraph.dmax`, the walk in a window graph against the
+walk along the linear order.  They live beside the tests, so no
+simplification of the program can validate itself through them.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from horocover.hyperbolic import Horoball, proj_dist_frac
+from horocover.projection_complex import ProjComplexGraph, Window
+from horocover.projection_data import (
+    WindowRequiredError,
+    enumerate_large_projections,
+    pair_maxmin,
+)
+from horocover.surd import PHI, SQRT2, Surd
+from horocover.thin_cover import BASE_INDEX, _base_angle, _select_z_base
+
+
+# -- the Behrstock constant -------------------------------------------------
+
+
+def calibrate_behrstock(qmax: int):
+    """Exhaustive (P3) scan over the window 0 <= p <= q <= qmax.
+
+    Every pair of distinct horoballs is equivalent under the group action to
+    a pair handled here (translate one tangency into [0,1] and shift), so
+    the window determines the constant.  Each new maximum of the certified
+    sup-min is re-evaluated at its crossing point by `proj_dist_frac`.
+    Returns (theta_hat, (Y, Y', xi)).
+    """
+    window = [Horoball(1, 0)] + [Horoball(p, q) for q in range(1, qmax + 1)
+                                 for p in range(q + 1) if math.gcd(p, q) == 1]
+    best, witness = Fraction(0), None
+    for i, Y in enumerate(window):
+        for Yp in window[i + 1:]:
+            val, xi = pair_maxmin(Y, Yp)
+            if val > best:
+                got = min(proj_dist_frac(Y, Yp, xi), proj_dist_frac(Yp, Y, xi))
+                if got != val:
+                    raise AssertionError(
+                        f"crossing check failed for {Y},{Yp}: {got} != {val}")
+                best, witness = val, (Y, Yp, xi)
+    return best, witness
+
+
+# -- projection-complex windows ---------------------------------------------
+
+
+def geodesics(graph: ProjComplexGraph, X: Horoball, Z: Horoball):
+    """All geodesic paths from X to Z."""
+    on, dX, _dZ = graph.geodesic_dag(X, Z)
+
+    def walk(v, path):
+        if v == Z:
+            yield path
+            return
+        for w in graph.adj[v]:
+            if w in on and dX[w] == dX[v] + 1:
+                yield from walk(w, path + [w])
+
+    yield from walk(X, [X])
+
+
+def dmax_brute(graph: ProjComplexGraph, X: Horoball, Z: Horoball,
+               Y: Horoball) -> Fraction:
+    """d^max of Y over geodesics X -> Z, every geodesic enumerated."""
+    if Y == X or Y == Z:
+        raise ValueError("the angle at an endpoint is undefined")
+    best = Fraction(0)
+    for path in geodesics(graph, X, Z):
+        if Y in path[1:-1]:
+            k = path.index(Y)
+            best = max(best, proj_dist_frac(Y, path[k - 1], path[k + 1]))
+    return best
+
+
+def audit_window(window: Window, theta: Fraction) -> bool:
+    """Self-consistency: enlarging the enumeration threshold to theta/4 must
+    not change any pairwise graph distance on the original vertices."""
+    graph = ProjComplexGraph(window)
+    verts = set(window.vertices)
+    for i, a in enumerate(window.vertices):
+        for b in window.vertices[i + 1:]:
+            for Y, _ in enumerate_large_projections(a, b, Fraction(theta) / 4):
+                verts.add(Y)
+    bigger = ProjComplexGraph(Window(tuple(verts), window.K))
+    return all(graph.distance(a, b) == bigger.distance(a, b)
+               for a in window.vertices for b in window.vertices)
+
+
+def angle_table_equivariant(graph: ProjComplexGraph, g) -> bool:
+    """The full angle table commutes with translation by g (exact)."""
+    moved = ProjComplexGraph(Window(
+        tuple(Y.translate(g) for Y in graph.vertices), graph.K))
+    for X in graph.vertices:
+        for Z in graph.vertices:
+            if X == Z or graph.distance(X, Z) is None:
+                continue
+            for Y in graph.vertices:
+                if Y in (X, Z):
+                    continue
+                a = graph.dmax(X, Z, Y)
+                b = moved.dmax(X.translate(g), Z.translate(g), Y.translate(g))
+                if a != b:
+                    return False
+    return True
+
+
+# -- the thin-cover selection -----------------------------------------------
+
+
+def select_Z(g, xi, ladder) -> Horoball | None:
+    """Z(g, xi): the base-chart choice at g^-1 xi, translated by g."""
+    Z0 = _select_z_base(g.inverse().apply_boundary(xi), ladder)
+    return None if Z0 is None else Z0.translate(g)
+
+
+def walk_graph(xi, i: int, ladder, graph: ProjComplexGraph) -> Horoball:
+    """Y_i(e, xi) measured in a window graph: candidates by d^max, nearest
+    first, with the uniqueness and prefix audits of the selection."""
+    X, Z = BASE_INDEX, _select_z_base(xi, ladder)
+    if graph.distance(X, Z) is None:
+        raise WindowRequiredError("anchor window disconnected")
+    Th = ladder.Theta(i)
+    if _base_angle(xi) >= Th:
+        return X
+    cands = [V for V in graph.vertices if V not in (X, Z)
+             and graph.dmax(X, Z, V) >= Th]
+    if not cands:
+        return Z
+    dX = graph._bfs(X)
+    cands.sort(key=lambda V: (dX[V], V.q, V.p))
+    if len(cands) > 1 and dX[cands[0]] == dX[cands[1]]:
+        raise WindowRequiredError(
+            f"uniqueness audit failed at Theta_{i}: {cands[0]} vs {cands[1]}")
+    Yi = cands[0]
+    on, _, _ = graph.geodesic_dag(X, Yi)
+    for V in on:
+        if V not in (X, Yi) and graph.dmax(X, Yi, V) >= Th:
+            raise WindowRequiredError(
+                f"prefix audit failed at Theta_{i}: {V} before {Yi}")
+    return Yi
+
+
+# -- surds ------------------------------------------------------------------
+
+
+def sqrt_of(n: int) -> Surd:
+    return Surd(0, 1, n, 1)
+
+
+def surd_sample_set() -> list[Surd]:
+    """PHI, SQRT2 and 1 + sqrt(3), with their conjugates."""
+    base = [PHI, SQRT2, Surd(1, 1, 3, 1)]
+    return base + [s.conjugate() for s in base]

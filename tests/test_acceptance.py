@@ -30,7 +30,6 @@ from horocover.projection_complex import (
 )
 from horocover.projection_data import (
     FareyFamily,
-    calibrate_behrstock,
     check_behrstock,
     check_finiteness,
     check_symmetry,
@@ -40,6 +39,7 @@ from horocover.projection_data import (
     stern_brocot_horoball,
 )
 from horocover import flow_cover, thin_cover
+from reference import calibrate_behrstock, dmax_brute
 
 
 _CAPFD = None
@@ -145,8 +145,10 @@ def test_2_closed_form_oracle(cfg):
 
 
 def test_3_behrstock_constant(cfg):
+    # the exhaustive scan of the window q <= axiom_qmax, the certificate
+    # that `--calibrate` writes, and the pin
     theta_a, _ = calibrate_behrstock(cfg["axiom_qmax"])
-    theta_b, _ = calibrate_behrstock(cfg["axiom_qmax"])
+    theta_b = Fraction(cli.calibrate(dict(cfg))["theta_hat"])
     family = FareyFamily()
     rng = random.Random(cfg["seed"] + 2)
     sample = []
@@ -181,7 +183,7 @@ def test_4_projection_complex_lemmas(cfg):
                     if Y in (X, Z):
                         continue
                     ok = ok and graph.dmax(X, Z, Y) == \
-                        graph.dmax_brute(X, Z, Y)
+                        dmax_brute(graph, X, Z, Y)
         ok = ok and verify_local_estimate(graph) == tpp_pin
         ok = ok and verify_attraction(graph) == tp_pin
         inst, fails, _ = check_angle_transfer(graph,

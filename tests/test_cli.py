@@ -95,6 +95,27 @@ class TestPins:
             ladder = cli._ladder(dict(cfg, theta_S_radius=radius))
             assert cli._thin_nerve_defect(ladder) == pin
 
+    def test_calibrate_writes_pins(self, tmp_path):
+        # `complex --calibrate` on an empty overlay: theta_hat from the
+        # Behrstock certificate, theta = 2 theta_hat, and the window pins
+        p = tmp_path / "cfg.json"
+        p.write_text("{}")
+        rc = cli.main(["complex", "--calibrate", "--config", str(p),
+                       "--out", str(tmp_path / "r")])
+        assert rc == 0
+        written = json.loads(p.read_text())
+        assert written == dict(
+            cli.DEFAULT_CONFIG, theta_hat="1", theta="2", theta_P="6",
+            theta_P_prime="2/3", window_pins=[
+                {"theta_P": "6", "theta_P_prime": "0",
+                 "transfer_failures": 0},
+                {"theta_P": "4", "theta_P_prime": "2/3",
+                 "transfer_failures": 4},
+                {"theta_P": "1/8", "theta_P_prime": "17/72",
+                 "transfer_failures": 0}])
+        assert p.read_text() == json.dumps(written, sort_keys=True,
+                                           indent=1) + "\n"
+
     def test_ladder_from_config(self, cfg):
         ladder = cli._ladder(cfg)
         assert ladder.Theta(5) == 720

@@ -25,8 +25,6 @@ from horocover.flow_cover import (
     _neighbors,
     _square_bounds,
     _twice_cosh_minus_2,
-    ambient_metric,
-    boundary_distance,
     build_charts,
     build_long_thin_cover,
     choose_tau,
@@ -37,7 +35,6 @@ from horocover.flow_cover import (
     orbit_points_near,
     sample_coarse_flow,
     verify_thick_theorem,
-    word_distance,
 )
 from horocover.hyperbolic import (
     BASEPOINT,
@@ -54,8 +51,8 @@ from horocover.hyperbolic import (
     orbit_point,
     word_ball,
 )
-from horocover.projection_data import surd_sample_set
 from horocover.surd import INFINITY, PHI, SQRT2, Surd
+from reference import surd_sample_set
 from test_hyperbolic import reference_locate
 
 # thick and thin surd directions: (1, 0, c, 1) PHI = [0; c, 1, 1, ...]
@@ -360,30 +357,16 @@ class TestPullback:
         assert rep["longness_ok"]
         assert rep["fsubset_failures"] == 0
         assert rep["order_within_pin"]
-        assert rep["extension_restricts"]
+        assert rep["extension_restricts"] is True
+        assert rep["order_extended"] >= 1
 
-
-class TestMetrics:
-    def test_word_distance(self):
-        assert word_distance(IDENTITY, IDENTITY) == 0
-        assert word_distance(IDENTITY, GEN_T) == 1
-        assert word_distance(GEN_S, GEN_S * GEN_T * GEN_T) == 2
-
-    @given(st.sampled_from(word_ball(3)),
-           st.lists(st.sampled_from([GEN_S, GEN_T, GEN_T.inverse()]),
-                    max_size=6).map(lambda w: math.prod(w, start=IDENTITY)))
-    def test_word_distance_is_word_ball_radius(self, g, w):
-        radius = next(r for r in range(7) if w in word_ball(r))
-        assert word_distance(g, g * w) == radius
-
-    def test_boundary_distance_symmetric(self):
-        a, b = Fraction(1, 3), SQRT2
-        assert boundary_distance(a, b) == pytest.approx(
-            boundary_distance(b, a))
-        assert boundary_distance(a, a) == 0
-
-    def test_ambient_metric_separates(self):
-        x = (IDENTITY, Fraction(1, 3))
-        y = (GEN_T, Fraction(1, 3))
-        assert ambient_metric(x, x) == 0
-        assert ambient_metric(x, y) >= 1
+    def test_theorem_without_tau(self, params):
+        # a budget below beta tries no tau: the pulled-back keys stay None
+        # and the pin is checked on the sample cover alone
+        rep = verify_thick_theorem([IDENTITY, GEN_T], params, 1, [PHI],
+                                   pinned_order=2, tau_max=Fraction(1))
+        assert rep["tau"] == {"tau_chosen": None, "attempts": [],
+                              "status": "not-found-within-budget"}
+        assert rep["order_extended"] is None
+        assert rep["extension_restricts"] is None
+        assert rep["order_within_pin"] == (rep["order_measured"] <= 2)

@@ -1,12 +1,12 @@
 """Source hygiene: every name a horocover module imports is referenced,
 every function, class and public method it defines is used by the program
-or the benchmark, no function is a mere alias of another, every cache has
-a chosen finite size, and every layer the benchmark tracer patches
-exists."""
+or the benchmark, every defaulted parameter is set by some caller, no
+function is a mere alias of another, every cache has a chosen finite size,
+and every layer the benchmark tracer patches exists."""
 
 import ast
 import importlib.util
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import reduce
 from pathlib import Path
 
@@ -110,20 +110,11 @@ def test_caches_bounded(path):
     assert unbounded_caches(path.read_text()) == []
 
 
-# defined for the tests alone, on purpose: oracles and audits that check
-# the program from outside its own code paths
+# defined for the tests alone, on purpose; the brute-force references
+# live in tests/reference.py
 TEST_ONLY = {
     "penetration_depth": "acceptance 2 checks the depth identity "
                          "log(d/2) against mpmath",
-    "ProjComplexGraph.dmax_brute": "path-enumeration oracle for ProjComplexGraph.dmax",
-    "audit_window": "checks a window's distances are stable under a "
-                    "lower enumeration threshold",
-    "angle_table_equivariant": "checks the angle table commutes with "
-                               "translation",
-    "select_Z": "the selected index Z(g, xi), checked for equivariance "
-                "apart from Y_i",
-    "Surd.sqrt_of": "builds sqrt(n) in the surd and kernel tests",
-    "surd_sample_set": "the surd directions of the kernel and flow tests",
 }
 
 
@@ -185,13 +176,87 @@ def test_detector_flags_unreferenced_definitions():
         "spare", "recursive", "Lonely"]
 
 
-def test_no_unused_api():
-    corpus = [p.read_text() for p in SRC.glob("*.py")] + \
+def _program_corpus() -> list[str]:
+    """The sources of the program and of the benchmark."""
+    return [p.read_text() for p in SRC.glob("*.py")] + \
         [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
-    found = unreferenced([p.read_text() for p in MODULES], corpus)
+
+
+def test_no_unused_api():
+    found = unreferenced([p.read_text() for p in MODULES], _program_corpus())
     assert sorted(set(found) - set(TEST_ONLY)) == []
     # an allowlisted name that the program came to use needs no entry
     assert sorted(set(TEST_ONLY) - set(found)) == []
+
+
+def unset_defaults(sources: list[str], corpus: list[str]) -> list[str]:
+    """Defaulted parameters of the functions and methods, nested ones
+    included, defined in `sources` that no call in the `corpus` sources
+    passes, by keyword or by position; named function(parameter).  Calls
+    are matched by the callee's name (a class's name for its __init__); a
+    method's positions start after self or cls, and a call with *args or
+    **kwargs passes everything."""
+    calls = defaultdict(list)
+    for text in corpus:
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Call):
+                calls[getattr(n.func, "id", getattr(n.func, "attr", None))] \
+                    .append(n)
+    found = []
+    for source in sources:
+        tree = ast.parse(source)
+        owner = {id(m): c.name for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) for m in c.body
+                 if isinstance(m, ast.FunctionDef) and not any(
+                     getattr(d, "id", None) == "staticmethod"
+                     for d in m.decorator_list)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            shift = 1 if id(fn) in owner else 0
+            callee = owner[id(fn)] if fn.name == "__init__" else fn.name
+            pos = fn.args.posonlyargs + fn.args.args
+            first = len(pos) - len(fn.args.defaults)
+            params = [(k, a.arg) for k, a in enumerate(pos) if k >= first]
+            params += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                                     fn.args.kw_defaults)
+                       if d is not None]
+            for k, name in params:
+                if not any(
+                        any(kw.arg in (None, name) for kw in c.keywords)
+                        or any(isinstance(a, ast.Starred) for a in c.args)
+                        or (k is not None and len(c.args) + shift > k)
+                        for c in calls[callee]):
+                    found.append(f"{fn.name}({name})")
+    return found
+
+
+def test_detector_flags_unset_defaults():
+    lib = ("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+           "def g(x=0): pass\n"
+           "def spread(x=0, y=1): pass\n"
+           "class Box:\n"
+           "    def __init__(self, size=1, colour=None): pass\n"
+           "    def put(self, item, at=0): pass\n"
+           "    @staticmethod\n"
+           "    def make(n=2): pass\n"
+           "def outer():\n"
+           "    def inner(depth=5): pass\n"
+           "    return inner\n")
+    caller = ("f(1, 2, d=0)\n"
+              "g\n"
+              "spread(*args)\n"
+              "Box(3).put(7, 1)\n"
+              "Box.make()\n")
+    assert unset_defaults([lib], [lib, caller]) == [
+        "f(c)", "f(e)", "g(x)", "__init__(colour)", "make(n)",
+        "inner(depth)"]
+
+
+def test_no_unset_defaults():
+    # a default that no caller overrides is a constant under another name
+    sources = [p.read_text() for p in MODULES]
+    assert unset_defaults(sources, _program_corpus()) == []
 
 
 def alias_functions(source: str, module: str) -> list[str]:

@@ -29,7 +29,6 @@ from horocover.projection_data import (
     _enumerate_at_infinity,
     _enumerate_inf_rational,
     brute_force_large_projections,
-    calibrate_behrstock,
     check_behrstock,
     check_finiteness,
     check_symmetry,
@@ -41,9 +40,9 @@ from horocover.projection_data import (
     sample_triples_rational,
     stern_brocot_horoball,
     sup_projection,
-    surd_sample_set,
 )
 from horocover.surd import INFINITY, PHI, SQRT2, Surd
+from reference import calibrate_behrstock, sqrt_of, surd_sample_set
 
 THRESHOLDS = (Fraction(2), Fraction(5437, 1000), Fraction(300))
 ORACLE_QMAX = 1500
@@ -367,7 +366,7 @@ class TestEnumeration:
             assert [h for h in hits if h[0].q <= ORACLE_QMAX] == slow
 
     @pytest.mark.parametrize("w, t", [(PHI, Fraction(2237, 1000)),
-                                      (Surd.sqrt_of(3), Fraction(693, 200))])
+                                      (sqrt_of(3), Fraction(693, 200))])
     def test_cusp_kernel_scans_past_first_period(self, w, t):
         # just above the class limit (sqrt(5), 2 sqrt(3)) the decreasing
         # class stays above t for a few periods after its first member
@@ -406,24 +405,33 @@ class TestEnumeration:
 
 
 class TestBehrstockConstant:
+    """The certificate pair_maxmin, which gives the pinned theta_hat,
+    against the exhaustive scan and the closed form 1 / |p'q - pq'|."""
+
     def test_small_window_value(self):
-        theta_hat, rep = calibrate_behrstock(qmax=12)
-        assert theta_hat == 1
+        theta_hat, (Y, Yp, _xi) = calibrate_behrstock(qmax=12)
+        assert theta_hat == 1 == pair_maxmin(Y, Yp)[0]
 
     def test_calibration_is_deterministic(self):
-        a, _ = calibrate_behrstock(qmax=10)
-        b, _ = calibrate_behrstock(qmax=10)
+        a = calibrate_behrstock(qmax=10)
+        b = calibrate_behrstock(qmax=10)
         assert a == b
 
-    def test_pair_maxmin_within_theta_hat(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            Y = stern_brocot_horoball(rng, 8)
-            Yp = stern_brocot_horoball(rng, 8)
-            if Y == Yp:
-                continue
-            val, _xi = pair_maxmin(Y, Yp)
-            assert val <= 1
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(-50, 50, max_denominator=200) | st.just(INFINITY),
+           st.fractions(-50, 50, max_denominator=200) | st.just(INFINITY),
+           sl2z_words())
+    def test_pair_maxmin_within_theta_hat(self, u, v, g):
+        # the value is 1 / |p'q - pq'| <= theta_hat = 1, attained at the
+        # crossing point it returns, and the same for the translated pair
+        Y, Yp = Horoball.at(u), Horoball.at(v)
+        if Y == Yp:
+            return
+        val, xi = pair_maxmin(Y, Yp)
+        assert val == Fraction(1, abs(Yp.p * Y.q - Y.p * Yp.q)) <= 1
+        assert min(reference_proj_dist_frac(Y, v, xi),
+                   reference_proj_dist_frac(Yp, u, xi)) == val
+        assert pair_maxmin(Y.translate(g), Yp.translate(g))[0] == val
 
 
 class TestSupProjection:

@@ -1,5 +1,5 @@
 """Thin cover: the ladder, the selection walk (chain vs window-graph
-oracle), certified membership, and the theorem check at small scale."""
+reference), certified membership, and the theorem check at small scale."""
 
 import bisect
 import math
@@ -39,15 +39,15 @@ from horocover.thin_cover import (
     _inf_exceeds,
     _select_z_base,
     _walk_chain,
-    chain_angle,
+    chain_angle_reaches,
     find_long_member,
     is_theta5_thin,
     membership_U,
     select_Yi,
-    select_Z,
     theta_S,
     verify_thin_theorem,
 )
+from reference import select_Z, walk_graph
 
 THETA_P = Fraction(6)
 # xi = 1/(2000 + 1/phi): a surd direction with a deep 0-ball projection
@@ -177,19 +177,23 @@ class TestSelection:
     @given(st.lists(st.tuples(st.integers(-10 ** 4, 10 ** 4),
                               st.integers(1, 10 ** 4)),
                     min_size=2, max_size=4, unique=True),
-           st.integers(0, 2))
-    def test_chain_angle_is_proj_dist_frac(self, points, k):
-        # any order of finite horoballs, Z the last, angles at each vertex
+           st.integers(0, 2), st.data())
+    def test_chain_angle_is_proj_dist_frac(self, points, k, data):
+        # any order of finite horoballs, Z the last, angles at each vertex,
+        # against thresholds below, at and above the angle
         *chain, Z = [Horoball(p, q) for p, q in points]
         k = min(k, len(chain) - 1)
         prev = INFINITY if k == 0 else chain[k - 1].tangency
         succ = (Z if k == len(chain) - 1 else chain[k + 1]).tangency
         want = proj_dist_frac(chain[k], prev, succ)
+        Th = data.draw(st.fractions(Fraction(1, 100), 1000).filter(bool))
         if want is INFINITE:
             with pytest.raises(WindowRequiredError):
-                chain_angle(tuple(chain), k, Z)
-        else:
-            assert chain_angle(tuple(chain), k, Z) == want
+                chain_angle_reaches(tuple(chain), k, Z, Th)
+            return
+        for m in {Th, want, want * Fraction(99, 100),
+                  want * Fraction(101, 100)} - {0}:
+            assert chain_angle_reaches(tuple(chain), k, Z, m) == (want >= m)
 
     def test_select_yi_falls_to_tangency(self, ladder):
         # no Theta_1-large projection on the way to 1/2
@@ -209,16 +213,29 @@ class TestSelection:
             assert select_Yi(g, g.apply_boundary(xi), 1, ladder) == \
                 select_Yi(IDENTITY, xi, 1, ladder).translate(g)
 
-    def test_chain_agrees_with_graph_oracle(self, ladder):
-        # window anchored at the target so the oracle graph contains the walk
-        for q in (401, 487):
-            xi = Fraction(1, q)
-            window = build_window((Horoball(1, 0), Horoball(1, q)),
-                                  Fraction(4), Fraction(2))
-            graph = ProjComplexGraph(window)
-            chain_pick = select_Yi(IDENTITY, xi, 1, ladder)
-            graph_pick = select_Yi(IDENTITY, xi, 1, ladder, graph=graph)
-            assert chain_pick == graph_pick == Horoball(0, 1)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-400, 400),
+           st.lists(st.integers(1, 5) | st.integers(1, 800), min_size=1,
+                    max_size=5),
+           st.sampled_from([1, 2]))
+    @example(0, [401], 1)
+    @example(0, [487], 1)
+    def test_chain_agrees_with_graph_oracle(self, ladder, a0, quotients, i):
+        # xi = [a0; quotients]: a partial quotient above Theta_i makes its
+        # convergent's angle clear Theta_i.  The window anchored at oo and
+        # xi holds every V with d^pi_V(oo, xi) > theta, which is the whole
+        # chain, so the graph contains the walk
+        xi = Fraction(a0)
+        tail = Fraction(0)
+        for a in reversed(quotients):
+            tail = 1 / (a + tail)
+        xi += tail
+        Z = Horoball.at(xi)
+        window = build_window((BASE_INDEX, Z), 2 * ladder.theta, Fraction(2))
+        graph = ProjComplexGraph(window)
+        assert set(_chain(Z.p, Z.q, ladder.theta)) <= set(graph.vertices)
+        assert select_Yi(IDENTITY, xi, i, ladder) == \
+            walk_graph(xi, i, ladder, graph)
 
 
 class TestMembership:
