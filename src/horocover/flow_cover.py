@@ -4,10 +4,12 @@ flow-line charts, long thin covers along the flow, and pullbacks.
 The compact thick part is encoded by a depth bound: a ray is thick when
 every horoball penetration stays at or below D_max = log(Theta/2),
 equivalently when no projection distance exceeds Theta.  The coarse flow
-space is sampled as triples (x_-, v, xi_+) of orbit points within rho of a
-witness ray; clusters toward a common forward endpoint form flow-line
-charts with an arclength parameter, and the long thin cover lays two
-staggered interval families of length 4*beta along each chart.  The coarse
+space CF_0 holds the triples (x_-, v, xi_+) with v an orbit point within
+rho of the witness ray from x_- toward xi_+.  The sample keeps what the
+charts read: for each forward endpoint, the orbit points v found along its
+rays, and the number of triples.  Each endpoint gives one flow-line chart
+with an arclength parameter, and the long thin cover lays two staggered
+interval families of length 4*beta along each chart.  The coarse
 flow map iota_tau pushes a pair (g, xi) to the orbit points near the time-
 tau point of its ray, and covers pull back through it.
 
@@ -122,14 +124,8 @@ def classify(g: GroupElement, xi, Theta: Fraction):
 # -- the coarse flow space --------------------------------------------------
 
 
-_NEIGHBOR_BALL = None
-
-
-def _neighbors():
-    global _NEIGHBOR_BALL
-    if _NEIGHBOR_BALL is None:
-        _NEIGHBOR_BALL = tuple(word_ball(2))
-    return _NEIGHBOR_BALL
+# the neighbour set of a located point is its element times this ball
+_NEIGHBORS = tuple(word_ball(2))
 
 
 # precision of the one enclosure taken of each sample point
@@ -190,7 +186,7 @@ def orbit_points_near(point, rho: Fraction, origin=None) -> list:
     drop_at = c_hi.numerator * D * YH
     tie = None if origin is None else _orbit_ints(origin[0])
     out = []
-    for u in _neighbors():
+    for u in _NEIGHBORS:
         v = h * u
         a, n = _orbit_ints(v)
         if (a, n) == tie:
@@ -213,21 +209,16 @@ def orbit_points_near(point, rho: Fraction, origin=None) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class FlowTriple:
-    x_minus: GroupElement
-    v: GroupElement
-    xi_plus: object  # boundary point
-
-
 @dataclass
 class CoarseFlowSample:
-    params: ThickParams
-    triples: list = field(default_factory=list)  # (FlowTriple, t parameter)
-    closure_approximate: bool = True
+    """The CF_0 triples (x_-, v, xi_+) as the charts read them: `points`
+    maps each forward endpoint xi_+, in the order first found, to its orbit
+    points v, in the order first found (a dict used as an ordered set);
+    `size` counts the triples."""
 
-    def size(self) -> int:
-        return len(self.triples)
+    params: ThickParams
+    points: dict = field(default_factory=dict)
+    size: int = 0
 
 
 def sample_coarse_flow(params: ThickParams, generators_radius: int,
@@ -239,8 +230,12 @@ def sample_coarse_flow(params: ThickParams, generators_radius: int,
         for xi in xi_set:
             for t in params.t_grid():
                 pt = geodesic_point(g, xi, t)
-                for v in orbit_points_near(pt, params.rho, (g, t)):
-                    sample.triples.append((FlowTriple(g, v, xi), t))
+                near = orbit_points_near(pt, params.rho, (g, t))
+                # an endpoint enters with its first triple
+                if near:
+                    sample.points.setdefault(xi, {}).update(
+                        dict.fromkeys(near))
+                    sample.size += len(near)
     return sample
 
 
@@ -301,33 +296,26 @@ class FlowLineChart:
     """Orbit points near a common forward endpoint, with an arclength
     parameter along the canonical witness ray from the basepoint.
 
-    The parameter of a member is intrinsic (projection onto the witness
-    ray, snapped to a quarter-integer grid); the tolerance records how far
-    the discovering rays' own arclengths strayed from it.  Orbit points
-    further than line_R from the carrying geodesic belong to other flow
-    lines and are not admitted."""
+    The parameter of a member is intrinsic: the projection onto the
+    witness ray, snapped to a quarter-integer grid.  Orbit points further
+    than line_R from the carrying geodesic belong to other flow lines and
+    are not admitted."""
 
     xi_plus: object
     line_R: float = 3.0
     members: dict = field(default_factory=dict)  # v -> parameter t
-    tolerance: Fraction = Fraction(0)
 
     def __post_init__(self):
         self._param_fn = _ray_parameter_fn(self.xi_plus)
         self._dist_fn = _line_distance_fn(self.xi_plus)
         self._coords = {}
 
-    def add(self, v: GroupElement, t_observed: Fraction) -> bool:
-        if v not in self.members:
-            a, n = _orbit_ints(v)
-            x, y = a / n, 1 / n  # v x0, correctly rounded
-            if self._dist_fn(x, y) > self.line_R:
-                return False
+    def add(self, v: GroupElement):
+        a, n = _orbit_ints(v)
+        x, y = a / n, 1 / n  # v x0, correctly rounded
+        if self._dist_fn(x, y) <= self.line_R:
             self._coords[v] = (x, y)
             self.members[v] = Fraction(round(4 * self._param_fn(x, y)), 4)
-        self.tolerance = max(self.tolerance,
-                             abs(self.members[v] - t_observed))
-        return True
 
     def audit_embedding(self):
         """The parameter map is a (mu_hat, A_hat)-quasi-isometric embedding
@@ -349,19 +337,18 @@ class FlowLineChart:
 
 
 def build_charts(sample: CoarseFlowSample):
-    """Cluster the sample by forward endpoint; members must sit within
-    line_R = rho + 1 of the carrying geodesic (points further out belong
-    to other flow lines), with the intrinsic arclength parameter.  Charts
-    violating the (2, max_A) embedding audit, max_A = 2 line_R + 1, are
-    rejected with diagnostics."""
+    """One chart per forward endpoint of the sample, keyed by str(xi_+);
+    members must sit within line_R = rho + 1 of the carrying geodesic
+    (points further out belong to other flow lines), with the intrinsic
+    arclength parameter.  Charts violating the (2, max_A) embedding audit,
+    max_A = 2 line_R + 1, are rejected with diagnostics."""
     line_R = float(sample.params.rho) + 1.0
     max_A = 2 * line_R + 1.0
-    charts: dict = {}
-    for triple, t in sample.triples:
-        key = str(triple.xi_plus)
-        chart = charts.setdefault(key,
-                                  FlowLineChart(triple.xi_plus, line_R))
-        chart.add(triple.v, t)
+    charts = {}
+    for xi, vs in sample.points.items():
+        chart = charts[str(xi)] = FlowLineChart(xi, line_R)
+        for v in vs:
+            chart.add(v)
     accepted, rejected = {}, []
     for key, chart in charts.items():
         mu, A = chart.audit_embedding()
@@ -377,8 +364,8 @@ def build_charts(sample: CoarseFlowSample):
 
 @dataclass(frozen=True)
 class CoverElement:
-    """(chart cluster) x (parameter interval [lo, hi)), fattened in the
-    x_-/xi_+ coordinates by the cluster tolerance."""
+    """(chart cluster) x (parameter interval [lo, hi)): the flow points of
+    the chart whose parameter lies in the interval."""
 
     chart_key: str
     lo: Fraction
@@ -393,7 +380,6 @@ class CoverElement:
 class LongThinCover:
     elements: list
     charts: dict
-    beta: Fraction
     order_measured: int = 0
     longness_ok: bool = True
     rejected_charts: list = field(default_factory=list)
@@ -415,7 +401,7 @@ def build_long_thin_cover(sample: CoarseFlowSample,
     """Two staggered families of parameter intervals of length 4*beta
     (offsets 0 and 2*beta) along each flow-line chart.  Order and
     beta-longness are measured on the sample."""
-    if not sample.triples:
+    if not sample.size:
         raise ValueError("empty coarse flow sample")
     beta = Fraction(beta)
     charts, rejected = build_charts(sample)
@@ -430,8 +416,7 @@ def build_long_thin_cover(sample: CoarseFlowSample,
                 elements.append(CoverElement(key, start, start + 4 * beta,
                                              fam))
                 start += 4 * beta
-    cover = LongThinCover(elements, charts, beta,
-                          rejected_charts=rejected)
+    cover = LongThinCover(elements, charts, rejected_charts=rejected)
     order = 0
     longness = True
     for key, chart in charts.items():
@@ -451,11 +436,10 @@ def build_long_thin_cover(sample: CoarseFlowSample,
 _FSUBSET_RADIUS = 2
 
 
-def fsubset_check(cover: LongThinCover, sample: CoarseFlowSample) -> int:
-    """Empirical VCyc-subset property: gamma U and U meet in a sampled
-    orbit point only when gamma, in the word ball of radius
-    _FSUBSET_RADIUS, stabilizes the chart's endpoint.  Returns the number
-    of failures."""
+def fsubset_check(cover: LongThinCover) -> int:
+    """Empirical VCyc-subset property: gamma U meets U only when gamma, in
+    the word ball of radius _FSUBSET_RADIUS, stabilizes the chart's
+    endpoint.  Returns the number of failures."""
     failures = 0
     for gamma in word_ball(_FSUBSET_RADIUS):
         if gamma == IDENTITY:
@@ -542,7 +526,7 @@ def verify_thick_theorem(S, params: ThickParams, generators_radius: int,
     pairs = [(g, xi) for g in word_ball(max(1, generators_radius - 2))
              for xi in thick_xis]
     tau_rep = choose_tau(S, params, pairs, cover, tau_max)
-    fsub = fsubset_check(cover, sample)
+    fsub = fsubset_check(cover)
     order_extended = None
     extension_restricts = None
     if tau_rep["status"] == "ok":
@@ -555,7 +539,7 @@ def verify_thick_theorem(S, params: ThickParams, generators_radius: int,
         "params": {"Theta": str(params.Theta), "rho": str(params.rho),
                    "beta": str(params.beta),
                    "D_max": params.depth_bound},
-        "sample_size": sample.size(),
+        "sample_size": sample.size,
         "charts": len(cover.charts),
         "rejected_charts": cover.rejected_charts,
         "order_measured": cover.order_measured,
@@ -565,7 +549,9 @@ def verify_thick_theorem(S, params: ThickParams, generators_radius: int,
         "tau": tau_rep,
         "fsubset_failures": fsub,
         "undecided_xi": 0,  # classify always decides
-        "closure_approximate": sample.closure_approximate,
+        # always so: orbit_points_near keeps a candidate whose certified
+        # compare with rho ends Undecided, which may lie just beyond rho
+        "closure_approximate": True,
     }
     if pinned_order is not None:
         worst = max(cover.order_measured, order_extended or 0)

@@ -4,9 +4,9 @@ A Surd is stored in the canonical form (p + q*sqrt(d))/r with integer
 p, q, r, r > 0, d squarefree, and gcd(p, q, r) = 1.  q = 0 forces
 d = 0, so every rational has exactly one representation.  Arithmetic is closed
 as long as at most one quadratic field is involved; mixing two distinct
-irrational fields raises MixedFieldError, and only the ordering falls back
-to certified interval evaluation.  As a boundary point a Surd is irrational:
-rational boundary points are Fractions (see hyperbolic.chart_point).
+irrational fields, in arithmetic or in an ordering, raises MixedFieldError.
+As a boundary point a Surd is irrational: rational boundary points are
+Fractions (see hyperbolic.chart_point).
 """
 
 from __future__ import annotations
@@ -177,45 +177,16 @@ class Surd:
         return hash((self.p, self.q, self.d, self.r))
 
     def __lt__(self, other):
-        try:
-            return self.compare(other) < 0
-        except MixedFieldError:
-            return self._numeric_compare(other) < 0
+        return self.compare(other) < 0
 
     def __le__(self, other):
-        try:
-            return self.compare(other) <= 0
-        except MixedFieldError:
-            return self._numeric_compare(other) < 0
+        return self.compare(other) <= 0
 
     def __gt__(self, other):
-        try:
-            return self.compare(other) > 0
-        except MixedFieldError:
-            return self._numeric_compare(other) > 0
+        return self.compare(other) > 0
 
     def __ge__(self, other):
-        try:
-            return self.compare(other) >= 0
-        except MixedFieldError:
-            return self._numeric_compare(other) > 0
-
-    def _numeric_compare(self, other) -> int:
-        # Distinct quadratic fields never produce equal irrational values,
-        # so refinement terminates.
-        from .certified import surd_interval
-        o = self._coerce(other)
-        dps = 30
-        while True:
-            lo1, hi1 = surd_interval(self, dps)
-            lo2, hi2 = surd_interval(o, dps)
-            if hi1 < lo2:
-                return -1
-            if hi2 < lo1:
-                return 1
-            dps *= 2
-            if dps > 10000:  # pragma: no cover
-                raise ArithmeticError("comparison did not separate")
+        return self.compare(other) >= 0
 
     # -- floor and continued fractions ------------------------------------
 

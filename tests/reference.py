@@ -3,8 +3,9 @@
 Each one answers a question the program answers by a faster route: the
 Behrstock scan against the `pair_maxmin` certificate, the path enumeration
 against `ProjComplexGraph.dmax`, the walk in a window graph against the
-walk along the linear order.  They live beside the tests, so no
-simplification of the program can validate itself through them.
+walk along the linear order, the charts built one triple at a time
+against `build_charts`.  They live beside the tests, so no simplification
+of the program can validate itself through them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from horocover.flow_cover import FlowLineChart
 from horocover.hyperbolic import Horoball, proj_dist_frac
 from horocover.projection_complex import ProjComplexGraph, Window
 from horocover.projection_data import (
@@ -147,6 +149,22 @@ def walk_graph(xi, i: int, ladder, graph: ProjComplexGraph) -> Horoball:
             raise WindowRequiredError(
                 f"prefix audit failed at Theta_{i}: {V} before {Yi}")
     return Yi
+
+
+# -- flow-line charts --------------------------------------------------------
+
+
+def charts_per_triple(triples, line_R: float) -> dict:
+    """Charts built one triple (xi_+, v) at a time, in the order recorded:
+    the chart of str(xi_+) is made at its endpoint's first triple, and
+    every triple offers its v again, admitted or not before."""
+    charts = {}
+    for xi, v in triples:
+        key = str(xi)
+        if key not in charts:
+            charts[key] = FlowLineChart(xi, line_R)
+        charts[key].add(v)
+    return charts
 
 
 # -- surds ------------------------------------------------------------------

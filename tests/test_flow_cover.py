@@ -1,7 +1,7 @@
 """Thick cover: classification, the filtered orbit-point predicate against
 the per-candidate loop it replaced, the per-ray walk against the per-point
-one, flow-line charts, the staggered interval cover, and pullback
-longness."""
+one, flow-line charts against their per-triple construction, the staggered
+interval cover, and pullback longness."""
 
 import math
 from fractions import Fraction
@@ -20,9 +20,10 @@ from horocover.certified import (
     surd_iv,
 )
 from horocover.flow_cover import (
+    FlowLineChart,
     ThickCertificate,
     ThickParams,
-    _neighbors,
+    _NEIGHBORS,
     _square_bounds,
     _twice_cosh_minus_2,
     build_charts,
@@ -52,7 +53,7 @@ from horocover.hyperbolic import (
     word_ball,
 )
 from horocover.surd import INFINITY, PHI, SQRT2, Surd
-from reference import surd_sample_set
+from reference import charts_per_triple, surd_sample_set
 from test_hyperbolic import reference_locate
 
 # thick and thin surd directions: (1, 0, c, 1) PHI = [0; c, 1, 1, ...]
@@ -70,10 +71,31 @@ def params():
 
 
 @pytest.fixture(scope="module")
-def sample(params):
-    xis = [PHI, SQRT2, GEN_T.apply_boundary(PHI),
-           GEN_S.apply_boundary(SQRT2)]
-    return sample_coarse_flow(params, 3, xis)
+def walk(params):
+    """The sample at word radius 3, and each orbit_points_near result of
+    its walk as a pair (forward endpoint, list), in call order."""
+    xis, lists = [], []
+
+    def point(g, xi, t):
+        xis.append(xi)
+        return geodesic_point(g, xi, t)
+
+    def near(*args):
+        lists.append(orbit_points_near(*args))
+        return lists[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow_cover, "geodesic_point", point)
+        mp.setattr(flow_cover, "orbit_points_near", near)
+        sample = sample_coarse_flow(params, 3, [
+            PHI, SQRT2, GEN_T.apply_boundary(PHI),
+            GEN_S.apply_boundary(SQRT2)])
+    return sample, list(zip(xis, lists, strict=True))
+
+
+@pytest.fixture(scope="module")
+def sample(walk):
+    return walk[0]
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +196,7 @@ def _starts_kept(g, t, origin):
     pt = geodesic_point(g, SQRT2, t)
     m = tuple(_midpoint(c) for c in pt)
     start = orbit_point(g)
-    assert any(orbit_point(locate(m) * u) == start for u in _neighbors())
+    assert any(orbit_point(locate(m) * u) == start for u in _NEIGHBORS)
     kept = orbit_points_near(pt, RHO, (g, t) if origin else None)
     return any(orbit_point(v) == start for v in kept)
 
@@ -238,7 +260,7 @@ class TestOrbitPointsNear:
             kept = orbit_points_near(point, RHO)
         c_lo, c_hi = _twice_cosh_minus_2(RHO)
         h = locate((x, y))
-        for v in (h * u for u in _neighbors()):
+        for v in (h * u for u in _NEIGHBORS):
             ox, oy = orbit_point(v)
             grid = [(x + k * w / 2, y + m * w / 2)
                     for k in range(-2, 3) for m in range(-2, 3)]
@@ -291,15 +313,30 @@ class TestRayWalk:
     def test_sample_equals_reference_walk(self, monkeypatch):
         # the thick benchmark's settings: word radius 1 toward PHI and
         # SQRT2; every ray walked point by point as before, each point
-        # located by the exact loop alone, gives the same triples
+        # located by the exact loop alone, finds the same orbit points at
+        # each of the 4 x 2 x 25 ray points
         params = ThickParams(Theta=Fraction(5437, 1000), rho=Fraction(2),
                              beta=Fraction(3), t_max=Fraction(12))
-        got = sample_coarse_flow(params, 1, [PHI, SQRT2]).triples
+
+        def found():
+            calls = []
+
+            def near(*args):
+                calls.append(orbit_points_near(*args))
+                return calls[-1]
+
+            with monkeypatch.context() as mp:
+                mp.setattr(flow_cover, "orbit_points_near", near)
+                sample_coarse_flow(params, 1, [PHI, SQRT2])
+            return calls
+
+        got = found()
         monkeypatch.setattr(flow_cover, "geodesic_point",
                             reference_geodesic_point)
         monkeypatch.setattr(flow_cover, "locate", reference_locate)
-        want = sample_coarse_flow(params, 1, [PHI, SQRT2]).triples
-        assert len(got) > 8 * 25 and got == want
+        want = found()
+        assert len(got) == 4 * 2 * 25 and got == want
+        assert sum(map(len, got)) > 8 * 25
 
     @pytest.mark.parametrize("xi", [PHI, -SQRT2, INFINITY, Fraction(0),
                                     Fraction(5, 2)])
@@ -318,6 +355,31 @@ class TestCharts:
         assert len(charts) >= 4
         assert rejected == []
 
+    def test_charts_equal_per_triple_reference(self, walk, params):
+        sample, lists = walk
+        charts, _ = build_charts(sample)
+        want = charts_per_triple(
+            [(xi, v) for xi, vs in lists for v in vs],
+            float(params.rho) + 1.0)
+        assert list(charts) == list(want)
+        for key, chart in charts.items():
+            assert list(chart.members.items()) == \
+                list(want[key].members.items())
+
+    def test_sample_counts_every_triple(self, walk, monkeypatch):
+        sample, lists = walk
+        assert sample.size == sum(len(vs) for _, vs in lists)
+        made = []
+        init = FlowLineChart.__post_init__
+
+        def counted(chart):
+            made.append(chart.xi_plus)
+            init(chart)
+
+        monkeypatch.setattr(FlowLineChart, "__post_init__", counted)
+        build_charts(sample)
+        assert made == list(sample.points)
+
     def test_embedding_audit(self, sample):
         charts, _ = build_charts(sample)
         for chart in charts.values():
@@ -330,8 +392,8 @@ class TestCharts:
         assert cover.longness_ok
         assert not cover.rejected_charts
 
-    def test_fsubset(self, cover, sample):
-        assert fsubset_check(cover, sample) == 0
+    def test_fsubset(self, cover):
+        assert fsubset_check(cover) == 0
 
 
 class TestPullback:

@@ -2,7 +2,8 @@
 every function, class and public method it defines is used by the program
 or the benchmark, every defaulted parameter is set by some caller, no
 function is a mere alias of another, every cache has a chosen finite size,
-and every layer the benchmark tracer patches exists."""
+no setdefault builds a default it may not need, and every layer the
+benchmark tracer patches exists."""
 
 import ast
 import importlib.util
@@ -330,6 +331,70 @@ def test_no_alias_functions():
     assert sorted(set(found) - set(ALIASES)) == []
     # an allowlisted name that stopped being an alias needs no entry
     assert sorted(set(ALIASES) - set(found)) == []
+
+
+# argument-free calls of these build a default as cheap as a literal
+EMPTY_CONTAINERS = {"dict", "list", "set", "frozenset", "tuple"}
+
+
+def eager_setdefaults(source: str, module: str) -> list[str]:
+    """Scopes holding a call x.setdefault(k, d) whose default d is a call
+    other than an argument-free dict(), list(), set(), frozenset() or
+    tuple(): d is built on every call, whether k is present or not.  Named
+    module.Class.function, by the innermost enclosing function or class,
+    once per such call."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = f"{prefix}.{child.name}" if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else prefix
+            if _is_eager_setdefault(child):
+                found.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def _is_eager_setdefault(node) -> bool:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "setdefault" and len(node.args) == 2):
+        return False
+    default = node.args[1]
+    return isinstance(default, ast.Call) and not (
+        getattr(default.func, "id", None) in EMPTY_CONTAINERS
+        and not default.args and not default.keywords)
+
+
+def test_detector_flags_eager_setdefault():
+    source = ("d = {}\n"
+              "d.setdefault(1, [])\n"
+              "d.setdefault(2, list())\n"
+              "d.setdefault(3, Box(1))\n"
+              "def f(m, k):\n"
+              "    m.setdefault(k, dict())\n"
+              "    m.setdefault(k, frozenset())\n"
+              "    m.setdefault(k, tuple())\n"
+              "    m.setdefault(k, set())\n"
+              "    m.setdefault(k, k)\n"
+              "    m.setdefault(k, list(range(3)))\n"
+              "    m.setdefault(k, dict(a=1))\n"
+              "class Cache:\n"
+              "    def get(self, k):\n"
+              "        return self.items.setdefault(k, make(k))\n"
+              "def outer():\n"
+              "    def inner(m):\n"
+              "        m.setdefault(1, collections.Counter())\n"
+              "    return inner\n")
+    assert eager_setdefaults(source, "lib") == [
+        "lib", "lib.f", "lib.f", "lib.Cache.get", "lib.outer.inner"]
+
+
+def test_no_eager_setdefault():
+    found = [name for path in MODULES
+             for name in eager_setdefaults(path.read_text(), path.stem)]
+    assert found == []
 
 
 def _traced():

@@ -54,6 +54,8 @@ class TestField:
     def test_mixed_fields_rejected(self):
         with pytest.raises(MixedFieldError):
             PHI + SQRT2
+        with pytest.raises(MixedFieldError):
+            PHI < SQRT2
 
     @given(surds(2), surds(2), surds(2))
     def test_ring_axioms(self, a, b, c):
