@@ -372,9 +372,6 @@ class CoverElement:
     hi: Fraction
     family: int  # 0 or 1 (stagger offset)
 
-    def contains(self, chart_key: str, t: Fraction) -> bool:
-        return chart_key == self.chart_key and self.lo <= t < self.hi
-
 
 @dataclass
 class LongThinCover:
@@ -383,9 +380,15 @@ class LongThinCover:
     order_measured: int = 0
     longness_ok: bool = True
     rejected_charts: list = field(default_factory=list)
+    _by_chart: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        for U in self.elements:
+            self._by_chart.setdefault(U.chart_key, []).append(U)
 
     def elements_containing(self, chart_key: str, t: Fraction):
-        return [U for U in self.elements if U.contains(chart_key, t)]
+        return [U for U in self._by_chart.get(chart_key, ())
+                if U.lo <= t < U.hi]
 
     def member_elements(self, v: GroupElement, xi_plus):
         """Cover elements containing the flow point v on the chart of the

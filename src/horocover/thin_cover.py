@@ -4,10 +4,10 @@ Everything is defined in a base chart: the basepoint index X is the horoball
 at infinity, and all operations at (g, xi) reduce to (e, g^{-1} xi) with
 indices translated by g^{-1}.  Equivariance is therefore definitional.  The
 selection Z(e, xi) is the deterministic argmax of d^pi_Y(X, xi) with
-lexicographic (q, p) tie-breaks, preferring values above Theta_5; Y_i walks
-the linear order of large-projection vertices toward Z.  Membership in
-U(Y, i) is certified on explicit delta-intervals: a sound
-under-approximation of the interior.
+lexicographic (q, p) tie-breaks, preferring values above Theta_5; one walk
+of the linear order of large-projection vertices toward Z gives Y_1 and Y_2.
+Membership in U(Y, i) is certified on explicit delta-intervals, a sound
+under-approximation of the interior; S-longness reduces each translate once.
 """
 
 from __future__ import annotations
@@ -48,10 +48,13 @@ class ThetaLadder:
     theta_S: Fraction
     theta_P: Fraction  # measured projection-complex margin constant
     _values: tuple = field(init=False, repr=False, compare=False)
+    _margins: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_values", tuple(
             10 * (i + 1) * (self.theta + self.theta_S) for i in range(6)))
+        object.__setattr__(self, "_margins", tuple(
+            Th + self.theta_P for Th in self._values))
         self.audit()
 
     def Theta(self, i: int) -> Fraction:
@@ -159,18 +162,17 @@ def _chain(p: int, q: int, theta: Fraction) -> tuple:
                         key=lambda V: (V.q, abs(V.p), V.p)))
 
 
-def chain_angle_reaches(chain: tuple, k: int, Z: Horoball,
-                        Th: Fraction) -> bool:
-    """Whether d^max at chain[k] along oo -> ... -> Z is at least Th: the
+def _chain_angle(chain: tuple, k: int, Z: Horoball) -> tuple:
+    """d^max at chain[k] along oo -> ... -> Z as (n, f_a f_c): the
     projection distance n / (f_a f_c) between its neighbours A, C in the
-    order (endpoints at oo and Z), compared by cross-multiplying."""
+    order (endpoints at oo and Z)."""
     V = chain[k]
     A = BASE_INDEX if k == 0 else chain[k - 1]
     C = Z if k == len(chain) - 1 else chain[k + 1]
     n, fa, fc = proj_dist_int((V.p, V.q), (A.p, A.q), (C.p, C.q))
     if fa == 0 or fc == 0:
         raise WindowRequiredError("tangent neighbours in the chain")
-    return n * Th.denominator >= Th.numerator * fa * fc
+    return n, fa * fc
 
 
 def select_Yi(g: GroupElement, xi, i: int,
@@ -181,36 +183,23 @@ def select_Yi(g: GroupElement, xi, i: int,
     Z = _select_z_base(w, ladder)
     if Z is None or Z == BASE_INDEX:
         return None
-    return _walk_chain(Z, i, ladder, w).translate(g)
+    return _walk_chain(Z, ladder, w)[i].translate(g)
 
 
-def _walk_chain(Z: Horoball, i: int, ladder: ThetaLadder, w) -> Horoball:
-    """First vertex in the linear order toward Z with angle >= Theta_i."""
-    Th = ladder.Theta(i)
-    if _base_angle(w) >= Th:
-        return BASE_INDEX
-    return _walk_toward(Z, i, Th, ladder.theta)
-
-
-@lru_cache(maxsize=256)  # reuse is across the S-translates of one pair
-def _walk_toward(Z: Horoball, i: int, Th: Fraction,
-                 theta: Fraction) -> Horoball:
-    """The w-independent rest of the walk: the chain toward Z, its first
-    vertex with angle >= Th = Theta_i, and the prefix audit of that vertex."""
-    chain = _chain(Z.p, Z.q, theta)
-    for k in range(len(chain)):
-        if chain_angle_reaches(chain, k, Z, Th):
-            Yi = chain[k]
-            # prefix audit: re-measure the earlier angles with the walk
-            # truncated at Y_i; they must stay below Theta_i
-            prefix = chain[:k]
-            for j in range(len(prefix)):
-                if chain_angle_reaches(prefix, j, Yi, Th):
-                    raise WindowRequiredError(
-                        f"prefix audit failed at Theta_{i}: "
-                        f"{prefix[j]} before {Yi}")
-            return Yi
-    return Z
+def _walk_chain(Z: Horoball, ladder: ThetaLadder, w) -> dict:
+    """{i: Y_i} for i = 1, 2 from one walk of the linear order toward Z:
+    the first vertex with angle >= Theta_i, the basepoint index first, and
+    Z when there is none.  Theta_2 > Theta_1, so Y_2 never precedes Y_1."""
+    levels, angle = [ladder.Theta(1), ladder.Theta(2)], _base_angle(w)
+    found = [BASE_INDEX for Th in levels if angle >= Th]
+    chain = _chain(Z.p, Z.q, ladder.theta) if len(found) < 2 else ()
+    for k, V in enumerate(chain):
+        n, f = _chain_angle(chain, k, Z)
+        found += [V for Th in levels[len(found):]
+                  if n * Th.denominator >= Th.numerator * f]
+        if len(found) == 2:
+            break
+    return dict(zip((1, 2), found + [Z, Z]))
 
 
 # -- membership in U(Y, i) with interval certification ---------------------
@@ -242,8 +231,9 @@ def _inf_exceeds(Y: Horoball, lo: tuple, hi: tuple, m: Fraction) -> bool:
     w -> 1/(q|qw - p|) is monotone on each side of its pole and has no zero
     on a bounded interval, so the infimum is at an endpoint (a pole inside
     only raises interior values).  Infinite endpoint values are skipped,
-    and an interval with none finite fails."""
-    ends = (_exceeds(Y, *lo, m), _exceeds(Y, *hi, m))
+    and an interval with none finite fails; a failing first end decides."""
+    first = _exceeds(Y, *lo, m)
+    ends = (first, first is not False and _exceeds(Y, *hi, m))
     return False not in ends and True in ends
 
 
@@ -283,7 +273,7 @@ def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
             return Membership("no", detail="certified Theta_4-thick")
         return Membership("boundary-uncertain", detail="no Z and no certificate")
     try:
-        Yi = _walk_chain(Z, i, ladder, w)
+        Yi = _walk_chain(Z, ladder, w)[i]
     except WindowRequiredError as err:
         return Membership("boundary-uncertain", detail=str(err))
     if Yi == Y0:
@@ -307,8 +297,9 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
       (2) every finite candidate V with an endpoint value above Theta_4
           (the only other possible targets, by monotonicity away from
           poles) also lies beyond Y0: d^pi_{Y0}(X, tangency V) > margin;
-      (3) the walk prefix below Y0 is target-independent (audited in
-          _walk_chain) and the Theta_4 clause has a robust witness on H.
+      (3) the walk prefix below Y0 is target-independent: its angles are
+          measured between vertices at or before Y0, the same for every
+          target beyond Y0; and the Theta_4 clause has a robust witness on H.
     Only the doubled interval [w - 2 delta, w + 2 delta] depends on delta =
     1/4, 1/8, ...; the first delta to pass wins.  The tests that see no pole
     (the basepoint angle, and each competitor of (2) with value <= margin,
@@ -318,7 +309,11 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
     2^-(k+2)): the intervals are nested and `_inf_exceeds` is exactly "the
     infimum over the closed interval exceeds m" (the pole's value taken as
     +infinity; constantly false at Y.q = 0), so it can only turn true as k
-    grows, and so can conjunctions and disjunctions of such tests.
+    grows, and so can conjunctions and disjunctions of such tests.  At a
+    rational w = a/b, Z = Horoball(a, b) has its pole at w, so Z's test
+    first passes at the k with 2^(k+1) > margin4 b^2; that k, moved into
+    the range if it lies outside, and the k below it are probed first, and
+    the bisection runs only where they fail to bracket the answer.
     """
     # competitors with a pole outside the (doubled) interval: any V with
     # d^pi_V(oo, t) > Theta_4 at some t within delta of w and pole at
@@ -330,7 +325,7 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
     # is complete and delta needs no cap.  For a rational w the cached chain
     # toward Z = Horoball(w) already holds every V above theta < Theta_4/2.
     Th, floor4 = ladder.Theta(i), ladder.Theta(4) / 2
-    margin, margin4 = Th + ladder.theta_P, ladder.Theta(4) + ladder.theta_P
+    margin, margin4 = ladder._margins[i], ladder._margins[4]
     if isinstance(w, Surd):
         lo0, hi0 = surd_interval(w, 60)
         try:
@@ -367,7 +362,18 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
             (_inf_exceeds(Z, lo, hi, margin4)
              or _inf_exceeds(Y0, lo, hi, margin4))
 
-    k = first + bisect_left(range(first, stop), True, key=passes)
+    start, end = first, stop
+    if isinstance(w, Fraction) and first < stop:
+        guess = (margin4.numerator * b0 * b0 // margin4.denominator) \
+            .bit_length() - 1
+        guess = min(max(guess, first), stop - 1)
+        if not passes(guess):
+            start = guess + 1
+        elif guess > first and passes(guess - 1):
+            end = guess - 1
+        else:
+            start = end = guess
+    k = start + bisect_left(range(start, end), True, key=passes)
     if k >= stop:
         return Membership("boundary-uncertain", detail="delta exhausted")
     return Membership("yes", delta=Fraction(1, 4 << k))
@@ -403,25 +409,31 @@ def is_theta5_thin(g: GroupElement, xi, ladder: ThetaLadder) -> bool:
 def find_long_member(g: GroupElement, xi, S: FinitePart,
                      ladder: ThetaLadder):
     """(Y, i, min delta) such that (gs, xi) is certified in U(Y,i) for every
-    s in S, or None.  Candidates follow the cover lemma: the walk vertices
-    Y_i at (gs, xi) for i = 1, 2."""
-    cands = []
-    seen = set()
+    s in S, or None.  (gs, xi) lies in U(Y, i) exactly when Y_i(gs, xi) = Y
+    and the certificate of Y_i holds, so level i has one candidate: the
+    walk vertex Y_i(gs, xi) of the cover lemma, when it is defined and the
+    same for every s.  Each gs is reduced to the base chart once, w =
+    (gs)^-1 xi with Z(e, w) and both Y_i from one walk."""
+    walks = []
+    for s in S.elements:
+        h = g * s
+        w = h.inverse().apply_boundary(xi)
+        Z = _select_z_base(w, ladder)
+        if Z is None or Z == BASE_INDEX:
+            return None
+        walks.append((h, w, Z, _walk_chain(Z, ladder, w)))
     for i in (1, 2):
-        for h in [g] + [g * s for s in S.elements]:
-            Y = select_Yi(h, xi, i, ladder)
-            if Y is not None and (Y, i) not in seen:
-                seen.add((Y, i))
-                cands.append((Y, i))
-    for Y, i in cands:
+        common = {Ys[i].translate(h) for h, _, _, Ys in walks}
+        if len(common) != 1:
+            continue
         deltas = []
-        for s in S.elements:
-            m = membership_U(Y, i, g * s, xi, ladder)
+        for _, w, Z, Ys in walks:
+            m = _certify_yes(Ys[i], i, w, Z, ladder, _MAX_HALVINGS)
             if m.verdict != "yes":
                 break
             deltas.append(m.delta)
         else:
-            return Y, i, min(deltas)
+            return common.pop(), i, min(deltas)
     return None
 
 

@@ -3,8 +3,10 @@
 Each one answers a question the program answers by a faster route: the
 Behrstock scan against the `pair_maxmin` certificate, the path enumeration
 against `ProjComplexGraph.dmax`, the walk in a window graph against the
-walk along the linear order, the charts built one triple at a time
-against `build_charts`.  They live beside the tests, so no simplification
+walk along the linear order, one walk per ladder level against the walk
+that finds both, the candidate-by-candidate membership loop against
+`find_long_member`, the charts built one triple at a time against
+`build_charts`.  They live beside the tests, so no simplification
 of the program can validate itself through them.
 """
 
@@ -22,7 +24,14 @@ from horocover.projection_data import (
     pair_maxmin,
 )
 from horocover.surd import PHI, SQRT2, Surd
-from horocover.thin_cover import BASE_INDEX, _base_angle, _select_z_base
+from horocover.thin_cover import (
+    BASE_INDEX,
+    _base_angle,
+    _chain,
+    _select_z_base,
+    membership_U,
+    select_Yi,
+)
 
 
 # -- the Behrstock constant -------------------------------------------------
@@ -149,6 +158,38 @@ def walk_graph(xi, i: int, ladder, graph: ProjComplexGraph) -> Horoball:
             raise WindowRequiredError(
                 f"prefix audit failed at Theta_{i}: {V} before {Yi}")
     return Yi
+
+
+def walk_one_level(Z: Horoball, i: int, ladder, w) -> Horoball:
+    """Y_i toward Z at a single level: the basepoint index when its angle
+    |w| reaches Theta_i, else the first chain vertex whose angle between
+    its neighbours, from `proj_dist_frac`, reaches Theta_i, else Z."""
+    Th = ladder.Theta(i)
+    if _base_angle(w) >= Th:
+        return BASE_INDEX
+    path = (BASE_INDEX,) + _chain(Z.p, Z.q, ladder.theta) + (Z,)
+    for k in range(1, len(path) - 1):
+        if proj_dist_frac(path[k], path[k - 1], path[k + 1]) >= Th:
+            return path[k]
+    return Z
+
+
+def find_long_member_reference(g, xi, S, ladder):
+    """S-longness by its definition: the candidates (Y, i) are the values
+    of select_Yi at h = g, then h = gs, for i = 1, then i = 2, in that
+    order without repeats; the first whose membership_U is "yes" at every
+    gs gives (Y, i, least delta)."""
+    cands = []
+    for i in (1, 2):
+        for h in [g] + [g * s for s in S.elements]:
+            Y = select_Yi(h, xi, i, ladder)
+            if Y is not None and (Y, i) not in cands:
+                cands.append((Y, i))
+    for Y, i in cands:
+        ms = [membership_U(Y, i, g * s, xi, ladder) for s in S.elements]
+        if all(m.verdict == "yes" for m in ms):
+            return Y, i, min(m.delta for m in ms)
+    return None
 
 
 # -- flow-line charts --------------------------------------------------------

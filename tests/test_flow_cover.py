@@ -395,6 +395,20 @@ class TestCharts:
     def test_fsubset(self, cover):
         assert fsubset_check(cover) == 0
 
+    def test_elements_containing_equals_scan(self, cover):
+        # the per-chart index gives what a scan of every element gives, in
+        # the same order: at every member, at each element's ends, and at
+        # a key without a chart
+        probes = [(key, t) for key, chart in cover.charts.items()
+                  for t in chart.members.values()]
+        probes += [(U.chart_key, t) for U in cover.elements
+                   for t in (U.lo, U.hi)]
+        probes.append(("no chart", Fraction(0)))
+        for key, t in probes:
+            assert cover.elements_containing(key, t) == \
+                [U for U in cover.elements
+                 if U.chart_key == key and U.lo <= t < U.hi]
+
 
 class TestPullback:
     def test_tau_found(self, sample, cover, params):

@@ -1,7 +1,6 @@
 """Thin cover: the ladder, the selection walk (chain vs window-graph
 reference), certified membership, and the theorem check at small scale."""
 
-import bisect
 import math
 import random
 from fractions import Fraction
@@ -35,11 +34,11 @@ from horocover.thin_cover import (
     ThetaLadder,
     _certify_yes,
     _chain,
+    _chain_angle,
     _exceeds,
     _inf_exceeds,
     _select_z_base,
     _walk_chain,
-    chain_angle_reaches,
     find_long_member,
     is_theta5_thin,
     membership_U,
@@ -47,7 +46,12 @@ from horocover.thin_cover import (
     theta_S,
     verify_thin_theorem,
 )
-from reference import select_Z, walk_graph
+from reference import (
+    find_long_member_reference,
+    select_Z,
+    walk_graph,
+    walk_one_level,
+)
 
 THETA_P = Fraction(6)
 # xi = 1/(2000 + 1/phi): a surd direction with a deep 0-ball projection
@@ -72,13 +76,16 @@ def near_ladder_points():
                      st.integers(1, 50), st.integers(0, 16))
 
 
-def certify_reference(Y0, i, w, Z, ladder, max_halvings):
-    """The halving loop of _certify_yes in Fractions: values from
-    proj_dist_frac, infima as the least finite endpoint value, and every
-    competitor of a fresh enumeration at w re-tested at every delta, each
-    delta in turn.  At a rational w = a/b the competitors come from the
-    brute-force scan, independent of the convergent enumeration: a hit
-    Y = p/q has q |q a - p b| < b / theta, so q <= b / theta."""
+def reference_steps(Y0, i, w, Z, ladder, max_halvings):
+    """The halving loop of _certify_yes in Fractions, one step k per delta
+    = 2^-(k+2), each delta in turn: whether the tests that see no pole
+    hold (the basepoint angle, and every competitor inside the interval or
+    beyond Y0), and whether every test holds.  Values come from
+    proj_dist_frac, infima are the least finite endpoint value, and every
+    competitor of a fresh enumeration at w is re-tested at every delta.  At
+    a rational w = a/b the competitors come from the brute-force scan,
+    independent of the convergent enumeration: a hit Y = p/q has
+    q |q a - p b| < b / theta, so q <= b / theta."""
     def dpi(Y, e):
         return proj_dist_frac(Y, INFINITY, e)
 
@@ -99,21 +106,27 @@ def certify_reference(Y0, i, w, Z, ladder, max_halvings):
         hits = brute_force_large_projections(
             INFINITY, w, Th4 / 2, qmax=math.floor(w.denominator / (Th4 / 2)))
     hits = [V for V, _ in hits]
-    delta = Fraction(1, 4)
-    for _ in range(max_halvings):
+    for k in range(max_halvings):
+        delta = Fraction(1, 4 << k)
         lo, hi = lo0 - 2 * delta, hi0 + 2 * delta
         if Y0 == BASE_INDEX:
-            ok = (lo > 0 or hi < 0) and min(abs(lo), abs(hi)) > margin
+            free = (lo > 0 or hi < 0) and min(abs(lo), abs(hi)) > margin
+            pole = True
         else:
-            ok = max(abs(lo), abs(hi)) < Th and \
-                above(inf(Y0, lo, hi), margin) and all(
-                    lo <= V.tangency <= hi or dpi(Y0, V.tangency) is INFINITE
-                    or dpi(Y0, V.tangency) > margin
-                    for V in hits if V != Y0)
-        if ok and (above(inf(Z, lo, hi), margin4)
-                   or above(inf(Y0, lo, hi), margin4)):
-            return "yes", delta
-        delta /= 2
+            free = max(abs(lo), abs(hi)) < Th and all(
+                lo <= V.tangency <= hi or dpi(Y0, V.tangency) is INFINITE
+                or dpi(Y0, V.tangency) > margin for V in hits if V != Y0)
+            pole = above(inf(Y0, lo, hi), margin)
+        yield free, free and pole and (above(inf(Z, lo, hi), margin4)
+                                       or above(inf(Y0, lo, hi), margin4))
+
+
+def certify_reference(Y0, i, w, Z, ladder, max_halvings):
+    """The first delta of reference_steps at which every test holds."""
+    for k, (_, ok) in enumerate(
+            reference_steps(Y0, i, w, Z, ladder, max_halvings)):
+        if ok:
+            return "yes", Fraction(1, 4 << k)
     return "boundary-uncertain", None
 
 
@@ -177,23 +190,20 @@ class TestSelection:
     @given(st.lists(st.tuples(st.integers(-10 ** 4, 10 ** 4),
                               st.integers(1, 10 ** 4)),
                     min_size=2, max_size=4, unique=True),
-           st.integers(0, 2), st.data())
-    def test_chain_angle_is_proj_dist_frac(self, points, k, data):
-        # any order of finite horoballs, Z the last, angles at each vertex,
-        # against thresholds below, at and above the angle
+           st.integers(0, 2))
+    def test_chain_angle_is_proj_dist_frac(self, points, k):
+        # any order of finite horoballs, Z the last, the angle at a vertex
         *chain, Z = [Horoball(p, q) for p, q in points]
         k = min(k, len(chain) - 1)
         prev = INFINITY if k == 0 else chain[k - 1].tangency
         succ = (Z if k == len(chain) - 1 else chain[k + 1]).tangency
         want = proj_dist_frac(chain[k], prev, succ)
-        Th = data.draw(st.fractions(Fraction(1, 100), 1000).filter(bool))
         if want is INFINITE:
             with pytest.raises(WindowRequiredError):
-                chain_angle_reaches(tuple(chain), k, Z, Th)
+                _chain_angle(tuple(chain), k, Z)
             return
-        for m in {Th, want, want * Fraction(99, 100),
-                  want * Fraction(101, 100)} - {0}:
-            assert chain_angle_reaches(tuple(chain), k, Z, m) == (want >= m)
+        n, f = _chain_angle(tuple(chain), k, Z)
+        assert Fraction(n, f) == want
 
     def test_select_yi_falls_to_tangency(self, ladder):
         # no Theta_1-large projection on the way to 1/2
@@ -236,6 +246,27 @@ class TestSelection:
         assert set(_chain(Z.p, Z.q, ladder.theta)) <= set(graph.vertices)
         assert select_Yi(IDENTITY, xi, i, ladder) == \
             walk_graph(xi, i, ladder, graph)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-400, 400),
+           st.lists(st.integers(1, 5) | st.integers(230, 250)
+                    | st.integers(350, 370) | st.integers(1, 800),
+                    max_size=5))
+    @example(300, [2])
+    @example(240, [])  # the basepoint angle is exactly Theta_1
+    @example(0, [240])
+    def test_one_walk_equals_walk_per_level(self, ladder, a0, quotients):
+        # both levels from one walk, against a walk per level measured by
+        # proj_dist_frac; partial quotients near Theta_1 = 240 and
+        # Theta_2 = 360 put the angles on either side of the thresholds
+        xi = Fraction(a0)
+        tail = Fraction(0)
+        for a in reversed(quotients):
+            tail = 1 / (a + tail)
+        xi += tail
+        Z = _select_z_base(xi, ladder)
+        assert _walk_chain(Z, ladder, xi) == {
+            i: walk_one_level(Z, i, ladder, xi) for i in (1, 2)}
 
 
 class TestMembership:
@@ -303,11 +334,13 @@ class TestMembership:
     @example(Fraction(368639, 1024), 2, 48, "tangency")
     @example(Fraction(2330143, 9472), 2, 48, "walk")
     @example(Fraction(70778869, 196608), 2, 48, "walk")
+    # the 0-ball's value 245 lies between Theta_1 and Theta_1 + theta_P
+    @example(Fraction(1, 245), 1, 48, "ball")
     def test_certificate_matches_fraction_reference(self, ladder, w, i,
                                                     halvings, pick):
         Z = _select_z_base(w, ladder)
         chain = _chain(Z.p, Z.q, ladder.theta) or (Z,)
-        Y0 = {"walk": _walk_chain(Z, i, ladder, w), "base": BASE_INDEX,
+        Y0 = {"walk": _walk_chain(Z, ladder, w)[i], "base": BASE_INDEX,
               "tangency": Z, "ball": Horoball(0, 1),
               "near": Horoball(round(w), 1), "first": chain[0],
               "last": chain[-1]}[pick]
@@ -363,20 +396,52 @@ class TestMembership:
         (Fraction(233), Horoball(0, 1), 1, 48),
         (Fraction(27, 2), Horoball(14, 1), 2, 48),
     ], ids=str)
-    def test_delta_exhausted(self, ladder, monkeypatch, w, Y0, i, searched):
-        ranges = []
-
-        def spy(r, x, key):
-            ranges.append(r)
-            return bisect.bisect_left(r, x, key=key)
-
-        monkeypatch.setattr(thin_cover, "bisect_left", spy)
+    def test_delta_exhausted(self, ladder, w, Y0, i, searched):
+        # the steps whose pole-free tests hold are range(first, stop) of
+        # _certify_yes: `searched` of them, and none passes the rest
         Z = _select_z_base(w, ladder)
+        steps = list(reference_steps(Y0, i, w, Z, ladder, 48))
+        assert sum(free for free, _ in steps) == searched
+        assert not any(ok for _, ok in steps)
         m = _certify_yes(Y0, i, w, Z, ladder, 48)
-        assert [len(r) for r in ranges] == [searched]
         assert m == Membership("boundary-uncertain", detail="delta exhausted")
-        assert certify_reference(Y0, i, w, Z, ladder, 48) == \
-            ("boundary-uncertain", None)
+
+    @pytest.mark.parametrize("w, Y0, i, halvings, guess, k", [
+        # Z's test decides: the answer is the guess
+        (Fraction(1, 500), Horoball(0, 1), 1, 48, 27, 27),
+        # the Y0 test passes first, below the guess (a certificate of the
+        # thin benchmark at seed 7)
+        (Fraction(12233, 3598), Horoball(17, 5), 1, 48, 32, 16),
+        # the guess fails, and so does every k above it
+        (Fraction(306319, 1047), Horoball(293, 1), 2, 48, 29, None),
+        # first = stop = 12 at the basepoint index (its angle 1/2 never
+        # clears the margin): nothing is probed, though Z's test alone
+        # would pass at k = 11, just below the empty range
+        (Fraction(1, 2), BASE_INDEX, 1, 12, 11, None),
+    ], ids=["guess", "below-guess", "guess-fails", "empty-range"])
+    def test_delta_search_from_z_threshold(self, ladder, w, Y0, i, halvings,
+                                           guess, k):
+        # at w = a/b, Z = Horoball(a, b) first passes its Theta_4 test at
+        # the k with 2^(k+1) > (Theta_4 + theta_P) b^2
+        m4 = ladder.Theta(4) + ladder.theta_P
+        assert 2 << guess > m4 * w.denominator ** 2 >= 1 << guess
+        Z = _select_z_base(w, ladder)
+        m = _certify_yes(Y0, i, w, Z, ladder, halvings)
+        assert m.delta == (None if k is None else Fraction(1, 4 << k))
+        assert (m.verdict, m.delta) == \
+            certify_reference(Y0, i, w, Z, ladder, halvings)
+
+    def test_delta_search_guess_below_range(self):
+        # Theta_1 = 240 + 2^-20 leaves w = 240 the room 2^-20, so the range
+        # starts at first = 20, above Z's own k = 9: the guess is clamped up
+        ladder = ThetaLadder(Fraction(2) + Fraction(1, 20 << 20),
+                             Fraction(10), Fraction(6))
+        w = Fraction(240)
+        Z = _select_z_base(w, ladder)
+        m = _certify_yes(Z, 1, w, Z, ladder, 48)
+        assert m.delta == Fraction(1, 4 << 20)
+        assert (m.verdict, m.delta) == \
+            certify_reference(Z, 1, w, Z, ladder, 48)
 
     def test_family_index_validated(self, ladder):
         with pytest.raises(ValueError):
@@ -454,6 +519,45 @@ class TestTheorem:
         assert got is not None
         Y, i, delta = got
         assert Y == Horoball(0, 1) and delta > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(sl2z_words(),
+           st.builds(lambda q, p: Fraction(p, q), st.integers(1, 10 ** 4),
+                     st.integers(-2 * 10 ** 4, 2 * 10 ** 4))
+           | st.builds(lambda n, k: k + Fraction(1, n), st.integers(200, 400),
+                       st.integers(-300, 300))
+           | st.sampled_from([PHI, SQRT2])
+           | st.builds(lambda c, xi: GroupElement(1, 0, c, 1)
+                       .apply_boundary(xi), st.integers(-3000, 3000),
+                       st.sampled_from([PHI, SQRT2])),
+           st.sampled_from(["ball3", "ball2-minus-e"]))
+    @example(GEN_S, Fraction(13, 7634), "ball3")
+    @example(GEN_S, Fraction(6900, 29), "ball3")  # S-long at level 2 only
+    @example(IDENTITY, Fraction(241, 240), "ball2-minus-e")  # level 2 only
+    @example(GroupElement(1, 0, 1, 1), Fraction(1), "ball3")  # not S-long
+    @example(IDENTITY, DEEP_SURD, "ball2-minus-e")
+    def test_long_member_equals_reference(self, ladder, S3, g, base, S_name):
+        # xi = g base: seeded rationals, rationals near the ladder's levels,
+        # surd directions g PHI, g SQRT2 and deep ones; S with the identity
+        # (g itself among the gs) or without
+        xi = g.apply_boundary(base)
+        S = S3 if S_name == "ball3" else FinitePart(
+            tuple(h for h in word_ball(2) if h != IDENTITY))
+        assert find_long_member(g, xi, S, ladder) == \
+            find_long_member_reference(g, xi, S, ladder)
+
+    def test_long_member_needs_a_common_vertex(self, ladder, S3,
+                                               monkeypatch):
+        # at xi = S(6900/29) the translates disagree on Y_1, so even with
+        # every certificate granted the member is found at level 2
+        g, xi = GEN_S, GEN_S.apply_boundary(Fraction(6900, 29))
+        assert len({select_Yi(g * s, xi, 1, ladder)
+                    for s in S3.elements}) > 1
+        monkeypatch.setattr(thin_cover, "_certify_yes", lambda *args:
+                            Membership("yes", delta=Fraction(1, 4)))
+        got = find_long_member(g, xi, S3, ladder)
+        assert got[1] == 2
+        assert got == find_long_member_reference(g, xi, S3, ladder)
 
     def test_small_sample_green(self, ladder, S3):
         rng = random.Random(23)
