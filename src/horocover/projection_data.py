@@ -95,31 +95,34 @@ def _enumerate_at_infinity(w, theta: Fraction):
     if isinstance(w, Surd):
         return enumerate_large_projections_windowed(w, theta)[0]
     if theta >= 2:
-        return _enumerate_inf_convergents(w, theta)
+        b = w.denominator
+        return [(Horoball(p, q), Fraction(b, q * e))
+                for p, q, e in convergent_hits(w.numerator, b, theta)]
     return _enumerate_inf_rational(w, theta)
 
 
-def _enumerate_inf_convergents(w: Fraction, theta: Fraction):
-    """Hits for the pair (infinity, a/b) at theta >= 2, in (q, p) order
-    (q_0 = q_1 = 1 only when a_1 = 1, and then p_1 > p_0).
+def convergent_hits(a: int, b: int, theta: Fraction) -> list:
+    """Hits for the pair (infinity, a/b), b > 0, at theta >= 2, as the
+    integer triples (p, q, e) of Y = p/q with residual e = |q*a - p*b|, in
+    (q, p) order (q_0 = q_1 = 1 only when a_1 = 1, and then p_1 > p_0).
 
-    A value b / (q |q*a - p*b|) > 2 means |a/b - p/q| < 1/(2 q^2), so p/q is
-    a convergent of a/b (Legendre); the extra convergent of the long
+    A value b / (q e) > 2 means |a/b - p/q| < 1/(2 q^2), so p/q is a
+    convergent of a/b (Legendre); the extra convergent of the long
     expansion [..., a_n - 1, 1] has value q_n / (q_n - q_{n-1}) <= 2.  The
-    residual |q*a - p*b| of p_n/q_n is the Euclid remainder r_{n+1}, and the
-    walk ends at r = 0, at a/b itself: O(log b) steps.
+    residual of p_n/q_n is the Euclid remainder r_{n+1}, and the walk ends
+    at r = 0, at a/b itself: O(log b) steps.
     """
-    b, tn, td = w.denominator, theta.numerator, theta.denominator
+    tn, td = theta.numerator, theta.denominator
     hits = []
     p, p_prev, q, q_prev = 1, 0, 0, 1
-    x, e = w.numerator, b
+    x, e = a, b
     while True:
         t, (x, e) = x // e, (e, x % e)
         p, p_prev, q, q_prev = t * p + p_prev, p, t * q + q_prev, q
         if e == 0:
             return hits
         if q * e * tn < b * td:
-            hits.append((Horoball(p, q), Fraction(b, q * e)))
+            hits.append((p, q, e))
 
 
 def _enumerate_inf_rational(w: Fraction, theta: Fraction):

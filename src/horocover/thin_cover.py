@@ -8,6 +8,8 @@ lexicographic (q, p) tie-breaks, preferring values above Theta_5; one walk
 of the linear order of large-projection vertices toward Z gives Y_1 and Y_2.
 Membership in U(Y, i) is certified on explicit delta-intervals, a sound
 under-approximation of the interior; S-longness reduces each translate once.
+At a rational g^{-1} xi = a/b one Euclid walk of a/b gives the chain as
+integer triples, tested in integers against the ladder's integer pairs.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from .hyperbolic import (
     HOROBALL_INF,
     GroupElement,
     Horoball,
-    proj_dist_int,
     word_ball,
 )
 from .projection_data import (
     WindowRequiredError,
+    convergent_hits,
     enumerate_large_projections,
     enumerate_large_projections_windowed,
     sup_projection,
@@ -42,19 +44,26 @@ class LadderAuditError(ValueError):
 
 @dataclass(frozen=True)
 class ThetaLadder:
-    """Theta_i = 10*(i+1)*(theta + theta_S), i = 0..5."""
+    """Theta_i = 10*(i+1)*(theta + theta_S), i = 0..5; Theta_i, the margins
+    Theta_i + theta_P and the floor Theta_4 / 2 also as integer pairs."""
 
     theta: Fraction
     theta_S: Fraction
     theta_P: Fraction  # measured projection-complex margin constant
     _values: tuple = field(init=False, repr=False, compare=False)
+    _levels: tuple = field(init=False, repr=False, compare=False)
     _margins: tuple = field(init=False, repr=False, compare=False)
+    _floor4: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_values", tuple(
-            10 * (i + 1) * (self.theta + self.theta_S) for i in range(6)))
-        object.__setattr__(self, "_margins", tuple(
-            Th + self.theta_P for Th in self._values))
+        Th = tuple(10 * (i + 1) * (self.theta + self.theta_S)
+                   for i in range(6))
+        for name, value in (
+                ("_values", Th), ("_floor4", (Th[4] / 2).as_integer_ratio()),
+                ("_levels", tuple(t.as_integer_ratio() for t in Th)),
+                ("_margins", tuple((t + self.theta_P).as_integer_ratio()
+                                   for t in Th))):
+            object.__setattr__(self, name, value)
         self.audit()
 
     def Theta(self, i: int) -> Fraction:
@@ -143,36 +152,18 @@ def _select_z_base(w, ladder: ThetaLadder) -> Horoball | None:
     return max(top, key=lambda hit: hit[1])[0]
 
 
-def _base_angle(w):
-    """d^pi of the basepoint index between the basepoint o = i and w.
-
-    The anchor is the orbit point, not its tangency at oo, so the basepoint
-    index itself carries the finite angle |Re(o) - w| = |w| and can be the
-    selected vertex (it is crossed first by the geodesic from o to w)."""
-    return abs(w)
-
-
-@lru_cache(maxsize=4096)
-def _chain(p: int, q: int, theta: Fraction) -> tuple:
+@lru_cache(maxsize=64)
+def _chain(a: int, b: int, theta: Fraction) -> tuple:
     """The linear order of large-projection vertices between the basepoint
-    index and Horoball(p/q): every V with d^pi_V(oo, p/q) > theta, sorted
-    by denominator (better approximations of p/q come later)."""
-    hits = enumerate_large_projections(INFINITY, Fraction(p, q), theta)
-    return tuple(sorted((V for V, _ in hits),
-                        key=lambda V: (V.q, abs(V.p), V.p)))
-
-
-def _chain_angle(chain: tuple, k: int, Z: Horoball) -> tuple:
-    """d^max at chain[k] along oo -> ... -> Z as (n, f_a f_c): the
-    projection distance n / (f_a f_c) between its neighbours A, C in the
-    order (endpoints at oo and Z)."""
-    V = chain[k]
-    A = BASE_INDEX if k == 0 else chain[k - 1]
-    C = Z if k == len(chain) - 1 else chain[k + 1]
-    n, fa, fc = proj_dist_int((V.p, V.q), (A.p, A.q), (C.p, C.q))
-    if fa == 0 or fc == 0:
-        raise WindowRequiredError("tangent neighbours in the chain")
-    return n, fa * fc
+    index and Horoball(a/b): every V = p/q with d^pi_V(oo, a/b) = b/(q e) >
+    theta, e = |q a - p b|, as (p, q, e) by denominator; at theta >= 2 from
+    one Euclid walk (`convergent_hits`).  Only the same translate and pair
+    ask for a chain again, so few are kept."""
+    if theta >= 2:
+        return tuple(convergent_hits(a, b, theta))
+    hits = sorted((V for V, _ in enumerate_large_projections(
+        INFINITY, Fraction(a, b), theta)), key=lambda V: (V.q, abs(V.p), V.p))
+    return tuple((V.p, V.q, abs(V.q * a - V.p * b)) for V in hits)
 
 
 def select_Yi(g: GroupElement, xi, i: int,
@@ -189,43 +180,55 @@ def select_Yi(g: GroupElement, xi, i: int,
 def _walk_chain(Z: Horoball, ladder: ThetaLadder, w) -> dict:
     """{i: Y_i} for i = 1, 2 from one walk of the linear order toward Z:
     the first vertex with angle >= Theta_i, the basepoint index first, and
-    Z when there is none.  Theta_2 > Theta_1, so Y_2 never precedes Y_1."""
-    levels, angle = [ladder.Theta(1), ladder.Theta(2)], _base_angle(w)
-    found = [BASE_INDEX for Th in levels if angle >= Th]
-    chain = _chain(Z.p, Z.q, ladder.theta) if len(found) < 2 else ()
-    for k, V in enumerate(chain):
-        n, f = _chain_angle(chain, k, Z)
-        found += [V for Th in levels[len(found):]
-                  if n * Th.denominator >= Th.numerator * f]
-        if len(found) == 2:
-            break
+    Z when there is none.  Theta_2 > Theta_1, so Y_2 never precedes Y_1.
+
+    The anchor is the orbit point o = i, so the basepoint index has the
+    finite angle |Re(o) - w| = |w|.  A chain vertex V's angle between its
+    neighbours A, C in the order is |A x C| / (|V x A| |V x C|) in integer
+    determinants (`proj_dist_int`), finite as the vertices are distinct."""
+    levels = ladder._levels[1:3]
+    if isinstance(w, Fraction):
+        a, b = abs(w.numerator), w.denominator
+        found = [BASE_INDEX for n, d in levels if a * d >= n * b]
+    else:
+        found = [BASE_INDEX for i in (1, 2) if abs(w) >= ladder.Theta(i)]
+    if len(found) < 2:
+        path = ((1, 0, 0), *_chain(Z.p, Z.q, ladder.theta), (Z.p, Z.q, 0))
+        for (ap, aq, _), (p, q, _), (cp, cq, _) in zip(path, path[1:],
+                                                       path[2:]):
+            n = abs(ap * cq - aq * cp)
+            f = abs(q * ap - p * aq) * abs(q * cp - p * cq)
+            found += [Horoball(p, q) for m, d in levels[len(found):]
+                      if n * d >= m * f]
+            if len(found) == 2:
+                break
     return dict(zip((1, 2), found + [Z, Z]))
 
 
 # -- membership in U(Y, i) with interval certification ---------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Membership:
     verdict: str  # "yes" | "no" | "boundary-uncertain"
     delta: Fraction | None = None
     detail: str = ""
 
 
-def _exceeds(Y: Horoball, a: int, b: int, m: Fraction):
+def _exceeds(Y: Horoball, a: int, b: int, m: tuple):
     """Whether d^pi_Y(X, a/b) > m in the base chart (b > 0, a/b in any
-    terms), in integers: the value is b / (q |q a - p b|), so the test is
-    b m.den > m.num q |q a - p b|.  None where the value is infinite: at
-    the pole a/b = p/q, and everywhere for the basepoint index (q = 0).
+    terms; m = (n, d), d > 0), in integers: the value is b / (q |q a - p b|),
+    so the test is b d > n q |q a - p b|.  None where the value is infinite:
+    at the pole a/b = p/q, and everywhere for the basepoint index (q = 0).
     This is `proj_dist_int` at (1, 0), (a, b), inlined on the hot path."""
     p, q = Y.p, Y.q
     gap = abs(q * a - p * b)
     if q == 0 or gap == 0:
         return None
-    return b * m.denominator > m.numerator * q * gap
+    return b * m[1] > m[0] * q * gap
 
 
-def _inf_exceeds(Y: Horoball, lo: tuple, hi: tuple, m: Fraction) -> bool:
+def _inf_exceeds(Y: Horoball, lo: tuple, hi: tuple, m: tuple) -> bool:
     """inf over [lo, hi] of d^pi_Y(X, .) > m, endpoints as (a, b) pairs.
 
     w -> 1/(q|qw - p|) is monotone on each side of its pole and has no zero
@@ -237,11 +240,13 @@ def _inf_exceeds(Y: Horoball, lo: tuple, hi: tuple, m: Fraction) -> bool:
     return False not in ends and True in ends
 
 
-def _halvings(r: Fraction, cap: int) -> int:
-    """The number of steps k in range(cap) with 2 delta = 2^-(k+1) >= r."""
-    if r <= 0:
+def _halvings(x: tuple, y: tuple, cap: int) -> int:
+    """The number of steps k in range(cap) with 2 delta = 2^-(k+1) >= x - y,
+    for integer pairs x, y (positive denominators, any terms)."""
+    n, d = x[0] * y[1] - y[0] * x[1], x[1] * y[1]
+    if n <= 0:
         return cap
-    return min(cap, max(0, (r.denominator // r.numerator).bit_length() - 1))
+    return min(cap, max(0, (d // n).bit_length() - 1))
 
 
 # the number of halvings delta = 1/4, 1/8, ... that membership_U tries
@@ -272,10 +277,7 @@ def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
                 sup_projection(BASE_INDEX, w).below(ladder.Theta(4)):
             return Membership("no", detail="certified Theta_4-thick")
         return Membership("boundary-uncertain", detail="no Z and no certificate")
-    try:
-        Yi = _walk_chain(Z, ladder, w)[i]
-    except WindowRequiredError as err:
-        return Membership("boundary-uncertain", detail=str(err))
+    Yi = _walk_chain(Z, ladder, w)[i]
     if Yi == Y0:
         return _certify_yes(Y0, i, w, Z, ladder, _MAX_HALVINGS)
     # certify the complement: the actual member's interval excludes U(Y0,i)
@@ -285,6 +287,7 @@ def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
     return Membership("boundary-uncertain", detail="competitor uncertified")
 
 
+@lru_cache(maxsize=64)
 def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
                  max_halvings: int) -> Membership:
     """Interval certificate that Y_i stays equal to Y0 near w.
@@ -314,6 +317,10 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
     first passes at the k with 2^(k+1) > margin4 b^2; that k, moved into
     the range if it lies outside, and the k below it are probed first, and
     the bisection runs only where they fail to bracket the answer.
+
+    All tests run on integer pairs; at w = a/b a chain entry (p, q, e) is a
+    competitor when b floor.den > floor.num q e.  A pair's probes ask again
+    for a certificate its translates hold, so the last few are kept.
     """
     # competitors with a pole outside the (doubled) interval: any V with
     # d^pi_V(oo, t) > Theta_4 at some t within delta of w and pole at
@@ -324,19 +331,22 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
     # The enumeration is exact for a surd w as well, so the competitor list
     # is complete and delta needs no cap.  For a rational w the cached chain
     # toward Z = Horoball(w) already holds every V above theta < Theta_4/2.
-    Th, floor4 = ladder.Theta(i), ladder.Theta(4) / 2
-    margin, margin4 = ladder._margins[i], ladder._margins[4]
+    Th, margin, margin4 = ladder._levels[i], ladder._margins[i], \
+        ladder._margins[4]
     if isinstance(w, Surd):
-        lo0, hi0 = surd_interval(w, 60)
+        lo0, hi0 = (t.as_integer_ratio() for t in surd_interval(w, 60))
         try:
-            hits = [V for V, _ in
-                    enumerate_large_projections(INFINITY, w, floor4)]
+            hits = [(V.p, V.q) for V, _ in enumerate_large_projections(
+                INFINITY, w, ladder.Theta(4) / 2)]
         except WindowRequiredError as err:
             return Membership("boundary-uncertain", detail=str(err))
     else:
-        lo0 = hi0 = w
-        hits = [V for V in _chain(w.numerator, w.denominator, ladder.theta)
-                if _exceeds(V, w.numerator, w.denominator, floor4)]
+        a, b = w.numerator, w.denominator
+        lo0 = hi0 = (a, b)
+        n4, d4 = ladder._floor4
+        hits = [(p, q) for p, q, e in _chain(a, b, ladder.theta)
+                if b * d4 > n4 * q * e]
+    (a0, b0), (a1, b1), cap = lo0, hi0, max_halvings
     # Step k tests delta = 2^-(k+2).  The basepoint index preempts the walk
     # and only needs its own angle inf_H |.| > margin, i.e. lo > margin or
     # hi < -margin (nothing precedes it, nothing competes); any other Y0
@@ -345,14 +355,16 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
     # exactly while 2 delta >= its distance past [lo0, hi0].
     base = Y0 == BASE_INDEX
     if base:
-        room, blockers = max(lo0 - margin, -margin - hi0), []
+        first = min(_halvings(lo0, margin, cap),
+                    _halvings((-margin[0], margin[1]), hi0, cap))
+        blockers = []
     else:
-        room = min(lo0 + Th, Th - hi0)
-        blockers = [V.tangency for V in hits if V != Y0
-                    and _exceeds(Y0, V.p, V.q, margin) is False]
-    reach = max((max(lo0 - t, t - hi0) for t in blockers), default=0)
-    first, stop = _halvings(room, max_halvings), _halvings(reach, max_halvings)
-    (a0, b0), (a1, b1) = lo0.as_integer_ratio(), hi0.as_integer_ratio()
+        first = max(_halvings(lo0, (-Th[0], Th[1]), cap),
+                    _halvings(Th, hi0, cap))
+        blockers = [t for t in hits if t != (Y0.p, Y0.q)
+                    and _exceeds(Y0, *t, margin) is False]
+    stop = min([cap] + [min(_halvings(lo0, t, cap), _halvings(t, hi0, cap))
+                        for t in blockers])
 
     def passes(k):
         s = 2 << k  # 1 / (2 delta)
@@ -364,8 +376,7 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
 
     start, end = first, stop
     if isinstance(w, Fraction) and first < stop:
-        guess = (margin4.numerator * b0 * b0 // margin4.denominator) \
-            .bit_length() - 1
+        guess = (margin4[0] * b0 * b0 // margin4[1]).bit_length() - 1
         guess = min(max(guess, first), stop - 1)
         if not passes(guess):
             start = guess + 1
@@ -477,5 +488,6 @@ def _disjointness_probes(Y: Horoball, i: int, g: GroupElement, xi,
     if not isinstance(w, Fraction):
         return []
     Z = Horoball(w.numerator, w.denominator)
-    walk = (BASE_INDEX,) + _chain(Z.p, Z.q, ladder.theta) + (Z,)
+    walk = [BASE_INDEX, *(Horoball(p, q) for p, q, _ in
+                          _chain(Z.p, Z.q, ladder.theta)), Z]
     return [(Vg, i) for Vg in (V.translate(g) for V in walk) if Vg != Y][:3]

@@ -4,10 +4,12 @@ Each one answers a question the program answers by a faster route: the
 Behrstock scan against the `pair_maxmin` certificate, the path enumeration
 against `ProjComplexGraph.dmax`, the walk in a window graph against the
 walk along the linear order, one walk per ladder level against the walk
-that finds both, the candidate-by-candidate membership loop against
-`find_long_member`, the charts built one triple at a time against
-`build_charts`.  They live beside the tests, so no simplification
-of the program can validate itself through them.
+that finds both, the enumeration against the Euclid walk of `_chain`,
+the candidate-by-candidate membership loop against `find_long_member` and
+the probe-by-probe one against `verify_thin_theorem`, the charts built
+one triple at a time against `build_charts`.  They live beside the
+tests, so no simplification of the program can validate itself through
+them.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from horocover.projection_data import (
     enumerate_large_projections,
     pair_maxmin,
 )
-from horocover.surd import PHI, SQRT2, Surd
+from horocover.surd import INFINITY, PHI, SQRT2, Surd
 from horocover.thin_cover import (
     BASE_INDEX,
-    _base_angle,
-    _chain,
+    ThinReport,
+    _certify_yes,
     _select_z_base,
+    is_theta5_thin,
     membership_U,
     select_Yi,
 )
@@ -140,7 +143,7 @@ def walk_graph(xi, i: int, ladder, graph: ProjComplexGraph) -> Horoball:
     if graph.distance(X, Z) is None:
         raise WindowRequiredError("anchor window disconnected")
     Th = ladder.Theta(i)
-    if _base_angle(xi) >= Th:
+    if abs(xi) >= Th:
         return X
     cands = [V for V in graph.vertices if V not in (X, Z)
              and graph.dmax(X, Z, V) >= Th]
@@ -160,18 +163,39 @@ def walk_graph(xi, i: int, ladder, graph: ProjComplexGraph) -> Horoball:
     return Yi
 
 
+def chain_reference(a: int, b: int, theta: Fraction) -> tuple:
+    """The chain toward Horoball(a/b) by its definition: every V with
+    d^pi_V(oo, a/b) > theta, from `enumerate_large_projections`, sorted by
+    denominator (then |p|, then p), as (p, q, |q a - p b|)."""
+    hits = sorted((V for V, _ in enumerate_large_projections(
+        INFINITY, Fraction(a, b), theta)), key=lambda V: (V.q, abs(V.p), V.p))
+    return tuple((V.p, V.q, abs(V.q * a - V.p * b)) for V in hits)
+
+
+def chain_vertices(Z: Horoball, ladder) -> list:
+    """The horoballs of `chain_reference` toward Z at the ladder's theta."""
+    return [Horoball(p, q)
+            for p, q, _ in chain_reference(Z.p, Z.q, ladder.theta)]
+
+
 def walk_one_level(Z: Horoball, i: int, ladder, w) -> Horoball:
     """Y_i toward Z at a single level: the basepoint index when its angle
     |w| reaches Theta_i, else the first chain vertex whose angle between
     its neighbours, from `proj_dist_frac`, reaches Theta_i, else Z."""
     Th = ladder.Theta(i)
-    if _base_angle(w) >= Th:
+    if abs(w) >= Th:
         return BASE_INDEX
-    path = (BASE_INDEX,) + _chain(Z.p, Z.q, ladder.theta) + (Z,)
+    path = [BASE_INDEX] + chain_vertices(Z, ladder) + [Z]
     for k in range(1, len(path) - 1):
         if proj_dist_frac(path[k], path[k - 1], path[k + 1]) >= Th:
             return path[k]
     return Z
+
+
+def fresh_membership(Y, i, g, xi, ladder):
+    """membership_U with no certificate kept from an earlier call."""
+    _certify_yes.cache_clear()
+    return membership_U(Y, i, g, xi, ladder)
 
 
 def find_long_member_reference(g, xi, S, ladder):
@@ -186,10 +210,47 @@ def find_long_member_reference(g, xi, S, ladder):
             if Y is not None and (Y, i) not in cands:
                 cands.append((Y, i))
     for Y, i in cands:
-        ms = [membership_U(Y, i, g * s, xi, ladder) for s in S.elements]
+        ms = [fresh_membership(Y, i, g * s, xi, ladder) for s in S.elements]
         if all(m.verdict == "yes" for m in ms):
             return Y, i, min(m.delta for m in ms)
     return None
+
+
+def verify_thin_reference(S, ladder, samples) -> ThinReport:
+    """The thin theorem check pair by pair: S-longness from
+    find_long_member_reference, then each disjointness probe, one of the
+    first three vertices of the walk toward Z(g, xi) other than Y (none
+    at an irrational g^-1 xi), answered by its own fresh membership_U."""
+    rep = ThinReport(ladder=ladder.to_dict())
+    for g, xi in samples:
+        if not is_theta5_thin(g, xi, ladder):
+            continue
+        rep.pairs_tested += 1
+        got = find_long_member_reference(g, xi, S, ladder)
+        if got is None:
+            rep.long_failures += 1
+            if len(rep.witnesses) < 10:
+                rep.witnesses.append({"g": repr(g), "xi": str(xi),
+                                      "failure": "not S-long"})
+            continue
+        Y, i, _ = got
+        w = g.inverse().apply_boundary(xi)
+        if not isinstance(w, Fraction):
+            continue
+        Z = Horoball.at(w)
+        walk = [BASE_INDEX] + chain_vertices(Z, ladder) + [Z]
+        probes = [V.translate(g) for V in walk if V.translate(g) != Y][:3]
+        for Yp in probes:
+            m = fresh_membership(Yp, i, g, xi, ladder)
+            if m.verdict == "yes":
+                rep.disjointness_failures += 1
+                if len(rep.witnesses) < 10:
+                    rep.witnesses.append({"g": repr(g), "xi": str(xi),
+                                          "failure": "overlap",
+                                          "pair": [repr(Y), repr(Yp), i]})
+            elif m.verdict == "boundary-uncertain":
+                rep.boundary_uncertain += 1
+    return rep
 
 
 # -- flow-line charts --------------------------------------------------------

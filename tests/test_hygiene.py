@@ -321,7 +321,6 @@ ALIASES = {
     "projection_data.FareyFamily.distance_terms":
         "the family's interface: perfbench/workloads.py passes a family to "
         "the check_* functions",
-    "thin_cover._base_angle": "names the basepoint angle |w| of the walk",
 }
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from horocover import thin_cover
+from horocover import projection_data, thin_cover
 from horocover.certified import INFINITE, surd_interval
 from horocover.hyperbolic import (
     GEN_S,
@@ -21,7 +21,6 @@ from horocover.hyperbolic import (
 )
 from horocover.projection_complex import ProjComplexGraph, build_window
 from horocover.projection_data import (
-    WindowRequiredError,
     brute_force_large_projections,
     enumerate_large_projections,
 )
@@ -34,7 +33,6 @@ from horocover.thin_cover import (
     ThetaLadder,
     _certify_yes,
     _chain,
-    _chain_angle,
     _exceeds,
     _inf_exceeds,
     _select_z_base,
@@ -47,8 +45,10 @@ from horocover.thin_cover import (
     verify_thin_theorem,
 )
 from reference import (
+    chain_reference,
     find_long_member_reference,
     select_Z,
+    verify_thin_reference,
     walk_graph,
     walk_one_level,
 )
@@ -63,6 +63,26 @@ def sl2z_words(max_len=10):
     gens = st.sampled_from([GEN_S, GEN_T, GEN_T.inverse()])
     return st.lists(gens, max_size=max_len).map(
         lambda word: math.prod(word, start=IDENTITY))
+
+
+def expansion(a0, quotients) -> Fraction:
+    """The rational [a0; quotients]."""
+    tail = Fraction(0)
+    for a in reversed(quotients):
+        tail = 1 / (a + tail)
+    return a0 + tail
+
+
+def seeded_pairs(seed: int, n: int) -> list:
+    """n pairs (g, p/q) as the thin workload draws them: g in the word
+    ball of radius 2, q <= 10^4 and |p| <= 2q."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(n):
+        q = rng.randint(1, 10 ** 4)
+        pairs.append((rng.choice(word_ball(2)),
+                      Fraction(rng.randint(-2 * q, 2 * q), q)))
+    return pairs
 
 
 def near_ladder_points():
@@ -186,25 +206,6 @@ class TestSelection:
         assert select_Yi(IDENTITY, xi, 1, ladder) == Horoball(0, 1)
         assert select_Yi(IDENTITY, xi, 2, ladder) == Horoball(1, 300)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-10 ** 4, 10 ** 4),
-                              st.integers(1, 10 ** 4)),
-                    min_size=2, max_size=4, unique=True),
-           st.integers(0, 2))
-    def test_chain_angle_is_proj_dist_frac(self, points, k):
-        # any order of finite horoballs, Z the last, the angle at a vertex
-        *chain, Z = [Horoball(p, q) for p, q in points]
-        k = min(k, len(chain) - 1)
-        prev = INFINITY if k == 0 else chain[k - 1].tangency
-        succ = (Z if k == len(chain) - 1 else chain[k + 1]).tangency
-        want = proj_dist_frac(chain[k], prev, succ)
-        if want is INFINITE:
-            with pytest.raises(WindowRequiredError):
-                _chain_angle(tuple(chain), k, Z)
-            return
-        n, f = _chain_angle(tuple(chain), k, Z)
-        assert Fraction(n, f) == want
-
     def test_select_yi_falls_to_tangency(self, ladder):
         # no Theta_1-large projection on the way to 1/2
         assert select_Yi(IDENTITY, Fraction(1, 2), 1, ladder) == \
@@ -235,15 +236,12 @@ class TestSelection:
         # convergent's angle clear Theta_i.  The window anchored at oo and
         # xi holds every V with d^pi_V(oo, xi) > theta, which is the whole
         # chain, so the graph contains the walk
-        xi = Fraction(a0)
-        tail = Fraction(0)
-        for a in reversed(quotients):
-            tail = 1 / (a + tail)
-        xi += tail
+        xi = expansion(a0, quotients)
         Z = Horoball.at(xi)
         window = build_window((BASE_INDEX, Z), 2 * ladder.theta, Fraction(2))
         graph = ProjComplexGraph(window)
-        assert set(_chain(Z.p, Z.q, ladder.theta)) <= set(graph.vertices)
+        assert {Horoball(p, q) for p, q, _ in _chain(
+            Z.p, Z.q, ladder.theta)} <= set(graph.vertices)
         assert select_Yi(IDENTITY, xi, i, ladder) == \
             walk_graph(xi, i, ladder, graph)
 
@@ -259,14 +257,55 @@ class TestSelection:
         # both levels from one walk, against a walk per level measured by
         # proj_dist_frac; partial quotients near Theta_1 = 240 and
         # Theta_2 = 360 put the angles on either side of the thresholds
-        xi = Fraction(a0)
-        tail = Fraction(0)
-        for a in reversed(quotients):
-            tail = 1 / (a + tail)
-        xi += tail
+        xi = expansion(a0, quotients)
         Z = _select_z_base(xi, ladder)
         assert _walk_chain(Z, ladder, xi) == {
             i: walk_one_level(Z, i, ladder, xi) for i in (1, 2)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-5, 5),
+           st.lists(st.integers(1, 4) | st.integers(300, 330), min_size=1,
+                    max_size=2))
+    @example(0, [318, 1])
+    @example(2, [318, 3, 2])
+    def test_one_walk_equals_walk_per_level_below_two(self, a0, quotients):
+        # at theta = 1/2 the chain holds hits that are not convergents, so
+        # neighbours in the order need not be Farey neighbours, and both
+        # determinants below the angle's fraction count; partial quotients
+        # near 315 put the angles near Theta_2 = 315
+        ladder = ThetaLadder(Fraction(1, 2), Fraction(10), THETA_P)
+        xi = expansion(a0, quotients)
+        Z = _select_z_base(xi, ladder)
+        assert _walk_chain(Z, ladder, xi) == {
+            i: walk_one_level(Z, i, ladder, xi) for i in (1, 2)}
+
+
+class TestChain:
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
+                     st.integers(1, 10 ** 8))
+           # a_1 = 1, with a0 of either sign, and large partial quotients
+           | st.builds(expansion, st.integers(-60, 60),
+                       st.lists(st.integers(1, 9) | st.integers(2, 600),
+                                max_size=12).map(lambda t: [1] + t)),
+           st.sampled_from([Fraction(2), 2 + Fraction(1, 20 << 20),
+                            Fraction(5, 2), Fraction(7)]))
+    @example(Fraction(-1, 3), Fraction(2))  # [-1; 1, 2]
+    @example(Fraction(-2, 5), Fraction(2))  # [-1; 1, 1, 2]
+    @example(expansion(-3, [1, 7, 1, 300]), Fraction(7))
+    def test_chain_equals_enumeration(self, w, theta):
+        # the Euclid walk of w = a/b against the hits of the enumeration,
+        # sorted: the same vertices, order and residuals
+        a, b = w.numerator, w.denominator
+        assert _chain(a, b, theta) == chain_reference(a, b, theta)
+
+    def test_chain_below_two_keeps_the_scan(self):
+        # at theta < 2 hits need not be convergents: -1/3 = [-1; 1, 2] has
+        # the hits -1/1 and 0/1 of equal denominator, 0/1 first
+        theta = Fraction(5, 4)
+        assert _chain(-1, 3, theta) == \
+            chain_reference(-1, 3, theta) == \
+            ((0, 1, 1), (-1, 1, 2), (-1, 2, 1))
 
 
 class TestMembership:
@@ -336,10 +375,13 @@ class TestMembership:
     @example(Fraction(70778869, 196608), 2, 48, "walk")
     # the 0-ball's value 245 lies between Theta_1 and Theta_1 + theta_P
     @example(Fraction(1, 245), 1, 48, "ball")
+    # the 0-ball's value is exactly Theta_4 / 2 = 300: no competitor
+    @example(Fraction(1, 300), 1, 48, "tangency")
     def test_certificate_matches_fraction_reference(self, ladder, w, i,
                                                     halvings, pick):
         Z = _select_z_base(w, ladder)
-        chain = _chain(Z.p, Z.q, ladder.theta) or (Z,)
+        chain = [Horoball(p, q) for p, q, _ in _chain(
+            Z.p, Z.q, ladder.theta)] or [Z]
         Y0 = {"walk": _walk_chain(Z, ladder, w)[i], "base": BASE_INDEX,
               "tangency": Z, "ball": Horoball(0, 1),
               "near": Horoball(round(w), 1), "first": chain[0],
@@ -381,7 +423,8 @@ class TestMembership:
             st.fractions(Fraction(1, 2), 2, max_denominator=64))
         (a0, b0), (a1, b1) = lo0.as_integer_ratio(), hi0.as_integer_ratio()
         got = [_inf_exceeds(Y, (a0 * s - b0, b0 * s), (a1 * s + b1, b1 * s),
-                            m) for s in (2 << k for k in range(steps))]
+                            m.as_integer_ratio())
+               for s in (2 << k for k in range(steps))]
         assert got == sorted(got)
         if Y == BASE_INDEX:
             assert not any(got)
@@ -450,8 +493,9 @@ class TestMembership:
 
 
 class TestEndpointTest:
-    """The integer test b m.den > m.num q |q a - p b| of d^pi_Y(X, a/b) > m
-    against proj_dist_frac, the Fraction oracle."""
+    """The integer test b m.den > m.num q |q a - p b| of d^pi_Y(X, a/b) > m,
+    m passed as its integer pair, against proj_dist_frac, the Fraction
+    oracle."""
 
     @staticmethod
     def oracle(Y, a, b, m):
@@ -467,7 +511,8 @@ class TestEndpointTest:
         if p == 0 and q == 0:
             p = 1
         Y = Horoball(p, q)
-        assert _exceeds(Y, k * a, k * b, m) == self.oracle(Y, a, b, m)
+        assert _exceeds(Y, k * a, k * b, m.as_integer_ratio()) == \
+            self.oracle(Y, a, b, m)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 3),
@@ -481,29 +526,30 @@ class TestEndpointTest:
             return
         for m in (d - abs(eps) * d, d, d + abs(eps) * d):
             if m > 0:
-                assert _exceeds(Y, a, b, m) == (d > m) == \
-                    self.oracle(Y, a, b, m)
+                assert _exceeds(Y, a, b, m.as_integer_ratio()) == \
+                    (d > m) == self.oracle(Y, a, b, m)
 
     @pytest.mark.parametrize("Y", [Horoball(3, 7), Horoball(-3, 7),
                                    Horoball(-5, 1)], ids=repr)
     def test_pole_is_infinite(self, Y):
         for k in (1, 2, 9):
-            assert _exceeds(Y, k * Y.p, k * Y.q, Fraction(10 ** 9)) is None
+            assert _exceeds(Y, k * Y.p, k * Y.q, (10 ** 9, 1)) is None
             assert self.oracle(Y, Y.p, Y.q, Fraction(1)) is None
 
     def test_cusp_is_infinite(self):
         cusp = Horoball(1, 0)
         for a, b in ((0, 1), (-3, 7), (10 ** 6, 1)):
-            assert _exceeds(cusp, a, b, Fraction(1, 10 ** 9)) is None
+            assert _exceeds(cusp, a, b, (1, 10 ** 9)) is None
             assert self.oracle(cusp, a, b, Fraction(1)) is None
 
     def test_pinned_values(self):
         # d^pi_{2/5}(X, 1/3) = 3/(5 |5 - 6|) = 3/5
         Y = Horoball(2, 5)
-        assert _exceeds(Y, 1, 3, Fraction(1, 2)) is True
-        assert _exceeds(Y, 1, 3, Fraction(3, 5)) is False
-        assert _exceeds(Y, 2, 6, Fraction(59, 100)) is True
-        assert _exceeds(Horoball(-2, 5), -1, 3, Fraction(3, 5)) is False
+        assert _exceeds(Y, 1, 3, (1, 2)) is True
+        assert _exceeds(Y, 1, 3, (3, 5)) is False
+        assert _exceeds(Y, 2, 6, (59, 100)) is True
+        assert _exceeds(Y, 1, 3, (6, 10)) is False  # m in any terms
+        assert _exceeds(Horoball(-2, 5), -1, 3, (3, 5)) is False
 
 
 class TestTheorem:
@@ -558,6 +604,56 @@ class TestTheorem:
         got = find_long_member(g, xi, S3, ladder)
         assert got[1] == 2
         assert got == find_long_member_reference(g, xi, S3, ladder)
+
+    @pytest.mark.parametrize("seed, S_name, not_long", [
+        (31, "ball3", 2), (37, "ball2-minus-e", 0)])
+    def test_verify_equals_reference_loop(self, ladder, S3, seed, S_name,
+                                          not_long):
+        # the report with each pair's competitor certified once, against
+        # one fresh membership_U per probe; S with and without the identity
+        S = S3 if S_name == "ball3" else FinitePart(
+            tuple(h for h in word_ball(2) if h != IDENTITY))
+        # 237 + 1/300 and its S-image are not S-long at radius 3; xi = 1
+        # is the moved basepoint's tangency, so it is not tested
+        samples = seeded_pairs(seed, 12) + [
+            (IDENTITY, Fraction(241, 240)), (GEN_S, Fraction(13, 7634)),
+            (IDENTITY, 237 + Fraction(1, 300)), (GEN_S, Fraction(-300, 71101)),
+            (GroupElement(1, 0, 1, 1), Fraction(1))]
+        got = verify_thin_theorem(S, ladder, samples)
+        assert (got.pairs_tested, got.long_failures) == \
+            (len(samples) - 1, not_long)
+        assert got == verify_thin_reference(S, ladder, samples)
+
+    def test_probes_certify_no_new_competitor(self, ladder, S3):
+        # with the identity in S, find_long_member already holds the
+        # certificate of Y_i(g, xi) that the disjointness probes ask for
+        samples = seeded_pairs(41, 10)
+        thin_cover._certify_yes.cache_clear()
+        for g, xi in samples:
+            find_long_member(g, xi, S3, ladder)
+        alone = thin_cover._certify_yes.cache_info().misses
+        thin_cover._certify_yes.cache_clear()
+        rep = verify_thin_theorem(S3, ladder, samples)
+        assert rep.pairs_tested == len(samples) and rep.long_failures == 0
+        assert thin_cover._certify_yes.cache_info().misses == alone
+
+    def test_rational_path_skips_enumeration(self, ladder, S3, monkeypatch):
+        # at theta = 2 a rational chain comes from one Euclid walk: the
+        # enumeration is never called, and the members do not change
+        samples = seeded_pairs(43, 10)
+        want = [find_long_member(g, xi, S3, ladder) for g, xi in samples]
+
+        def refuse(*args):
+            raise AssertionError("enumerate_large_projections called")
+
+        for module in (projection_data, thin_cover):
+            monkeypatch.setattr(module, "enumerate_large_projections", refuse)
+        thin_cover._chain.cache_clear()
+        thin_cover._certify_yes.cache_clear()
+        assert ladder.theta == 2
+        assert [find_long_member(g, xi, S3, ladder)
+                for g, xi in samples] == want
+        assert any(want)
 
     def test_small_sample_green(self, ladder, S3):
         rng = random.Random(23)
