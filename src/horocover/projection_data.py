@@ -12,10 +12,11 @@ exact certificate `pair_maxmin`: a pair's sup-min is 1 / |p'q - pq'|, at
 most 1 and equal to 1 at Farey neighbours.  Large projections are
 enumerated exactly, always at the cusp: one endpoint is moved to infinity,
 where a rational other endpoint a/b leaves the integer inequality
-q * |q*a - p*b| < b / theta, which for theta >= 2 only its convergents
-meet (Legendre; one Euclid walk, and a scan below 2), and a quadratic surd
+q * |q*a - p*b| < b / theta, which only small mixes of consecutive
+convergents meet (Worley), and for theta >= 2 only the convergents
+themselves (Legendre): one Euclid walk at every theta.  A quadratic surd
 leaves its convergents, whose values and supremum are exact in Q(sqrt(D))
-by the continued-fraction kernel.
+by the continued-fraction kernel (theta >= 2).
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ def enumerate_large_projections(u, v, theta: Fraction):
     index against itself).  Computed at the cusp: d^pi is SL2(Z)-invariant,
     so a rational endpoint is moved to infinity by `normalizer`, the hits
     against the image w of the other endpoint are enumerated there and
-    translated back.  Exact throughout: for rational w by its convergents
-    (theta >= 2) or an integer scan (theta < 2), for a quadratic surd w by
-    the continued-fraction kernel (theta >= 2).  Two irrational endpoints
+    translated back.  Exact throughout: for rational w by one Euclid walk
+    (`rational_hits`, any theta), for a quadratic surd w by the
+    continued-fraction kernel (theta >= 2).  Two irrational endpoints
     have no kernel and raise WindowRequiredError, as do surd hits that
     accumulate.
     """
@@ -82,11 +83,12 @@ def enumerate_large_projections(u, v, theta: Fraction):
     if u == v:
         return []
     if u is INFINITY:
-        return _enumerate_at_infinity(v, theta)
-    m = normalizer(Horoball.at(u))
-    hits = _enumerate_at_infinity(m.apply_boundary(v), theta)
-    back = m.inverse()
-    hits = [(Y.translate(back), d) for Y, d in hits]
+        hits = _enumerate_at_infinity(v, theta)
+    else:
+        m = normalizer(Horoball.at(u))
+        back = m.inverse()
+        hits = [(Y.translate(back), d) for Y, d in
+                _enumerate_at_infinity(m.apply_boundary(v), theta)]
     hits.sort(key=lambda t: (t[0].q, t[0].p))
     return hits
 
@@ -94,87 +96,58 @@ def enumerate_large_projections(u, v, theta: Fraction):
 def _enumerate_at_infinity(w, theta: Fraction):
     if isinstance(w, Surd):
         return enumerate_large_projections_windowed(w, theta)[0]
-    if theta >= 2:
-        b = w.denominator
-        return [(Horoball(p, q), Fraction(b, q * e))
-                for p, q, e in convergent_hits(w.numerator, b, theta)]
-    return _enumerate_inf_rational(w, theta)
+    b = w.denominator
+    return [(Horoball(p, q), Fraction(b, q * e))
+            for p, q, e in rational_hits(w.numerator, b, theta)]
 
 
-def convergent_hits(a: int, b: int, theta: Fraction) -> list:
-    """Hits for the pair (infinity, a/b), b > 0, at theta >= 2, as the
-    integer triples (p, q, e) of Y = p/q with residual e = |q*a - p*b|, in
-    (q, p) order (q_0 = q_1 = 1 only when a_1 = 1, and then p_1 > p_0).
+def rational_hits(a: int, b: int, theta: Fraction) -> list:
+    """Hits for the pair (infinity, a/b), b > 0, at any theta > 0, as the
+    integer triples (p, q, e) of Y = p/q with residual e = |q*a - p*b|, by
+    q, then |p|, then p, from one Euclid walk of a/b.
 
-    A value b / (q e) > 2 means |a/b - p/q| < 1/(2 q^2), so p/q is a
-    convergent of a/b (Legendre); the extra convergent of the long
-    expansion [..., a_n - 1, 1] has value q_n / (q_n - q_{n-1}) <= 2.  The
+    A value b / (q e) > theta means |a/b - p/q| < c / q^2 with c = 1/theta,
+    so p/q = r (p_m, q_m) +- s (p_{m-1}, q_{m-1}) for consecutive
+    convergents and integers r, s >= 0 with r s < 2c (Worley, Estimating
+    |alpha - p/q|, J. Austral. Math. Soc. 1981; Theorem 1 of Dujella,
+    Continued fractions and RSA with small secret exponent, 2004).  With
+    gcd(r, s) = 1 every such mix is in lowest terms.  At theta
+    >= 2 no mix has r s theta < 2: the hits are convergents (Legendre), and
+    the walk appends them in order, no two sharing a denominator (both
+    within 1/(2 q^2) of a/b, p/q and p'/q would have |p - p'| < 1/q).  The
+    extra convergent of the long expansion [..., a_n - 1, 1], the mix
+    (p_n - p_{n-1}) / (q_n - q_{n-1}), has value q_n / (q_n - q_{n-1}) <=
+    2.  Only below 2, with mixes among the hits, is the list sorted.  The
     residual of p_n/q_n is the Euclid remainder r_{n+1}, and the walk ends
-    at r = 0, at a/b itself: O(log b) steps.
+    at r = 0, at a/b itself: O(log b) steps, each testing O((2/theta)
+    log(2/theta)) mixes below 2.
     """
     tn, td = theta.numerator, theta.denominator
-    hits = []
+    cap = (2 * td - 1) // tn  # r s theta < 2 exactly when r s <= cap
+    mixes = [(r, s) for r in range(1, cap + 1)
+             for k in range(1, cap // r + 1) if math.gcd(r, k) == 1
+             for s in (k, -k)]
+    hits, extra = [], set()
     p, p_prev, q, q_prev = 1, 0, 0, 1
     x, e = a, b
     while True:
         t, (x, e) = x // e, (e, x % e)
         p, p_prev, q, q_prev = t * p + p_prev, p, t * q + q_prev, q
+        for r, s in mixes:
+            mp, mq = r * p + s * p_prev, r * q + s * q_prev
+            if mq < 0:
+                mp, mq = -mp, -mq
+            me = abs(mq * a - mp * b)
+            if mq and me and mq * me * tn < b * td:
+                extra.add((mp, mq, me))
         if e == 0:
-            return hits
+            break
         if q * e * tn < b * td:
             hits.append((p, q, e))
-
-
-def _enumerate_inf_rational(w: Fraction, theta: Fraction):
-    """Hits for the pair (infinity, a/b) at theta < 2, where they need not
-    be convergents: Y = p/q with q*|q*a - p*b| < b/theta.
-
-    Split on the residual e = |q*a - p*b|: small q by direct scan, large q
-    (hence small e) along the arithmetic progressions q*a = +-e mod b.
-    Runs in roughly O(sqrt(b/theta)).
-    """
-    a, b = w.numerator, w.denominator
-    tn, td = theta.numerator, theta.denominator
-    # condition: q * e * tn < b * td
-    C = Fraction(b * td, tn)
-    hits = {}
-
-    def consider(p, q):
-        if q < 1 or math.gcd(abs(p), q) != 1:
-            return
-        e = abs(q * a - p * b)
-        if e == 0:
-            return  # Y would be the tangency of w itself
-        if q * e * tn < b * td:
-            hits[(p, q)] = Fraction(b, q * e)
-
-    qs = math.isqrt(math.ceil(C)) + 1
-    for q in range(1, qs + 1):
-        p0 = (q * a) // b
-        k = -(-td // (tn * q)) + 1  # ceil(C / (q b)) + 1, in integers
-        for p in range(p0 - k, p0 + k + 1):
-            consider(p, q)
-    emax = math.floor(C / (qs + 1))
-    if emax >= 1 and b > 1:
-        ainv = pow(a % b, -1, b)
-        for e in range(1, emax + 1):
-            for r in ((e * ainv) % b, (-e * ainv) % b):
-                q = r if r > qs else r + b * ((qs - r) // b + 1)
-                while q * e * tn < b * td:
-                    p_num = q * a
-                    for s in (e, -e):
-                        if (p_num - s) % b == 0:
-                            consider((p_num - s) // b, q)
-                    q += b
-    elif emax >= 1:
-        # b == 1: w is an integer; every e = |q*a - p| works directly
-        for q in range(qs + 1, math.floor(C) + 1):
-            for e in range(1, math.floor(C / q) + 1):
-                consider(q * a - e, q)
-                consider(q * a + e, q)
-    out = [(Horoball(p, q), d) for (p, q), d in hits.items()]
-    out.sort(key=lambda t: (t[0].q, t[0].p))
-    return out
+    if extra:
+        hits = sorted(extra.union(hits),
+                      key=lambda h: (h[1], abs(h[0]), h[0]))
+    return hits
 
 
 def brute_force_large_projections(u, v, theta: Fraction, qmax: int):

@@ -1,10 +1,12 @@
 """Brute-force references that the tests compare the program with.
 
 Each one answers a question the program answers by a faster route: the
-Behrstock scan against the `pair_maxmin` certificate, the path enumeration
-against `ProjComplexGraph.dmax`, the walk in a window graph against the
-walk along the linear order, one walk per ladder level against the walk
-that finds both, the enumeration against the Euclid walk of `_chain`,
+Behrstock scan against the `pair_maxmin` certificate, the integer scan
+for large projections at a rational point against the Euclid walk of
+`rational_hits`, the path enumeration against `ProjComplexGraph.dmax`,
+the walk in a window graph against the walk along the linear order, one
+walk per ladder level against the walk that finds both, the sorted
+enumeration against the chain order of `_chain`,
 the candidate-by-candidate membership loop against `find_long_member` and
 the probe-by-probe one against `verify_thin_theorem`, the charts built
 one triple at a time against `build_charts`.  They live beside the
@@ -62,6 +64,61 @@ def calibrate_behrstock(qmax: int):
                         f"crossing check failed for {Y},{Yp}: {got} != {val}")
                 best, witness = val, (Y, Yp, xi)
     return best, witness
+
+
+# -- large projections at a rational point ----------------------------------
+
+
+def enumerate_inf_rational_scan(w: Fraction, theta: Fraction):
+    """Hits for the pair (infinity, a/b) at any theta > 0, convergents or
+    not, by an integer scan: Y = p/q with q*|q*a - p*b| < b/theta.
+
+    Split on the residual e = |q*a - p*b|: small q by direct scan, large q
+    (hence small e) along the arithmetic progressions q*a = +-e mod b.
+    Runs in roughly O(sqrt(b/theta)).
+    """
+    a, b = w.numerator, w.denominator
+    tn, td = theta.numerator, theta.denominator
+    # condition: q * e * tn < b * td
+    C = Fraction(b * td, tn)
+    hits = {}
+
+    def consider(p, q):
+        if q < 1 or math.gcd(abs(p), q) != 1:
+            return
+        e = abs(q * a - p * b)
+        if e == 0:
+            return  # Y would be the tangency of w itself
+        if q * e * tn < b * td:
+            hits[(p, q)] = Fraction(b, q * e)
+
+    qs = math.isqrt(math.ceil(C)) + 1
+    for q in range(1, qs + 1):
+        p0 = (q * a) // b
+        k = -(-td // (tn * q)) + 1  # ceil(C / (q b)) + 1, in integers
+        for p in range(p0 - k, p0 + k + 1):
+            consider(p, q)
+    emax = math.floor(C / (qs + 1))
+    if emax >= 1 and b > 1:
+        ainv = pow(a % b, -1, b)
+        for e in range(1, emax + 1):
+            for r in ((e * ainv) % b, (-e * ainv) % b):
+                q = r if r > qs else r + b * ((qs - r) // b + 1)
+                while q * e * tn < b * td:
+                    p_num = q * a
+                    for s in (e, -e):
+                        if (p_num - s) % b == 0:
+                            consider((p_num - s) // b, q)
+                    q += b
+    elif emax >= 1:
+        # b == 1: w is an integer; every e = |q*a - p| works directly
+        for q in range(qs + 1, math.floor(C) + 1):
+            for e in range(1, math.floor(C / q) + 1):
+                consider(q * a - e, q)
+                consider(q * a + e, q)
+    out = [(Horoball(p, q), d) for (p, q), d in hits.items()]
+    out.sort(key=lambda t: (t[0].q, t[0].p))
+    return out
 
 
 # -- projection-complex windows ---------------------------------------------
@@ -217,7 +274,10 @@ def find_long_member_reference(g, xi, S, ladder):
 
 
 def verify_thin_reference(S, ladder, samples) -> ThinReport:
-    """The thin theorem check pair by pair: S-longness from
+    """The thin theorem check pair by pair: boundary-uncertain where large
+    projections accumulate, so that Z(g, xi) is undefined (equivalent
+    quadratic surds share their periodic tail, and with it the class
+    limits, so every translate gs agrees), else S-longness from
     find_long_member_reference, then each disjointness probe, one of the
     first three vertices of the walk toward Z(g, xi) other than Y (none
     at an irrational g^-1 xi), answered by its own fresh membership_U."""
@@ -226,6 +286,15 @@ def verify_thin_reference(S, ladder, samples) -> ThinReport:
         if not is_theta5_thin(g, xi, ladder):
             continue
         rep.pairs_tested += 1
+        try:
+            select_Z(g, xi, ladder)
+        except WindowRequiredError as err:
+            rep.boundary_uncertain += 1
+            if len(rep.witnesses) < 10:
+                rep.witnesses.append({"g": repr(g), "xi": str(xi),
+                                      "failure": "boundary-uncertain",
+                                      "reason": str(err)})
+            continue
         got = find_long_member_reference(g, xi, S, ladder)
         if got is None:
             rep.long_failures += 1

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_hyperbolic import reference_proj_dist_frac
 
 from horocover.certified import INFINITE
@@ -26,8 +26,6 @@ from horocover.projection_data import (
     AxiomReport,
     FareyFamily,
     WindowRequiredError,
-    _enumerate_at_infinity,
-    _enumerate_inf_rational,
     brute_force_large_projections,
     check_behrstock,
     check_finiteness,
@@ -42,9 +40,17 @@ from horocover.projection_data import (
     sup_projection,
 )
 from horocover.surd import INFINITY, PHI, SQRT2, Surd
-from reference import calibrate_behrstock, sqrt_of, surd_sample_set
+from reference import (
+    calibrate_behrstock,
+    enumerate_inf_rational_scan,
+    sqrt_of,
+    surd_sample_set,
+)
 
 THRESHOLDS = (Fraction(2), Fraction(5437, 1000), Fraction(300))
+# below 2, where hits need not be convergents: 2 / theta an integer or not
+BELOW_TWO = (Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(1, 4),
+             Fraction(2, 7), Fraction(19, 10), Fraction(1999, 1000))
 ORACLE_QMAX = 1500
 
 
@@ -308,16 +314,25 @@ class TestEnumeration:
         assert hits[Horoball(0, 1)] == 100
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(-10 ** 5, 10 ** 5), st.integers(1, 10 ** 5) | st.just(1),
-           st.sampled_from(THRESHOLDS + (Fraction(2001, 1000),)))
+    @given(st.integers(-10 ** 5, 10 ** 5),
+           st.integers(1, 10 ** 5) | st.sampled_from([1, 2, 3]),
+           st.sampled_from(THRESHOLDS + (Fraction(2001, 1000),) + BELOW_TWO))
+    @example(0, 1, Fraction(1, 4))  # w = 0: the hits are +-s/r, r s < 4
+    # 7/10 = [0; 1, 2, 3]: the long expansion [0; 1, 2, 2, 1] adds the
+    # convergent 5/7 = (7 - 2)/(10 - 3), a mix with r = s = 1, value 10/7
+    @example(7, 10, Fraction(1))
     def test_convergent_hits_match_scan(self, a, b, theta):
+        # the Euclid walk with Worley's mixes against the integer scan, at
+        # thresholds on both sides of 2, in (q, p) order without repeats
         w = Fraction(a, b)
-        assert _enumerate_at_infinity(w, theta) == \
-            _enumerate_inf_rational(w, theta)
+        hits = enumerate_large_projections(INFINITY, w, theta)
+        assert hits == enumerate_inf_rational_scan(w, theta)
+        keys = [(Y.q, Y.p) for Y, _ in hits]
+        assert keys == sorted(set(keys))
 
     def test_convergent_hits_exclude_ties(self):
         # d^pi at 0/1 and at 1/1 against (oo, 1/2) is exactly 2: no hit
-        # at theta = 2, two hits just below it, where the scan runs
+        # at theta = 2, two hits just below it, where 1/1 is a mix
         w = Fraction(1, 2)
         assert enumerate_large_projections(INFINITY, w, Fraction(2)) == []
         assert enumerate_large_projections(

@@ -21,6 +21,7 @@ from horocover.hyperbolic import (
 )
 from horocover.projection_complex import ProjComplexGraph, build_window
 from horocover.projection_data import (
+    WindowRequiredError,
     brute_force_large_projections,
     enumerate_large_projections,
 )
@@ -289,7 +290,9 @@ class TestChain:
                        st.lists(st.integers(1, 9) | st.integers(2, 600),
                                 max_size=12).map(lambda t: [1] + t)),
            st.sampled_from([Fraction(2), 2 + Fraction(1, 20 << 20),
-                            Fraction(5, 2), Fraction(7)]))
+                            Fraction(5, 2), Fraction(7),
+                            # below 2, where hits may share a denominator
+                            Fraction(5, 4), Fraction(1, 2)]))
     @example(Fraction(-1, 3), Fraction(2))  # [-1; 1, 2]
     @example(Fraction(-2, 5), Fraction(2))  # [-1; 1, 1, 2]
     @example(expansion(-3, [1, 7, 1, 300]), Fraction(7))
@@ -299,9 +302,10 @@ class TestChain:
         a, b = w.numerator, w.denominator
         assert _chain(a, b, theta) == chain_reference(a, b, theta)
 
-    def test_chain_below_two_keeps_the_scan(self):
+    def test_chain_below_two_orders_ties_by_size(self):
         # at theta < 2 hits need not be convergents: -1/3 = [-1; 1, 2] has
-        # the hits -1/1 and 0/1 of equal denominator, 0/1 first
+        # the hits -1/1 and 0/1 of equal denominator, 0/1 first by |p|,
+        # where the (q, p) order of the enumeration puts -1/1 first
         theta = Fraction(5, 4)
         assert _chain(-1, 3, theta) == \
             chain_reference(-1, 3, theta) == \
@@ -654,6 +658,32 @@ class TestTheorem:
         assert [find_long_member(g, xi, S3, ladder)
                 for g, xi in samples] == want
         assert any(want)
+
+    def test_accumulating_surd_is_boundary_uncertain(self):
+        # xi = -500 + sqrt(250001) = [0; 1000, 1000, ...]: the convergent
+        # values tend to about 1000 > Theta_5 = 540, so the pair is thin,
+        # but infinitely many of them exceed Theta_4 and Z is undefined
+        S = FinitePart.word_ball(1)
+        ladder = ThetaLadder(Fraction(2), theta_S(S, THETA_P), THETA_P)
+        xi = Surd(-500, 1, 250001, 1)
+        assert is_theta5_thin(IDENTITY, xi, ladder)
+        assert select_Yi(IDENTITY, xi, 1, ladder) is None
+        assert select_Yi(IDENTITY, xi, 2, ladder) is None
+        assert membership_U(Horoball(0, 1), 1, IDENTITY, xi,
+                            ladder).verdict == "boundary-uncertain"
+        with pytest.raises(WindowRequiredError, match="accumulate"):
+            find_long_member(IDENTITY, xi, S, ladder)
+        # an equivalent surd has the same periodic tail, so it accumulates
+        # at every translate as well
+        samples = [(IDENTITY, xi), (GEN_S, GEN_T.apply_boundary(xi))]
+        rep = verify_thin_theorem(S, ladder, samples)
+        assert (rep.pairs_tested, rep.long_failures,
+                rep.boundary_uncertain) == (2, 0, 2)
+        assert rep.witnesses[0] == {
+            "g": repr(IDENTITY), "xi": str(xi),
+            "failure": "boundary-uncertain",
+            "reason": "large projections accumulate"}
+        assert rep == verify_thin_reference(S, ladder, samples)
 
     def test_small_sample_green(self, ladder, S3):
         rng = random.Random(23)
