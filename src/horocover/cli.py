@@ -486,12 +486,13 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
     except ValueError as err:
         parser.error(f"config rejected: {err}")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     if args.calibrate:
+        # written before --seed applies: calibration reads no seed
         cfg = calibrate(cfg)
         Path(args.config).write_text(
             json.dumps(cfg, sort_keys=True, indent=1) + "\n")
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     out = Path(args.out)
     return COMMANDS[args.command](cfg, out)
 

@@ -54,6 +54,8 @@ from .hyperbolic import (
 from .projection_data import cusp_projections, sup_projection
 from .surd import INFINITY, Surd
 
+_T_STEP = Fraction(1, 2)  # between the sample times 0, ..., t_max of a ray
+
 
 @dataclass(frozen=True)
 class ThickParams:
@@ -67,7 +69,6 @@ class ThickParams:
     rho: Fraction
     beta: Fraction
     t_max: Fraction = Fraction(12)
-    t_step: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
         if self.Theta <= 2:
@@ -80,10 +81,8 @@ class ThickParams:
         return math.log(float(self.Theta) / 2)
 
     def t_grid(self):
-        t = Fraction(0)
-        while t <= self.t_max:
-            yield t
-            t += self.t_step
+        steps = math.floor(self.t_max / _T_STEP)
+        return (k * _T_STEP for k in range(steps + 1))
 
 
 @dataclass

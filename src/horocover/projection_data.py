@@ -40,8 +40,8 @@ from .surd import INFINITY, Surd
 
 
 class WindowRequiredError(ValueError):
-    """No finite exact answer: large projections accumulate, or a selection
-    audit failed."""
+    """No finite exact answer: large projections accumulate, or both
+    endpoints are irrational."""
 
 
 class FareyFamily:

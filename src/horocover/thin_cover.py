@@ -8,8 +8,8 @@ lexicographic (q, p) tie-breaks, preferring values above Theta_5; one walk
 of the linear order of large-projection vertices toward Z gives Y_1 and Y_2.
 Membership in U(Y, i) is certified on explicit delta-intervals, a sound
 under-approximation of the interior; S-longness reduces each translate once.
-At a rational g^{-1} xi = a/b one Euclid walk of a/b gives the chain as
-integer triples, tested in integers against the ladder's integer pairs.
+One Euclid walk per translate gives the chain in integers; the intervals
+of the certificates then witness disjointness.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .certified import surd_interval
 from .hyperbolic import (
@@ -152,16 +151,6 @@ def _select_z_base(w, ladder: ThetaLadder) -> Horoball | None:
     return max(top, key=lambda hit: hit[1])[0]
 
 
-@lru_cache(maxsize=64)
-def _chain(a: int, b: int, theta: Fraction) -> tuple:
-    """The linear order of large-projection vertices between the basepoint
-    index and Horoball(a/b): every V = p/q with d^pi_V(oo, a/b) = b/(q e) >
-    theta, e = |q a - p b|, as (p, q, e) by denominator, then |p|, then p,
-    from one Euclid walk (`rational_hits`).  Only the same translate and
-    pair ask for a chain again, so few are kept."""
-    return tuple(rational_hits(a, b, theta))
-
-
 def select_Yi(g: GroupElement, xi, i: int,
               ladder: ThetaLadder) -> Horoball | None:
     """The vertex Y_i(g, xi), or None when Z(g, xi) is undefined, as it is
@@ -174,13 +163,15 @@ def select_Yi(g: GroupElement, xi, i: int,
         return None
     if Z is None:
         return None
-    return _walk_chain(Z, ladder, w)[i].translate(g)
+    chain = rational_hits(Z.p, Z.q, ladder.theta)
+    return _walk_chain(Z, ladder, w, chain)[i].translate(g)
 
 
-def _walk_chain(Z: Horoball, ladder: ThetaLadder, w) -> dict:
+def _walk_chain(Z: Horoball, ladder: ThetaLadder, w, chain: list) -> dict:
     """{i: Y_i} for i = 1, 2 from one walk of the linear order toward Z:
     the first vertex with angle >= Theta_i, the basepoint index first, and
     Z when there is none.  Theta_2 > Theta_1, so Y_2 never precedes Y_1.
+    The order is `chain`, from `rational_hits(Z.p, Z.q, ladder.theta)`.
 
     The anchor is the orbit point o = i, so the basepoint index has the
     finite angle |Re(o) - w| = |w|.  A chain vertex V's angle between its
@@ -193,7 +184,7 @@ def _walk_chain(Z: Horoball, ladder: ThetaLadder, w) -> dict:
     else:
         found = [BASE_INDEX for i in (1, 2) if abs(w) >= ladder.Theta(i)]
     if len(found) < 2:
-        path = ((1, 0, 0), *_chain(Z.p, Z.q, ladder.theta), (Z.p, Z.q, 0))
+        path = ((1, 0, 0), *chain, (Z.p, Z.q, 0))
         for (ap, aq, _), (p, q, _), (cp, cq, _) in zip(path, path[1:],
                                                        path[2:]):
             n = abs(ap * cq - aq * cp)
@@ -277,20 +268,21 @@ def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
                 sup_projection(BASE_INDEX, w).below(ladder.Theta(4)):
             return Membership("no", detail="certified Theta_4-thick")
         return Membership("boundary-uncertain", detail="no Z and no certificate")
-    Yi = _walk_chain(Z, ladder, w)[i]
+    chain = rational_hits(Z.p, Z.q, ladder.theta)
+    Yi = _walk_chain(Z, ladder, w, chain)[i]
     if Yi == Y0:
-        return _certify_yes(Y0, i, w, Z, ladder, _MAX_HALVINGS)
+        return _certify_yes(Y0, i, w, Z, chain, ladder, _MAX_HALVINGS)
     # certify the complement: the actual member's interval excludes U(Y0,i)
-    other = _certify_yes(Yi, i, w, Z, ladder, _MAX_HALVINGS)
+    other = _certify_yes(Yi, i, w, Z, chain, ladder, _MAX_HALVINGS)
     if other.verdict == "yes":
         return Membership("no", detail=f"certified member of U({Yi},{i})")
     return Membership("boundary-uncertain", detail="competitor uncertified")
 
 
-@lru_cache(maxsize=64)
-def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
-                 max_halvings: int) -> Membership:
-    """Interval certificate that Y_i stays equal to Y0 near w.
+def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, chain: list,
+                 ladder: ThetaLadder, max_halvings: int) -> Membership:
+    """Interval certificate that Y_i stays equal to Y0 near w, given the
+    chain toward Z that the walk to Y0 used.
 
     Sound sufficient conditions on H = [w - delta, w + delta]:
       (1) inf_H d^pi_{Y0}(X, .) > Theta_i + theta_P: every horoball with
@@ -319,8 +311,7 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
     the bisection runs only where they fail to bracket the answer.
 
     All tests run on integer pairs; at w = a/b a chain entry (p, q, e) is a
-    competitor when b floor.den > floor.num q e.  A pair's probes ask again
-    for a certificate its translates hold, so the last few are kept.
+    competitor when b floor.den > floor.num q e.
     """
     # competitors with a pole outside the (doubled) interval: any V with
     # d^pi_V(oo, t) > Theta_4 at some t within delta of w and pole at
@@ -329,8 +320,8 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
     # Poles inside the doubled interval are the tangency family, covered
     # wholesale by the inf bound (1).
     # The enumeration is exact for a surd w as well, so the competitor list
-    # is complete and delta needs no cap.  For a rational w the cached chain
-    # toward Z = Horoball(w) already holds every V above theta < Theta_4/2.
+    # is complete and delta needs no cap.  For a rational w the chain toward
+    # Z = Horoball(w) already holds every V above theta < Theta_4/2.
     Th, margin, margin4 = ladder._levels[i], ladder._margins[i], \
         ladder._margins[4]
     if isinstance(w, Surd):
@@ -344,8 +335,7 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, ladder: ThetaLadder,
         a, b = w.numerator, w.denominator
         lo0 = hi0 = (a, b)
         n4, d4 = ladder._floor4
-        hits = [(p, q) for p, q, e in _chain(a, b, ladder.theta)
-                if b * d4 > n4 * q * e]
+        hits = [(p, q) for p, q, e in chain if b * d4 > n4 * q * e]
     (a0, b0), (a1, b1), cap = lo0, hi0, max_halvings
     # Step k tests delta = 2^-(k+2).  The basepoint index preempts the walk
     # and only needs its own angle inf_H |.| > margin, i.e. lo > margin or
@@ -419,12 +409,11 @@ def is_theta5_thin(g: GroupElement, xi, ladder: ThetaLadder) -> bool:
 
 def find_long_member(g: GroupElement, xi, S: FinitePart,
                      ladder: ThetaLadder):
-    """(Y, i, min delta) such that (gs, xi) is certified in U(Y,i) for every
-    s in S, or None.  (gs, xi) lies in U(Y, i) exactly when Y_i(gs, xi) = Y
-    and the certificate of Y_i holds, so level i has one candidate: the
-    walk vertex Y_i(gs, xi) of the cover lemma, when it is defined and the
-    same for every s.  Each gs is reduced to the base chart once, w =
-    (gs)^-1 xi with Z(e, w) and both Y_i from one walk.  Raises
+    """(Y, i, certificates) with (gs, xi) certified in U(Y,i) for every s
+    in S, or None; the certificate (h, w, delta) of h = gs says Y_i(h, .) =
+    Y on [w - delta, w + delta], w = h^-1 xi.  Level i has one candidate:
+    Y_i(gs, xi), when it is the same for every s.  Each gs is reduced to
+    the base chart once, with Z(e, w), one chain and one walk.  Raises
     WindowRequiredError where large projections accumulate at some w: no
     certificate decides the pair there."""
     walks = []
@@ -434,29 +423,61 @@ def find_long_member(g: GroupElement, xi, S: FinitePart,
         Z = _select_z_base(w, ladder)
         if Z is None:
             return None
-        walks.append((h, w, Z, _walk_chain(Z, ladder, w)))
+        chain = rational_hits(Z.p, Z.q, ladder.theta)
+        walks.append((h, w, Z, chain, _walk_chain(Z, ladder, w, chain)))
     for i in (1, 2):
-        common = {Ys[i].translate(h) for h, _, _, Ys in walks}
+        common = {Ys[i].translate(h) for h, _, _, _, Ys in walks}
         if len(common) != 1:
             continue
-        deltas = []
-        for _, w, Z, Ys in walks:
-            m = _certify_yes(Ys[i], i, w, Z, ladder, _MAX_HALVINGS)
+        certificates = []
+        for h, w, Z, chain, Ys in walks:
+            m = _certify_yes(Ys[i], i, w, Z, chain, ladder, _MAX_HALVINGS)
             if m.verdict != "yes":
                 break
-            deltas.append(m.delta)
+            certificates.append((h, w, m.delta))
         else:
-            return common.pop(), i, min(deltas)
+            return common.pop(), i, certificates
     return None
+
+
+def _overlaps(members):
+    """(n, h, Y') for each certificate of the n-th member (..., Y, i,
+    certificates) whose interval meets, ends included, an earlier one of
+    the same translate h and level i certifying another member Y': both
+    certify Y_i(h, .), so they must be disjoint.  A surd centre enters with
+    the inner interval [hi0 - delta, lo0 + delta] of its enclosure, which
+    delta >= 2^-49 keeps nonempty.  Each group is swept by left end, keeping
+    the two members that reach furthest right.  Ends p/d compare exactly as
+    floor(p 2^k / d), 2^k >= every denominator squared."""
+    groups = {}
+    for n, (*_, Y, i, certificates) in enumerate(members):
+        for h, w, delta in certificates:
+            lo0, hi0 = surd_interval(w, 60) if isinstance(w, Surd) else (w, w)
+            (a, b), (c, d) = hi0.as_integer_ratio(), lo0.as_integer_ratio()
+            r, s = delta.as_integer_ratio()
+            groups.setdefault((h, i), []).append(
+                ((a * s - r * b) * d, (c * s + r * d) * b, b * d * s, Y, n))
+    for (h, _), group in groups.items():
+        k = 2 * max(e[2] for e in group).bit_length()
+        reach = {}
+        for lo, n, hi, Y in sorted(((lo << k) // d, n, (hi << k) // d, Y)
+                                   for lo, hi, d, Y, n in group):
+            rivals = [V for V, r in reach.items() if V != Y and r >= lo]
+            if rivals:
+                yield n, h, rivals[0]
+            reach[Y] = max(hi, reach.get(Y, hi))
+            if len(reach) > 2:
+                del reach[min(reach, key=reach.get)]
 
 
 def verify_thin_theorem(S: FinitePart, ladder: ThetaLadder,
                         samples) -> ThinReport:
     """Theorem-level check on sampled Theta_5-thin pairs: S-longness in
-    U(.,1) or U(.,2), family-wise disjointness, and order <= 1.  A pair
-    whose large projections accumulate at a translate is
-    boundary-uncertain, not a failure."""
+    U(.,1) or U(.,2), then disjointness (order <= 1) in each family from
+    the certificates of the S-long pairs.  A pair whose large projections
+    accumulate at a translate is boundary-uncertain, not a failure."""
     rep = ThinReport(ladder=ladder.to_dict())
+    members = []
     for (g, xi) in samples:
         if not is_theta5_thin(g, xi, ladder):
             continue
@@ -465,41 +486,19 @@ def verify_thin_theorem(S: FinitePart, ladder: ThetaLadder,
             got = find_long_member(g, xi, S, ladder)
         except WindowRequiredError as err:
             rep.boundary_uncertain += 1
-            if len(rep.witnesses) < 10:
-                rep.witnesses.append({"g": repr(g), "xi": str(xi),
-                                      "failure": "boundary-uncertain",
-                                      "reason": str(err)})
+            rep.witnesses.append({"g": repr(g), "xi": str(xi),
+                                  "failure": "boundary-uncertain",
+                                  "reason": str(err)})
             continue
         if got is None:
             rep.long_failures += 1
-            if len(rep.witnesses) < 10:
-                rep.witnesses.append({"g": repr(g), "xi": str(xi),
-                                      "failure": "not S-long"})
+            rep.witnesses.append({"g": repr(g), "xi": str(xi),
+                                  "failure": "not S-long"})
             continue
-        Y, i, _delta = got
-        # order/disjointness: membership in the same family at a different
-        # index must be certified-no (Y_i is a function of (g, xi))
-        for (Yp, ip) in _disjointness_probes(Y, i, g, xi, ladder):
-            m = membership_U(Yp, ip, g, xi, ladder)
-            if m.verdict == "yes":
-                rep.disjointness_failures += 1
-                if len(rep.witnesses) < 10:
-                    rep.witnesses.append({"g": repr(g), "xi": str(xi),
-                                          "failure": "overlap",
-                                          "pair": [repr(Y), repr(Yp), ip]})
-            elif m.verdict == "boundary-uncertain":
-                rep.boundary_uncertain += 1
+        members.append((g, xi, *got))
+    for n, h, Yp in _overlaps(members):
+        rep.disjointness_failures += 1
+        g, xi, Y, i, _ = members[n]
+        rep.witnesses.append(dict(failure="overlap", g=repr(g), xi=str(xi),
+                                  h=repr(h), pair=[repr(Y), repr(Yp), i]))
     return rep
-
-
-def _disjointness_probes(Y: Horoball, i: int, g: GroupElement, xi,
-                         ladder: ThetaLadder):
-    """A few competing (Y', i) in the same family to probe disjointness:
-    the first three walk vertices toward Z(g, xi) other than Y."""
-    w = g.inverse().apply_boundary(xi)
-    if not isinstance(w, Fraction):
-        return []
-    Z = Horoball(w.numerator, w.denominator)
-    walk = [BASE_INDEX, *(Horoball(p, q) for p, q, _ in
-                          _chain(Z.p, Z.q, ladder.theta)), Z]
-    return [(Vg, i) for Vg in (V.translate(g) for V in walk) if Vg != Y][:3]

@@ -6,10 +6,11 @@ for large projections at a rational point against the Euclid walk of
 `rational_hits`, the path enumeration against `ProjComplexGraph.dmax`,
 the walk in a window graph against the walk along the linear order, one
 walk per ladder level against the walk that finds both, the sorted
-enumeration against the chain order of `_chain`,
-the candidate-by-candidate membership loop against `find_long_member` and
-the probe-by-probe one against `verify_thin_theorem`, the charts built
-one triple at a time against `build_charts`.  They live beside the
+enumeration against the chain order of `rational_hits`, the
+candidate-by-candidate membership loop against `find_long_member` and
+the comparison of every pair of certified intervals in Fractions against
+the disjointness sweep of `verify_thin_theorem`, the charts built one
+triple at a time against `build_charts`.  They live beside the
 tests, so no simplification of the program can validate itself through
 them.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from horocover.certified import surd_interval
 from horocover.flow_cover import FlowLineChart
 from horocover.hyperbolic import Horoball, proj_dist_frac
 from horocover.projection_complex import ProjComplexGraph, Window
@@ -31,7 +33,6 @@ from horocover.surd import INFINITY, PHI, SQRT2, Surd
 from horocover.thin_cover import (
     BASE_INDEX,
     ThinReport,
-    _certify_yes,
     _select_z_base,
     is_theta5_thin,
     membership_U,
@@ -249,17 +250,11 @@ def walk_one_level(Z: Horoball, i: int, ladder, w) -> Horoball:
     return Z
 
 
-def fresh_membership(Y, i, g, xi, ladder):
-    """membership_U with no certificate kept from an earlier call."""
-    _certify_yes.cache_clear()
-    return membership_U(Y, i, g, xi, ladder)
-
-
 def find_long_member_reference(g, xi, S, ladder):
     """S-longness by its definition: the candidates (Y, i) are the values
     of select_Yi at h = g, then h = gs, for i = 1, then i = 2, in that
     order without repeats; the first whose membership_U is "yes" at every
-    gs gives (Y, i, least delta)."""
+    gs gives (Y, i, [(gs, (gs)^-1 xi, delta) for s in S])."""
     cands = []
     for i in (1, 2):
         for h in [g] + [g * s for s in S.elements]:
@@ -267,10 +262,36 @@ def find_long_member_reference(g, xi, S, ladder):
             if Y is not None and (Y, i) not in cands:
                 cands.append((Y, i))
     for Y, i in cands:
-        ms = [fresh_membership(Y, i, g * s, xi, ladder) for s in S.elements]
+        ms = [membership_U(Y, i, g * s, xi, ladder) for s in S.elements]
         if all(m.verdict == "yes" for m in ms):
-            return Y, i, min(m.delta for m in ms)
+            return Y, i, [(g * s, (g * s).inverse().apply_boundary(xi),
+                           m.delta) for s, m in zip(S.elements, ms)]
     return None
+
+
+def overlaps_reference(members) -> list:
+    """(n, h, rivals) for each certificate (h, w, delta) of the n-th member
+    (Y, i, certificates), in that order, whose interval meets an earlier
+    one of the same translate h and level i certifying a member other than
+    Y; rivals is the set of those members.  Each pair of intervals is
+    compared in Fractions.  The interval is [w - delta, w + delta], at a
+    surd w the part [hi0 - delta, lo0 + delta] that every point of its
+    enclosure [lo0, hi0] shares; an interval is earlier when its left end
+    is smaller, or equal and given earlier."""
+    ivals = []
+    for n, (Y, i, certificates) in enumerate(members):
+        for h, w, delta in certificates:
+            lo0, hi0 = surd_interval(w, 60) if isinstance(w, Surd) \
+                else (w, w)
+            ivals.append((h, i, hi0 - delta, lo0 + delta, Y, n))
+    out = []
+    for k, (h, i, lo, hi, Y, n) in enumerate(ivals):
+        rivals = {Y2 for k2, (h2, i2, lo2, hi2, Y2, _) in enumerate(ivals)
+                  if (h2, i2) == (h, i) and Y2 != Y and (lo2, k2) < (lo, k)
+                  and max(lo, lo2) <= min(hi, hi2)}
+        if rivals:
+            out.append((n, h, rivals))
+    return out
 
 
 def verify_thin_reference(S, ladder, samples) -> ThinReport:
@@ -278,10 +299,11 @@ def verify_thin_reference(S, ladder, samples) -> ThinReport:
     projections accumulate, so that Z(g, xi) is undefined (equivalent
     quadratic surds share their periodic tail, and with it the class
     limits, so every translate gs agrees), else S-longness from
-    find_long_member_reference, then each disjointness probe, one of the
-    first three vertices of the walk toward Z(g, xi) other than Y (none
-    at an irrational g^-1 xi), answered by its own fresh membership_U."""
+    find_long_member_reference; then disjointness from every pair of the
+    members' certified intervals (`overlaps_reference`), an overlap
+    witness naming the rival of least denominator, then numerator."""
     rep = ThinReport(ladder=ladder.to_dict())
+    members, pairs = [], []
     for g, xi in samples:
         if not is_theta5_thin(g, xi, ladder):
             continue
@@ -290,35 +312,25 @@ def verify_thin_reference(S, ladder, samples) -> ThinReport:
             select_Z(g, xi, ladder)
         except WindowRequiredError as err:
             rep.boundary_uncertain += 1
-            if len(rep.witnesses) < 10:
-                rep.witnesses.append({"g": repr(g), "xi": str(xi),
-                                      "failure": "boundary-uncertain",
-                                      "reason": str(err)})
+            rep.witnesses.append({"g": repr(g), "xi": str(xi),
+                                  "failure": "boundary-uncertain",
+                                  "reason": str(err)})
             continue
         got = find_long_member_reference(g, xi, S, ladder)
         if got is None:
             rep.long_failures += 1
-            if len(rep.witnesses) < 10:
-                rep.witnesses.append({"g": repr(g), "xi": str(xi),
-                                      "failure": "not S-long"})
+            rep.witnesses.append({"g": repr(g), "xi": str(xi),
+                                  "failure": "not S-long"})
             continue
-        Y, i, _ = got
-        w = g.inverse().apply_boundary(xi)
-        if not isinstance(w, Fraction):
-            continue
-        Z = Horoball.at(w)
-        walk = [BASE_INDEX] + chain_vertices(Z, ladder) + [Z]
-        probes = [V.translate(g) for V in walk if V.translate(g) != Y][:3]
-        for Yp in probes:
-            m = fresh_membership(Yp, i, g, xi, ladder)
-            if m.verdict == "yes":
-                rep.disjointness_failures += 1
-                if len(rep.witnesses) < 10:
-                    rep.witnesses.append({"g": repr(g), "xi": str(xi),
-                                          "failure": "overlap",
-                                          "pair": [repr(Y), repr(Yp), i]})
-            elif m.verdict == "boundary-uncertain":
-                rep.boundary_uncertain += 1
+        members.append(got)
+        pairs.append((g, xi))
+    for n, h, rivals in overlaps_reference(members):
+        rep.disjointness_failures += 1
+        (g, xi), (Y, i, _) = pairs[n], members[n]
+        Yp = min(rivals, key=lambda V: (V.q, V.p))
+        rep.witnesses.append({"g": repr(g), "xi": str(xi), "h": repr(h),
+                              "failure": "overlap",
+                              "pair": [repr(Y), repr(Yp), i]})
     return rep
 
 

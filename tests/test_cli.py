@@ -116,6 +116,19 @@ class TestPins:
         assert p.read_text() == json.dumps(written, sort_keys=True,
                                            indent=1) + "\n"
 
+    def test_calibrate_keeps_seed_out_of_config(self, tmp_path,
+                                                monkeypatch):
+        # --seed changes the run, not the calibrated file
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"seed": 3}))
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "complex",
+                            lambda cfg, out: seen.append(cfg["seed"]) or 0)
+        rc = cli.main(["complex", "--config", str(p), "--calibrate",
+                       "--seed", "9", "--out", str(tmp_path / "r")])
+        assert rc == 0 and seen == [9]
+        assert json.loads(p.read_text())["seed"] == 3
+
     def test_ladder_from_config(self, cfg):
         ladder = cli._ladder(cfg)
         assert ladder.Theta(5) == 720

@@ -1,9 +1,9 @@
 """Source hygiene: every name a horocover module imports is referenced,
 every function, class and public method it defines is used by the program
 or the benchmark, every defaulted parameter is set by some caller, no
-function is a mere alias of another, every cache has a chosen finite size,
-no setdefault builds a default it may not need, and every layer the
-benchmark tracer patches exists."""
+function is a mere alias of another, every cache has a chosen finite size
+and a stated reason, no setdefault builds a default it may not need, and
+every layer the benchmark tracer patches exists."""
 
 import ast
 import importlib.util
@@ -55,11 +55,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unbounded_caches(source: str) -> list[str]:
-    """Functions, nested ones included, decorated by `functools.cache` or
-    by an `lru_cache` without an explicit positive integer maxsize: a cache
-    whose size nobody chose, or one that grows with the run."""
-    found = []
+def _cache_decorators(source: str):
+    """(function, decorator call or None, decorator name) for each function,
+    nested ones included, decorated by `functools.cache` or `lru_cache`."""
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -67,17 +65,25 @@ def unbounded_caches(source: str) -> list[str]:
             call = dec if isinstance(dec, ast.Call) else None
             target = dec.func if call else dec
             name = getattr(target, "attr", getattr(target, "id", None))
-            if name not in ("cache", "lru_cache"):
-                continue
-            size = None
-            if call is not None and name == "lru_cache":
-                given = call.args[:1] + [k.value for k in call.keywords
-                                         if k.arg == "maxsize"]
-                size = given[0].value if given and isinstance(
-                    given[0], ast.Constant) else None
-            if not (isinstance(size, int) and not isinstance(size, bool)
-                    and size > 0):
-                found.append(node.name)
+            if name in ("cache", "lru_cache"):
+                yield node, call, name
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Functions, nested ones included, decorated by `functools.cache` or
+    by an `lru_cache` without an explicit positive integer maxsize: a cache
+    whose size nobody chose, or one that grows with the run."""
+    found = []
+    for node, call, name in _cache_decorators(source):
+        size = None
+        if call is not None and name == "lru_cache":
+            given = call.args[:1] + [k.value for k in call.keywords
+                                     if k.arg == "maxsize"]
+            size = given[0].value if given and isinstance(
+                given[0], ast.Constant) else None
+        if not (isinstance(size, int) and not isinstance(size, bool)
+                and size > 0):
+            found.append(node.name)
     return found
 
 
@@ -109,6 +115,46 @@ def test_caches_bounded(path):
     # a module-level cache lives as long as the process: `horocover thick`
     # at radius 5 walks thousands of rays through one
     assert unbounded_caches(path.read_text()) == []
+
+
+def cached_functions(source: str, module: str) -> list[str]:
+    """The functions, nested ones included, that a cache decorates, named
+    module.function."""
+    return [f"{module}.{node.name}"
+            for node, _, _ in _cache_decorators(source)]
+
+
+def test_detector_lists_caches():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=64)\n"
+              "def sized(): pass\n"
+              "@functools.cache\n"
+              "def plain(): pass\n"
+              "@staticmethod\n"
+              "def other(): pass\n"
+              "def outer():\n"
+              "    @lru_cache(4)\n"
+              "    def inner(): pass\n")
+    assert sorted(cached_functions(source, "lib")) == [
+        "lib.inner", "lib.plain", "lib.sized"]
+
+
+# the caches kept on purpose, one reason each: a cache hides the cost of
+# repeated work instead of removing it
+CACHES = {
+    "hyperbolic._ray":
+        "the t-independent part of a ray and its enclosures, asked again "
+        "at every sample time of the ray and at every tau attempt",
+    "flow_cover._twice_cosh_minus_2":
+        "one mpmath enclosure per rho, asked again at every sample point",
+}
+
+
+def test_caches_listed():
+    found = [name for path in MODULES
+             for name in cached_functions(path.read_text(), path.stem)]
+    assert sorted(found) == sorted(CACHES)
 
 
 # defined for the tests alone, on purpose; the brute-force references

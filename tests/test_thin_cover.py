@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from horocover import projection_data, thin_cover
+from horocover import cli, projection_data, thin_cover
 from horocover.certified import INFINITE, surd_interval
 from horocover.hyperbolic import (
     GEN_S,
@@ -24,6 +24,7 @@ from horocover.projection_data import (
     WindowRequiredError,
     brute_force_large_projections,
     enumerate_large_projections,
+    rational_hits,
 )
 from horocover.surd import INFINITY, PHI, SQRT2, Surd
 from horocover.thin_cover import (
@@ -33,9 +34,9 @@ from horocover.thin_cover import (
     Membership,
     ThetaLadder,
     _certify_yes,
-    _chain,
     _exceeds,
     _inf_exceeds,
+    _overlaps,
     _select_z_base,
     _walk_chain,
     find_long_member,
@@ -48,6 +49,7 @@ from horocover.thin_cover import (
 from reference import (
     chain_reference,
     find_long_member_reference,
+    overlaps_reference,
     select_Z,
     verify_thin_reference,
     walk_graph,
@@ -84,6 +86,17 @@ def seeded_pairs(seed: int, n: int) -> list:
         pairs.append((rng.choice(word_ball(2)),
                       Fraction(rng.randint(-2 * q, 2 * q), q)))
     return pairs
+
+
+def walk(Z, ladder, w):
+    """Both Y_i from the walk along the chain toward Z."""
+    return _walk_chain(Z, ladder, w, rational_hits(Z.p, Z.q, ladder.theta))
+
+
+def certify(Y0, i, w, Z, ladder, max_halvings):
+    """_certify_yes with the chain toward Z."""
+    return _certify_yes(Y0, i, w, Z, rational_hits(Z.p, Z.q, ladder.theta),
+                        ladder, max_halvings)
 
 
 def near_ladder_points():
@@ -201,7 +214,7 @@ class TestSelection:
     def test_walk_levels_differ(self, ladder):
         # xi = 1/300: the 0-ball angle 300 clears Theta_1 = 240 but not
         # Theta_2 = 360, so Y_2 walks on to the tangency; asked in both
-        # orders, since the walk is cached
+        # orders, since one walk answers both levels
         xi = Fraction(1, 300)
         assert select_Yi(IDENTITY, xi, 2, ladder) == Horoball(1, 300)
         assert select_Yi(IDENTITY, xi, 1, ladder) == Horoball(0, 1)
@@ -241,7 +254,7 @@ class TestSelection:
         Z = Horoball.at(xi)
         window = build_window((BASE_INDEX, Z), 2 * ladder.theta, Fraction(2))
         graph = ProjComplexGraph(window)
-        assert {Horoball(p, q) for p, q, _ in _chain(
+        assert {Horoball(p, q) for p, q, _ in rational_hits(
             Z.p, Z.q, ladder.theta)} <= set(graph.vertices)
         assert select_Yi(IDENTITY, xi, i, ladder) == \
             walk_graph(xi, i, ladder, graph)
@@ -260,7 +273,7 @@ class TestSelection:
         # Theta_2 = 360 put the angles on either side of the thresholds
         xi = expansion(a0, quotients)
         Z = _select_z_base(xi, ladder)
-        assert _walk_chain(Z, ladder, xi) == {
+        assert walk(Z, ladder, xi) == {
             i: walk_one_level(Z, i, ladder, xi) for i in (1, 2)}
 
     @settings(max_examples=60, deadline=None)
@@ -277,7 +290,7 @@ class TestSelection:
         ladder = ThetaLadder(Fraction(1, 2), Fraction(10), THETA_P)
         xi = expansion(a0, quotients)
         Z = _select_z_base(xi, ladder)
-        assert _walk_chain(Z, ladder, xi) == {
+        assert walk(Z, ladder, xi) == {
             i: walk_one_level(Z, i, ladder, xi) for i in (1, 2)}
 
 
@@ -300,14 +313,15 @@ class TestChain:
         # the Euclid walk of w = a/b against the hits of the enumeration,
         # sorted: the same vertices, order and residuals
         a, b = w.numerator, w.denominator
-        assert _chain(a, b, theta) == chain_reference(a, b, theta)
+        assert tuple(rational_hits(a, b, theta)) == \
+            chain_reference(a, b, theta)
 
     def test_chain_below_two_orders_ties_by_size(self):
         # at theta < 2 hits need not be convergents: -1/3 = [-1; 1, 2] has
         # the hits -1/1 and 0/1 of equal denominator, 0/1 first by |p|,
         # where the (q, p) order of the enumeration puts -1/1 first
         theta = Fraction(5, 4)
-        assert _chain(-1, 3, theta) == \
+        assert tuple(rational_hits(-1, 3, theta)) == \
             chain_reference(-1, 3, theta) == \
             ((0, 1, 1), (-1, 1, 2), (-1, 2, 1))
 
@@ -349,11 +363,13 @@ class TestMembership:
     @settings(max_examples=60, deadline=None)
     @given(sl2z_words(), sl2z_words(),
            st.fractions(-3, 3, max_denominator=40)
-           | st.sampled_from([PHI, DEEP_SURD, Fraction(1, 500)]),
+           | st.sampled_from([PHI, DEEP_SURD, Fraction(1, 500)])
+           | st.integers(0, 10 ** 6).map(lambda n: seeded_pairs(n, 1)[0][1]),
            st.sampled_from([1, 2]))
     def test_select_and_membership_equivariant(self, ladder, g, h, base, i):
         # (g, xi) with xi = g base, moved by h: Y_i moves with it, and
-        # every membership answer (verdict, delta, detail) is unchanged
+        # every membership answer (verdict, delta, detail) is unchanged;
+        # base also as the thin workload draws it, q <= 10^4
         xi = g.apply_boundary(base)
         hxi = h.apply_boundary(xi)
         Y = select_Yi(g, xi, i, ladder)
@@ -384,13 +400,13 @@ class TestMembership:
     def test_certificate_matches_fraction_reference(self, ladder, w, i,
                                                     halvings, pick):
         Z = _select_z_base(w, ladder)
-        chain = [Horoball(p, q) for p, q, _ in _chain(
+        chain = [Horoball(p, q) for p, q, _ in rational_hits(
             Z.p, Z.q, ladder.theta)] or [Z]
-        Y0 = {"walk": _walk_chain(Z, ladder, w)[i], "base": BASE_INDEX,
+        Y0 = {"walk": walk(Z, ladder, w)[i], "base": BASE_INDEX,
               "tangency": Z, "ball": Horoball(0, 1),
               "near": Horoball(round(w), 1), "first": chain[0],
               "last": chain[-1]}[pick]
-        m = _certify_yes(Y0, i, w, Z, ladder, halvings)
+        m = certify(Y0, i, w, Z, ladder, halvings)
         assert (m.verdict, m.delta) == \
             certify_reference(Y0, i, w, Z, ladder, halvings)
 
@@ -400,7 +416,7 @@ class TestMembership:
         w = DEEP_SURD
         Z = _select_z_base(w, ladder)
         for i in (1, 2):
-            m = _certify_yes(Y0, i, w, Z, ladder, 48)
+            m = certify(Y0, i, w, Z, ladder, 48)
             assert (m.verdict, m.delta) == \
                 certify_reference(Y0, i, w, Z, ladder, 48)
 
@@ -450,7 +466,7 @@ class TestMembership:
         steps = list(reference_steps(Y0, i, w, Z, ladder, 48))
         assert sum(free for free, _ in steps) == searched
         assert not any(ok for _, ok in steps)
-        m = _certify_yes(Y0, i, w, Z, ladder, 48)
+        m = certify(Y0, i, w, Z, ladder, 48)
         assert m == Membership("boundary-uncertain", detail="delta exhausted")
 
     @pytest.mark.parametrize("w, Y0, i, halvings, guess, k", [
@@ -473,7 +489,7 @@ class TestMembership:
         m4 = ladder.Theta(4) + ladder.theta_P
         assert 2 << guess > m4 * w.denominator ** 2 >= 1 << guess
         Z = _select_z_base(w, ladder)
-        m = _certify_yes(Y0, i, w, Z, ladder, halvings)
+        m = certify(Y0, i, w, Z, ladder, halvings)
         assert m.delta == (None if k is None else Fraction(1, 4 << k))
         assert (m.verdict, m.delta) == \
             certify_reference(Y0, i, w, Z, ladder, halvings)
@@ -485,7 +501,7 @@ class TestMembership:
                              Fraction(10), Fraction(6))
         w = Fraction(240)
         Z = _select_z_base(w, ladder)
-        m = _certify_yes(Z, 1, w, Z, ladder, 48)
+        m = certify(Z, 1, w, Z, ladder, 48)
         assert m.delta == Fraction(1, 4 << 20)
         assert (m.verdict, m.delta) == \
             certify_reference(Z, 1, w, Z, ladder, 48)
@@ -567,8 +583,11 @@ class TestTheorem:
         # basepoint preemption must still produce a common element
         got = find_long_member(GEN_S, Fraction(13, 7634), S3, ladder)
         assert got is not None
-        Y, i, delta = got
-        assert Y == Horoball(0, 1) and delta > 0
+        Y, i, certificates = got
+        assert Y == Horoball(0, 1)
+        assert [h for h, _, _ in certificates] == \
+            [GEN_S * s for s in S3.elements]
+        assert all(delta > 0 for _, _, delta in certificates)
 
     @settings(max_examples=40, deadline=None)
     @given(sl2z_words(),
@@ -613,8 +632,9 @@ class TestTheorem:
         (31, "ball3", 2), (37, "ball2-minus-e", 0)])
     def test_verify_equals_reference_loop(self, ladder, S3, seed, S_name,
                                           not_long):
-        # the report with each pair's competitor certified once, against
-        # one fresh membership_U per probe; S with and without the identity
+        # the report with disjointness swept in integers, against the
+        # members by definition and every pair of their intervals compared
+        # in Fractions; S with and without the identity
         S = S3 if S_name == "ball3" else FinitePart(
             tuple(h for h in word_ball(2) if h != IDENTITY))
         # 237 + 1/300 and its S-image are not S-long at radius 3; xi = 1
@@ -628,19 +648,6 @@ class TestTheorem:
             (len(samples) - 1, not_long)
         assert got == verify_thin_reference(S, ladder, samples)
 
-    def test_probes_certify_no_new_competitor(self, ladder, S3):
-        # with the identity in S, find_long_member already holds the
-        # certificate of Y_i(g, xi) that the disjointness probes ask for
-        samples = seeded_pairs(41, 10)
-        thin_cover._certify_yes.cache_clear()
-        for g, xi in samples:
-            find_long_member(g, xi, S3, ladder)
-        alone = thin_cover._certify_yes.cache_info().misses
-        thin_cover._certify_yes.cache_clear()
-        rep = verify_thin_theorem(S3, ladder, samples)
-        assert rep.pairs_tested == len(samples) and rep.long_failures == 0
-        assert thin_cover._certify_yes.cache_info().misses == alone
-
     def test_rational_path_skips_enumeration(self, ladder, S3, monkeypatch):
         # at theta = 2 a rational chain comes from one Euclid walk: the
         # enumeration is never called, and the members do not change
@@ -652,12 +659,46 @@ class TestTheorem:
 
         for module in (projection_data, thin_cover):
             monkeypatch.setattr(module, "enumerate_large_projections", refuse)
-        thin_cover._chain.cache_clear()
-        thin_cover._certify_yes.cache_clear()
         assert ladder.theta == 2
         assert [find_long_member(g, xi, S3, ladder)
                 for g, xi in samples] == want
         assert any(want)
+
+    def test_one_chain_per_translate(self, ladder, S3, monkeypatch):
+        # the walk and the certificate of a translate share its one chain
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rational_hits(*args)
+
+        monkeypatch.setattr(thin_cover, "rational_hits", counted)
+        for g, xi in seeded_pairs(47, 5):
+            calls.clear()
+            assert find_long_member(g, xi, S3, ladder) is not None
+            assert len(calls) == len(S3.elements)
+
+    def test_inflated_certificates_overlap(self, monkeypatch):
+        # the disjointness sweep can fail: on the default thin sample the
+        # certified intervals are disjoint, and with every delta of
+        # _certify_yes scaled by 2^6 some of them overlap
+        cfg = dict(cli.DEFAULT_CONFIG)
+        S = FinitePart.word_ball(cfg["theta_S_radius"])
+        ladder, samples = cli._ladder(cfg), cli._thin_samples(cfg)
+        assert verify_thin_theorem(S, ladder, samples).disjointness_failures \
+            == 0
+        certify_yes = thin_cover._certify_yes
+
+        def inflated(*args):
+            m = certify_yes(*args)
+            return m if m.delta is None else \
+                Membership(m.verdict, 64 * m.delta, m.detail)
+
+        monkeypatch.setattr(thin_cover, "_certify_yes", inflated)
+        rep = verify_thin_theorem(S, ladder, samples)
+        assert rep.disjointness_failures >= 1
+        assert rep.long_failures == 0
+        assert rep.witnesses[0]["failure"] == "overlap"
 
     def test_accumulating_surd_is_boundary_uncertain(self):
         # xi = -500 + sqrt(250001) = [0; 1000, 1000, ...]: the convergent
@@ -697,3 +738,78 @@ class TestTheorem:
         assert rep.pairs_tested > 0
         assert rep.long_failures == 0
         assert rep.disjointness_failures == 0
+
+
+A, B = Horoball(0, 1), Horoball(1, 2)
+
+
+def certificates():
+    """Hand-built members (Y, i, [(h, w, delta)]) with intervals of small
+    integer ends and widths, so that they touch and overlap often."""
+    cert = st.tuples(
+        st.sampled_from([IDENTITY, GEN_S]),
+        st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
+        | st.sampled_from([PHI, SQRT2]),
+        st.builds(Fraction, st.integers(1, 3), st.sampled_from([1, 2, 4, 8])))
+    return st.lists(st.tuples(
+        st.sampled_from([A, B, Horoball(1, 1)]), st.sampled_from([1, 2]),
+        st.lists(cert, max_size=2, unique_by=lambda c: c[0])), max_size=12)
+
+
+class TestDisjointness:
+    """The sweep of certified intervals (`_overlaps`) against every pair
+    compared in Fractions (`overlaps_reference`)."""
+
+    def test_touching_ends_overlap(self):
+        # [-1/4, 1/4] and [1/4, 3/4] share 1/4
+        members = [(A, 1, [(IDENTITY, Fraction(0), Fraction(1, 4))]),
+                   (B, 1, [(IDENTITY, Fraction(1, 2), Fraction(1, 4))])]
+        assert list(_overlaps(members)) == [(1, IDENTITY, A)]
+        # the later left end is flagged, whatever the order given
+        assert list(_overlaps(members[::-1])) == [(0, IDENTITY, A)]
+
+    def test_same_member_may_overlap(self):
+        members = [(A, 1, [(IDENTITY, Fraction(0), Fraction(1, 2))]),
+                   (A, 1, [(IDENTITY, Fraction(1, 4), Fraction(1, 2))])]
+        assert list(_overlaps(members)) == []
+        # another member meets the second interval only
+        members.append((B, 1, [(IDENTITY, Fraction(1), Fraction(1, 4))]))
+        assert list(_overlaps(members)) == [(2, IDENTITY, A)]
+
+    def test_other_translate_or_level_never_overlaps(self):
+        members = [(A, 1, [(IDENTITY, Fraction(0), Fraction(1, 2))]),
+                   (B, 2, [(IDENTITY, Fraction(0), Fraction(1, 2))]),
+                   (B, 1, [(GEN_S, Fraction(0), Fraction(1, 2))])]
+        assert list(_overlaps(members)) == []
+
+    def test_exact_far_from_zero(self):
+        # at w = 10^6 the gap 2^-80 between [w - d, w + d], d = 2^-49, and
+        # the next interval is far below one ulp of w; touching is flagged
+        w, d = Fraction(10 ** 6), Fraction(1, 2 ** 49)
+        for gap, flagged in ((Fraction(1, 2 ** 80), False), (0, True)):
+            members = [(A, 1, [(IDENTITY, w, d)]),
+                       (B, 1, [(IDENTITY, w + 2 * d + gap, d)])]
+            assert float(w + d) == float(w + d + gap)
+            assert bool(list(_overlaps(members))) == flagged
+
+    def test_surd_centre(self):
+        # PHI enters with the inner interval [hi0 - 1/4, lo0 + 1/4] of its
+        # enclosure [lo0, hi0], so an interval from lo0 + 1/4 touches it
+        # and one from hi0 + 1/4 does not, nor does [15/8, 17/8]
+        lo0, hi0 = surd_interval(PHI, 60)
+        d = Fraction(1, 8)
+        for left, flagged in ((lo0 + 2 * d, True), (hi0 + 2 * d, False),
+                              (Fraction(15, 8), False)):
+            members = [(A, 1, [(IDENTITY, PHI, 2 * d)]),
+                       (B, 1, [(IDENTITY, left + d, d)])]
+            assert list(_overlaps(members)) == \
+                ([(1, IDENTITY, A)] if flagged else [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(certificates())
+    def test_sweep_equals_all_pairs(self, members):
+        want = overlaps_reference(members)
+        got = {(n, h): Yp for n, h, Yp in _overlaps(members)}
+        assert sorted(got, key=repr) == sorted(((n, h) for n, h, _ in want),
+                                               key=repr)
+        assert all(got[n, h] in rivals for n, h, rivals in want)
