@@ -63,10 +63,6 @@ def iv_acos(x):
     return iv.atan2(iv.sqrt(1 - x * x), x)
 
 
-def iv_acosh(x):
-    return iv.log(x + iv.sqrt(x * x - 1))
-
-
 class CertifiedReal:
     """An interval-refinable real number."""
 
@@ -76,14 +72,6 @@ class CertifiedReal:
             raise ValueError("need a refinement procedure or an exact value")
         self._refine = refine
         self.exact = Fraction(exact) if exact is not None else None
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def of(value) -> "CertifiedReal":
-        if isinstance(value, CertifiedReal):
-            return value
-        return CertifiedReal(exact=Fraction(value))
 
     # -- core -------------------------------------------------------------
 
@@ -97,7 +85,7 @@ class CertifiedReal:
         finally:
             iv.dps = old
 
-    def compare(self, other, max_dps: int = MAX_DPS) -> int:
+    def compare(self, other) -> int:
         """-1, 0 or +1 against a rational; raises Undecided when refinement
         cannot separate."""
         other = Fraction(other)
@@ -105,7 +93,7 @@ class CertifiedReal:
             v = self.exact - other
             return (v > 0) - (v < 0)
         dps = DEFAULT_DPS
-        while dps <= max_dps:
+        while dps <= MAX_DPS:
             lo, hi = self.interval(dps)
             if hi < other:
                 return -1
@@ -114,7 +102,7 @@ class CertifiedReal:
             if lo == hi == other:
                 return 0
             dps *= 2
-        raise Undecided(f"cannot separate from {other} at dps {max_dps}")
+        raise Undecided(f"cannot separate from {other} at dps {MAX_DPS}")
 
     def __float__(self):
         if self.exact is not None:

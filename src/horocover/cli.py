@@ -287,17 +287,6 @@ def cmd_amenability(cfg: dict, out: Path) -> int:
 _DEFECT_KS = (600, 660, 718, 800, 900, 1050, 1200, 1600, 2400)
 
 
-def _thin_members(xi, ladder) -> list:
-    """The (Y, i), i = 1, 2, whose U(Y, i) certifiably contains (e, xi)."""
-    out = []
-    for i in (1, 2):
-        Y = thin_cover.select_Yi(IDENTITY, xi, i, ladder)
-        if Y is not None and thin_cover.membership_U(
-                Y, i, IDENTITY, xi, ladder).verdict == "yes":
-            out.append((Y, i))
-    return out
-
-
 def _thin_nerve_defect(ladder) -> Fraction:
     """Nerve defect of the boundary-only thin nerve map on the pinned
     sample {1/2 + 1/k} plus its exact inversion images.
@@ -311,8 +300,8 @@ def _thin_nerve_defect(ladder) -> Fraction:
     xs = [Fraction(1, 2) + Fraction(1, k) for k in _DEFECT_KS]
     sample = xs + [Fraction(-1) / x for x in xs]
     nerve = amenability.partition_of_unity(
-        lambda xi: _thin_members(xi, ladder), lambda a, b: abs(float(a - b)),
-        sample, order=1, key=str)
+        lambda xi: thin_cover.base_members(xi, ladder),
+        lambda a, b: abs(float(a - b)), sample, order=1, key=str)
     nerve.check_invariants()
 
     def action(s, elt):
@@ -346,7 +335,8 @@ def _combined_cover(cfg: dict) -> dict:
             else "thin"
 
     def thin_membership(xi):
-        return _thin_members(xi, ladder) if isinstance(xi, Fraction) else []
+        return thin_cover.base_members(xi, ladder) \
+            if isinstance(xi, Fraction) else []
 
     def thick_membership(xi):
         if isinstance(xi, Fraction):

@@ -5,23 +5,54 @@ The compact thick part is encoded by a depth bound: a ray is thick when
 every horoball penetration stays at or below D_max = log(Theta/2),
 equivalently when no projection distance exceeds Theta.  The coarse flow
 space CF_0 holds the triples (x_-, v, xi_+) with v an orbit point within
-rho of the witness ray from x_- toward xi_+.  The sample keeps what the
-charts read: for each forward endpoint, the orbit points v found along its
-rays, and the number of triples.  Each endpoint gives one flow-line chart
-with an arclength parameter, and the long thin cover lays two staggered
-interval families of length 4*beta along each chart.  The coarse
-flow map iota_tau pushes a pair (g, xi) to the orbit points near the time-
-tau point of its ray, and covers pull back through it.
+rho of the witness ray from x_- toward xi_+ over its times [0, t_max].  The
+sample keeps what the charts read: for each forward endpoint, the orbit
+points v found along its rays, and the number of triples.  Each endpoint
+gives one flow-line chart with an arclength parameter, and the long thin
+cover lays two staggered interval families of length 4*beta along each
+chart.  The coarse flow map iota_tau pushes a pair (g, xi) to the orbit
+points within rho of the time-tau point of its ray, and covers pull back
+through it.
 
-Which orbit points lie within rho of a ray point is a filtered predicate:
-one rational enclosure of the point bounds cosh of every candidate's
-distance on both sides of cosh rho, so a candidate is kept or dropped
-without further interval work unless it falls in the band between the
-bounds, where a certified compare decides.  The ray's own start, at
-distance exactly t from its time-t point, is decided exactly, since no
-enclosure separates the tie t = rho.  A ray's geometry is computed once per
-ray, so a point along it costs an exponential and a rational map, and is
-located by a reduction run in floats and finished exactly.
+Both are one flood fill over the orbit points, complete by a margin.  The
+orbit points v x0 are the midpoints of the edges of the Farey tessellation
+(x0 = i is that of the edge from 0 to infinity), and v x0 is linked to
+v T x0, v T^-1 x0, v S T x0 and v S T^-1 x0, the other midpoints of the two
+Farey triangles on its edge; so the three midpoints of a triangle are
+mutually linked, and the fill keys a point by (a, n), v x0 = (a + i) / n
+(v and v S give one point and the same four links).  The depth of a point
+is how far inside a Ford horoball it lies, 0 outside them all; it is
+1-Lipschitz and 0 at every orbit point.  The part of a triangle outside the
+horoballs lies within 2 asinh(1/2) of each of its midpoints: on its three
+boundary horocycle arcs the distance to a midpoint is at most that, the
+distance between two midpoints, and a disc holding the boundary holds the
+region.  A point at depth delta lies delta from that part, along the
+geodesic to the cusp of its horoball, which stays in the triangle; so it
+lies within delta + 2 asinh(1/2) of each midpoint of its triangle.
+
+Let sigma be a segment of a ray whose points have depth at most D, and let
+the fill start at an orbit point v0 at distance L0 from sigma.  Take an
+orbit point z within rho of sigma, its nearest point s on sigma and the
+path from z to s, then along sigma, then to v0.  The triangles the path
+crosses follow each other across shared edges, so their midpoints form one
+linked set that holds z and v0, and a midpoint of the triangle of a path
+point p lies within depth(p) + 2 asinh(1/2) of p.  On [z, s], with a =
+d(z, p) and b = d(p, s), depth(p) <= min(a, D + b) and a + b <= rho, so
+depth(p) + b <= rho; on sigma depth(p) <= D; toward v0 depth(p) plus the
+distance from p back to sigma is at most L0.  So a fill that expands every
+orbit point within reach = 2 asinh(1/2) + max(rho, D, L0) of sigma and
+keeps those within rho finds every orbit point within rho of sigma.  For
+the sample, sigma is the times [0, t_max] of the ray from g x0, v0 = g and
+L0 = 0, and D comes from the exact projection suprema (`_Ray.depth_bound`);
+on the perfbench rays D < rho, so the margin is 2 asinh(1/2).
+For iota_tau, sigma is the time-tau point and v0 is `locate` of a point
+near it, and D <= L0 since v0 has depth 0.
+
+Each kept point is decided exactly: in the chart of its ray the distance is
+an element of Q(sqrt d) against e^t and cosh rho, compared in floats from
+exact integers outside a band that covers their error, and inside it as an
+exponential sum whose terms with equal exponents are merged, which
+Lindemann-Weierstrass lets refinement decide (see `_Ray`).
 """
 
 from __future__ import annotations
@@ -29,32 +60,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
-from mpmath import iv
-
-from .certified import (
-    INFINITE,
-    CertifiedReal,
-    Undecided,
-    fraction_to_iv,
-    iv_to_fractions,
-)
+from .certified import INFINITE
 from .hyperbolic import (
     GroupElement,
     HOROBALL_INF,
     Horoball,
     IDENTITY,
-    geodesic_point,
-    hyperbolic_distance,
+    chart_point,
     locate,
-    orbit_point,
     word_ball,
 )
 from .projection_data import cusp_projections, sup_projection
-from .surd import INFINITY, Surd
-
-_T_STEP = Fraction(1, 2)  # between the sample times 0, ..., t_max of a ray
+from .surd import INFINITY, Surd, _sign
 
 
 @dataclass(frozen=True)
@@ -73,16 +91,12 @@ class ThickParams:
     def __post_init__(self):
         if self.Theta <= 2:
             raise ValueError("need Theta > 2 for a positive depth bound")
-        if self.rho < 0 or self.beta <= 0:
-            raise ValueError("need rho >= 0 and beta > 0")
+        if self.rho < 0 or self.beta <= 0 or self.t_max < 0:
+            raise ValueError("need rho >= 0, beta > 0 and t_max >= 0")
 
     @property
     def depth_bound(self) -> float:
         return math.log(float(self.Theta) / 2)
-
-    def t_grid(self):
-        steps = math.floor(self.t_max / _T_STEP)
-        return (k * _T_STEP for k in range(steps + 1))
 
 
 @dataclass
@@ -123,97 +137,309 @@ def classify(g: GroupElement, xi, Theta: Fraction):
 # -- the coarse flow space --------------------------------------------------
 
 
-# the neighbour set of a located point is its element times this ball
-_NEIGHBORS = tuple(word_ball(2))
+# 2 asinh(1/2): the distance between two midpoints of one Farey triangle,
+# and the farthest its part outside the horoballs lies from any of them
+_MID_GAP = 2 * math.asinh(0.5)
+
+# a float comparison decides only when its two sides differ by more than
+# this share of the size it is measured against; its floats err by less
+# than 2^-45 of that size (see _Ray)
+_BAND = 2.0 ** -30
+
+# added to float upper bounds (reach, depth) against their rounding
+_PAD = 2.0 ** -40
 
 
-# precision of the one enclosure taken of each sample point
-_POINT_DPS = 40
+def _orbit_ints(v: tuple) -> tuple[int, int]:
+    """(a, n) with v x0 = (a + i) / n for v = (a, b, c, d); the key of an
+    orbit point."""
+    a, b, c, d = v
+    return a * c + b * d, c * c + d * d
 
 
-@lru_cache(maxsize=8)
-def _twice_cosh_minus_2(rho: Fraction) -> tuple[Fraction, Fraction]:
-    """A rational enclosure of 2 (cosh rho - 1) = e^rho + e^-rho - 2."""
-    old = iv.dps
-    try:
-        iv.dps = _POINT_DPS
-        e = iv.exp(fraction_to_iv(rho))
-        return iv_to_fractions(e + 1 / e - 2)
-    finally:
-        iv.dps = old
+def _element(g: GroupElement) -> tuple:
+    return g.a, g.b, g.c, g.d
 
 
-def _square_bounds(lo: int, hi: int) -> tuple[int, int]:
-    """Bounds of s^2 over lo <= s <= hi."""
-    if lo > 0:
-        return lo * lo, hi * hi
-    if hi < 0:
-        return hi * hi, lo * lo
-    return 0, max(lo * lo, hi * hi)
+def _homogeneous(x) -> tuple[tuple, tuple, int]:
+    """A boundary point as (num, den, d): x = num / den with num and den in
+    Z[sqrt d] as pairs (p, q) = p + q sqrt d, and infinity = (1, 0) / (0, 0)."""
+    x = chart_point(x)
+    if x is INFINITY:
+        return (1, 0), (0, 0), 0
+    if isinstance(x, Fraction):
+        return (x.numerator, 0), (x.denominator, 0), 0
+    return (x.p, x.q), (x.r, 0), x.d
 
 
-def _orbit_ints(v: GroupElement) -> tuple[int, int]:
-    """(a, n) with v x0 = (a + i) / n."""
-    return v.a * v.c + v.b * v.d, v.c * v.c + v.d * v.d
+def _mul(u: tuple, v: tuple, d: int) -> tuple:
+    """The product in Z[sqrt d] of pairs (p, q) = p + q sqrt d."""
+    return u[0] * v[0] + u[1] * v[1] * d, u[0] * v[1] + u[1] * v[0]
 
 
-def orbit_points_near(point, rho: Fraction, origin=None) -> list:
-    """Orbit elements v with d_T(v x0, point) <= rho, among the neighbour
-    set locate(m) * word_ball(2) of the midpoint m of the point's dps-40
-    enclosure; `point` is a pair of CertifiedReal or rational coordinates.
+def _exp_bounds(r: Fraction, bits: int) -> tuple[int, int]:
+    """Integers lo <= e^r 2^bits <= hi, from the Taylor series of e^x at
+    x = r / 2^k <= 1/2 summed in fixed point with floors and ceilings, the
+    tail bounded by the last term (the term ratio is at most 1/2), then
+    squared k times."""
+    if r < 0:
+        lo, hi = _exp_bounds(-r, bits)
+        one = 1 << (2 * bits)
+        return one // hi, -(-one // lo)
+    k = 1 + math.ceil(r).bit_length()
+    w = bits + k + 8
+    xn, xd = r.numerator, r.denominator << k
+    lo = hi = term_lo = term_hi = 1 << w
+    j = 0
+    while term_hi > 1:
+        j += 1
+        term_lo = term_lo * xn // (xd * j)
+        term_hi = -(-term_hi * xn // (xd * j))
+        lo += term_lo
+        hi += term_hi
+    hi += term_hi
+    for _ in range(k):
+        lo, hi = lo * lo >> w, -(-hi * hi >> w)
+    return lo >> (w - bits), -(-hi >> (w - bits))
 
-    Two-sided filter: cosh d is bounded over the enclosure box, exactly in
-    integers, against a rational enclosure of cosh rho; a candidate wholly
-    below is kept and one wholly above dropped.  Only a candidate in the
-    band between goes to a certified compare, and is kept when that ends
-    Undecided.  `origin`, when given, is a pair (g, t) with the point at
-    distance exactly t from g x0: a candidate with v x0 = g x0 is then kept
-    iff t <= rho, which decides the tie t = rho that no enclosure can.
-    """
-    (xl, xh), (yl, yh) = (CertifiedReal.of(c).interval(_POINT_DPS)
-                          for c in point)
-    h = locate(((xl + xh) / 2, (yl + yh) / 2))
-    # the box [xl, xh] x [yl, yh] as integers over one denominator D
-    D = math.lcm(*(f.denominator for f in (xl, xh, yl, yh)))
-    XL, XH, YL, YH = (int(f * D) for f in (xl, xh, yl, yh))
-    # with v x0 = (a + i) / n and the point at (X + i Y) / D,
-    # cosh d - 1 = s / (2 n D Y) for s = (a D - n X)^2 + (D - n Y)^2, so
-    # d < rho iff s < c n D Y for c = 2 (cosh rho - 1); Y is taken at YL
-    # for a keep and at YH for a drop
-    c_lo, c_hi = _twice_cosh_minus_2(rho)
-    keep_at = c_lo.numerator * D * YL
-    drop_at = c_hi.numerator * D * YH
-    tie = None if origin is None else _orbit_ints(origin[0])
-    out = []
-    for u in _NEIGHBORS:
-        v = h * u
-        a, n = _orbit_ints(v)
-        if (a, n) == tie:
-            if origin[1] <= rho:
-                out.append(v)
-            continue
-        sx = _square_bounds(a * D - n * XH, a * D - n * XL)
-        sy = _square_bounds(D - n * YH, D - n * YL)
-        if (sx[1] + sy[1]) * c_lo.denominator < keep_at * n:
-            out.append(v)
-            continue
-        if (sx[0] + sy[0]) * c_hi.denominator > drop_at * n:
-            continue
-        dist = hyperbolic_distance(orbit_point(v), point)
+
+def _exp_sign(terms, d: int) -> int:
+    """The sign of sum c e^r over the terms (r, c), r rational and c a pair
+    in Z[sqrt d].  Terms of equal r are merged first.  By the Lindemann-
+    Weierstrass theorem a sum over distinct r with nonzero algebraic c is
+    not zero, so refining the enclosures of the e^r decides it; a sum with
+    every c zero is exactly 0."""
+    merged = {}
+    for r, (p, q) in terms:
+        mp, mq = merged.get(r, (0, 0))
+        merged[r] = (mp + p, mq + q)
+    merged = [(r, c) for r, c in merged.items() if c != (0, 0)]
+    if not merged:
+        return 0
+    bits = 64
+    while bits <= 1 << 16:  # reached only through a defect
+        lo_p = lo_q = hi_p = hi_q = 0
+        for r, (p, q) in merged:
+            lo, hi = (1 << bits, 1 << bits) if r == 0 else _exp_bounds(r, bits)
+            if _sign(p, q, d) < 0:
+                lo, hi = hi, lo
+            lo_p, lo_q, hi_p, hi_q = (lo_p + p * lo, lo_q + q * lo,
+                                      hi_p + p * hi, hi_q + q * hi)
+        if _sign(lo_p, lo_q, d) > 0:
+            return 1
+        if _sign(hi_p, hi_q, d) < 0:
+            return -1
+        bits *= 2
+    raise ArithmeticError("exponential sum not separated from 0")
+
+
+class _Ray:
+    """The ray from g x0 toward xi, seen in the chart
+
+        M(z) = (eta_n - eta_d z) / (n0 (xi_d z - xi_n)),
+
+    which sends its line to the imaginary axis, its backward end eta =
+    eta_n / eta_d to 0, xi = xi_n / xi_d to infinity and g x0 = (a0 + i) / n0
+    to i, so that its time-t point goes to i e^t.  The four are pairs in
+    Z[sqrt d] (see `_homogeneous`).  At an orbit point z = (a + i) / n, with
+    f = a eta_d - n eta_n and h = a xi_d - n xi_n in Z[sqrt d],
+
+        |M z|^2 = (f^2 + eta_d^2) / (n0^2 (h^2 + xi_d^2)),
+        sinh d(z, line) = |f h + eta_d xi_d| / (n c),
+
+    for c = (n0 xi_n - a0 xi_d)^2 + xi_d^2, and cosh d(z, i e^t) =
+    (|M z|^2 + e^{2t}) / (2 e^t Im M z) with Im M z = n c / (n0 (h^2 +
+    xi_d^2)).  The foot of z on the line is at time log|M z|, and Pythagoras
+    gives cosh of the distance to the segment of times [t0, t1] as
+    sqrt(1 + sinh^2 d(z, line)) cosh(time past the segment).
+
+    `_cosh_distance` evaluates that in floats.  f and h are exact integers
+    first, and an element p + q sqrt d of opposite signs is rounded as
+    (p^2 - q^2 d) / (p - q sqrt d), so each float has relative error below
+    8 ulps whatever the cancellation; the only difference left, f h +
+    eta_d xi_d, errs by 20 ulps of |f h| + |eta_d xi_d|.  The result errs by
+    less than 100 ulps < 2^-45 of X (1 + perm), for X the value and perm
+    the size of that difference as a sinh; a comparison with a float of
+    libm's cosh (within 2 ulps) decides only outside the band _BAND X (1 +
+    perm), and `_within` decides the rest exactly."""
+
+    __slots__ = ("g", "xi", "d", "n0", "xn", "xd", "en", "ed", "c", "_fl",
+                 "_floats")
+
+    def __init__(self, g: GroupElement, xi):
+        self.g, self.xi = g, xi
+        xn, xd, d = _homogeneous(xi)
+        a0, n0 = _orbit_ints(_element(g))
+        # eta, the other end of the line through g x0: x0 = a0 / n0 and
+        # |g x0|^2 = (a0^2 + 1) / n0^2, scaled by n0^2
+        en = (xn[0] * a0 * n0 - xd[0] * (a0 * a0 + 1),
+              xn[1] * a0 * n0 - xd[1] * (a0 * a0 + 1))
+        ed = (xn[0] * n0 * n0 - xd[0] * a0 * n0,
+              xn[1] * n0 * n0 - xd[1] * a0 * n0)
+        h0 = (a0 * xd[0] - n0 * xn[0], a0 * xd[1] - n0 * xn[1])
+        c = tuple(s + t for s, t in zip(_mul(h0, h0, d), _mul(xd, xd, d)))
+        self.d, self.n0 = d, n0
+        self.xn, self.xd, self.en, self.ed, self.c = xn, xd, en, ed, c
+        root = math.sqrt(d)
+
+        def fl(p, q):
+            if not q:
+                return float(p)
+            if (p >= 0) == (q >= 0):
+                return p + q * root
+            return (p * p - q * q * d) / (p - q * root)
+
+        self._fl = fl
+        self._floats = fl(*ed), fl(*xd), fl(*c), fl(*en), fl(*xn)
+
+    def _fh(self, a: int, n: int) -> tuple[tuple, tuple]:
+        (enp, enq), (edp, edq) = self.en, self.ed
+        (xnp, xnq), (xdp, xdq) = self.xn, self.xd
+        return ((a * edp - n * enp, a * edq - n * enq),
+                (a * xdp - n * xnp, a * xdq - n * xnq))
+
+    def _cosh_distance(self, a: int, n: int, t0: float, t1: float):
+        """(X, perm): cosh of the distance from (a + i) / n to the segment of
+        times [t0, t1], in floats, and the size perm of its error term."""
+        fl, (ed, xd, c, _, _) = self._fl, self._floats
+        (fp, fq), (hp, hq) = self._fh(a, n)
+        f, h = fl(fp, fq), fl(hp, hq)
+        fh, exd = f * h, ed * xd
+        s = abs(fh + exd) / (n * c)
+        time = 0.5 * math.log((f * f + ed * ed)
+                              / (self.n0 * self.n0 * (h * h + xd * xd)))
+        past = t0 - time if time < t0 else max(0.0, time - t1)
+        return (math.sqrt(1 + s * s) * math.cosh(past),
+                (abs(fh) + abs(exd)) / (n * c))
+
+    def _within(self, a: int, n: int, t0: Fraction, t1: Fraction,
+                rho: Fraction) -> bool:
+        """Whether d((a + i) / n, segment [t0, t1]) <= rho, exactly: the
+        distance to an end, or to the line when the foot lies between the
+        ends, each compared as an exponential sum (`_exp_sign`)."""
+        d, n0 = self.d, self.n0
+        f, h = self._fh(a, n)
+        size = tuple(s + t for s, t in zip(_mul(f, f, d), _mul(
+            self.ed, self.ed, d)))  # |M z|^2 n0^2 (h^2 + xi_d^2)
+        hh = tuple(n0 * n0 * (s + t) for s, t in zip(_mul(h, h, d), _mul(
+            self.xd, self.xd, d)))  # n0^2 (h^2 + xi_d^2)
+        nc = tuple(n * n0 * s for s in self.c)
+        minus_nc = (-nc[0], -nc[1])
+
+        def near_end(t):
+            return _exp_sign([(0, size), (2 * t, hh), (t + rho, minus_nc),
+                              (t - rho, minus_nc)], d) <= 0
+
+        if near_end(t0) or t1 != t0 and near_end(t1):
+            return True
+        minus_hh = (-hh[0], -hh[1])
+        if _exp_sign([(0, size), (2 * t0, minus_hh)], d) < 0 or \
+                _exp_sign([(0, size), (2 * t1, minus_hh)], d) > 0:
+            return False  # the foot lies past an end
+        twice = tuple(2 * (s + t) for s, t in zip(_mul(f, h, d), _mul(
+            self.ed, self.xd, d)))
+        cc = tuple(n * s for s in self.c)
+        m2 = _mul(cc, cc, d)
+        lead = tuple(s + 2 * t for s, t in zip(_mul(twice, twice, d), m2))
+        minus_m2 = (-m2[0], -m2[1])
+        return _exp_sign([(0, lead), (2 * rho, minus_m2),
+                          (-2 * rho, minus_m2)], d) <= 0
+
+    def depth_bound(self, t: Fraction) -> float:
+        """An upper bound on the depth of the ray's points up to time t:
+        at most t, as g x0 has depth 0; and, at a surd w = g^-1 xi, at most
+        log max(r, s(w), s(-1/w)) for the full line, where in the chart of
+        g the line runs from -1/w to w with Euclidean radius r, which bounds
+        its depth in the horoball at infinity, and s = `sup_projection` at
+        infinity bounds d^pi_Y(-1/w, w) <= 2 max(s(-1/w), s(w)) at every
+        other Y, the depth there being log(d^pi_Y / 2)."""
+        bound = float(t)
+        w = self.g.inverse().apply_boundary(self.xi)
+        if isinstance(w, Surd):
+            back = -w.inverse()
+            top = max(self._fl(v.p, v.q) / v.r for v in (
+                abs(w - back) / 2, sup_projection(HOROBALL_INF, w).value,
+                sup_projection(HOROBALL_INF, back).value))
+            bound = min(bound, math.log(top * (1 + _PAD)) + _PAD)
+        return max(0.0, bound)
+
+    def _point(self, t: Fraction):
+        """A rational point near the time-t point M^-1(i e^t) = (eta_n +
+        i e^t n0 xi_n) / (eta_d + i e^t n0 xi_d), in floats; None when the
+        floats fail."""
+        ed, xd, _, en, xn = self._floats
         try:
-            if dist.compare(rho, max_dps=60) <= 0:
-                out.append(v)
-        except Undecided:
-            out.append(v)  # boundary case: keep (closure-approximate)
-    return out
+            e = math.exp(t) * self.n0
+            z = complex(en, e * xn) / complex(ed, e * xd)
+        except (OverflowError, ZeroDivisionError):
+            return None
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)
+                and z.imag > 0):
+            return None
+        return Fraction(z.real), Fraction(z.imag)
+
+    def fill(self, t0: Fraction, t1: Fraction, rho: Fraction, start: tuple,
+             reach: float) -> list:
+        """The orbit points within rho of the segment of times [t0, t1], as
+        keys (a, n) in the order found: a breadth-first fill from the orbit
+        point of `start` = (a, b, c, d) that expands every orbit point within
+        `reach` of the segment (see the module docstring for the reach that
+        makes it complete)."""
+        f0, f1 = float(t0), float(t1)
+        keep_at, reach_at = math.cosh(rho), math.cosh(reach)
+        seen = {_orbit_ints(start)}
+        queue, out = [start], []
+        for v in queue:
+            A, B, C, D = v
+            a, n = A * C + B * D, C * C + D * D
+            X, perm = self._cosh_distance(a, n, f0, f1)
+            band = _BAND * X * (1 + perm)
+            if X < keep_at - band or (X <= keep_at + band
+                                      and self._within(a, n, t0, t1, rho)):
+                out.append((a, n))
+            if X - band > reach_at:
+                continue
+            for w in ((A, A + B, C, C + D), (A, B - A, C, D - C),
+                      (B, B - A, D, D - C), (B, -A - B, D, -C - D)):
+                key = (w[0] * w[2] + w[1] * w[3], w[2] * w[2] + w[3] * w[3])
+                if key not in seen:
+                    seen.add(key)
+                    queue.append(w)
+        return out
+
+
+def tube_points(g: GroupElement, xi, params: ThickParams) -> list:
+    """The orbit points within rho of the witness ray from g x0 toward xi
+    over its times [0, t_max], as keys (a, n) of (a + i) / n, in the order
+    found.  The fill starts at g x0, on the segment, and reaches 2 asinh(1/2)
+    + max(rho, D) for D the ray's `depth_bound`."""
+    ray = _Ray(g, xi)
+    reach = _MID_GAP + max(float(params.rho),
+                           ray.depth_bound(params.t_max)) + _PAD
+    return ray.fill(Fraction(0), params.t_max, params.rho, _element(g), reach)
+
+
+def orbit_points_near(g: GroupElement, xi, t, rho: Fraction) -> list:
+    """The orbit points within rho of the time-t point of the witness ray
+    from g x0 toward xi, as keys (a, n), in the order found.  The fill
+    starts at `locate` of a rational point near the time-t point (at g when
+    the floats fail) and reaches 2 asinh(1/2) + max(rho, L0), for L0 a bound
+    on the start's distance to the point, which also bounds the point's
+    depth."""
+    ray, t = _Ray(g, xi), Fraction(t)
+    near = ray._point(t)
+    start = _element(g if near is None else locate(near))
+    X, perm = ray._cosh_distance(*_orbit_ints(start), float(t), float(t))
+    L0 = math.acosh(X * (1 + _BAND * (1 + perm)))
+    return ray.fill(t, t, rho, start, _MID_GAP + max(float(rho), L0) + _PAD)
 
 
 @dataclass
 class CoarseFlowSample:
     """The CF_0 triples (x_-, v, xi_+) as the charts read them: `points`
     maps each forward endpoint xi_+, in the order first found, to its orbit
-    points v, in the order first found (a dict used as an ordered set);
-    `size` counts the triples."""
+    points v as keys (a, n) of (a + i) / n, in the order first found (a dict
+    used as an ordered set); `size` counts the triples."""
 
     params: ThickParams
     points: dict = field(default_factory=dict)
@@ -222,27 +448,22 @@ class CoarseFlowSample:
 
 def sample_coarse_flow(params: ThickParams, generators_radius: int,
                        xi_set) -> CoarseFlowSample:
-    """Enumerate CF_0 triples: for g in the word ball and thick xi, walk
-    the witness ray [g x0, xi) and record orbit points within rho."""
+    """Enumerate CF_0 triples: for g in the word ball and thick xi, the
+    orbit points within rho of the witness ray [g x0, xi) up to t_max."""
     sample = CoarseFlowSample(params)
     for g in word_ball(generators_radius):
         for xi in xi_set:
-            for t in params.t_grid():
-                pt = geodesic_point(g, xi, t)
-                near = orbit_points_near(pt, params.rho, (g, t))
-                # an endpoint enters with its first triple
-                if near:
-                    sample.points.setdefault(xi, {}).update(
-                        dict.fromkeys(near))
-                    sample.size += len(near)
+            near = tube_points(g, xi, params)
+            # an endpoint enters with its first triple; g x0 is always one
+            sample.points.setdefault(xi, {}).update(dict.fromkeys(near))
+            sample.size += len(near)
     return sample
 
 
 def flow_point(g: GroupElement, xi, tau, params: ThickParams) -> set:
-    """iota_tau(g, xi): orbit points within rho of the time-tau point of
-    the witness ray from g x0 toward xi."""
-    pt = geodesic_point(g, xi, tau)
-    return set(orbit_points_near(pt, params.rho, (g, tau)))
+    """iota_tau(g, xi): the orbit points within rho of the time-tau point of
+    the witness ray from g x0 toward xi, as keys (a, n)."""
+    return set(orbit_points_near(g, xi, tau, params.rho))
 
 
 # -- flow-line charts -------------------------------------------------------
@@ -302,27 +523,27 @@ class FlowLineChart:
 
     xi_plus: object
     line_R: float = 3.0
-    members: dict = field(default_factory=dict)  # v -> parameter t
+    members: dict = field(default_factory=dict)  # (a, n) -> parameter t
 
     def __post_init__(self):
         self._param_fn = _ray_parameter_fn(self.xi_plus)
         self._dist_fn = _line_distance_fn(self.xi_plus)
         self._coords = {}
 
-    def add(self, v: GroupElement):
-        a, n = _orbit_ints(v)
-        x, y = a / n, 1 / n  # v x0, correctly rounded
+    def add(self, key: tuple[int, int]):
+        """Offer the orbit point (a + i) / n of key = (a, n)."""
+        a, n = key
+        x, y = a / n, 1 / n  # correctly rounded
         if self._dist_fn(x, y) <= self.line_R:
-            self._coords[v] = (x, y)
-            self.members[v] = Fraction(round(4 * self._param_fn(x, y)), 4)
+            self._coords[key] = (x, y)
+            self.members[key] = Fraction(round(4 * self._param_fn(x, y)), 4)
 
     def audit_embedding(self):
         """The parameter map is a (mu_hat, A_hat)-quasi-isometric embedding
         of (members, d_T) into the reals: measure the best additive A_hat
         for the multiplicative bound mu_hat = _MU_HAT, over all member
         pairs."""
-        vs = sorted(self.members, key=lambda v: (self.members[v], v.a, v.b,
-                                                 v.c, v.d))
+        vs = sorted(self.members, key=lambda v: (self.members[v], v))
         # quarter-integer parameters: their float differences are exact
         pts = [(*self._coords[v], float(self.members[v])) for v in vs]
         A_hat = 0.0
@@ -389,9 +610,10 @@ class LongThinCover:
         return [U for U in self._by_chart.get(chart_key, ())
                 if U.lo <= t < U.hi]
 
-    def member_elements(self, v: GroupElement, xi_plus):
-        """Cover elements containing the flow point v on the chart of the
-        forward endpoint xi_plus, the chart every flow triple belongs to."""
+    def member_elements(self, v: tuple[int, int], xi_plus):
+        """Cover elements containing the flow point v, a key (a, n), on the
+        chart of the forward endpoint xi_plus, the chart every flow triple
+        belongs to."""
         key = str(xi_plus)
         chart = self.charts.get(key)
         t = None if chart is None else chart.members.get(v)
@@ -551,9 +773,8 @@ def verify_thick_theorem(S, params: ThickParams, generators_radius: int,
         "tau": tau_rep,
         "fsubset_failures": fsub,
         "undecided_xi": 0,  # classify always decides
-        # always so: orbit_points_near keeps a candidate whose certified
-        # compare with rho ends Undecided, which may lie just beyond rho
-        "closure_approximate": True,
+        # every kept orbit point is decided exactly (see _Ray)
+        "closure_approximate": False,
     }
     if pinned_order is not None:
         worst = max(cover.order_measured, order_extended or 0)

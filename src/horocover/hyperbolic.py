@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 
 from mpmath import iv
@@ -25,7 +24,6 @@ from .certified import (
     CertifiedReal,
     fraction_to_iv,
     iv_acos,
-    iv_acosh,
     surd_iv,
 )
 from .surd import INFINITY, Surd
@@ -330,13 +328,12 @@ def _float_guide(x: float, y: float) -> GroupElement:
 # -- geodesic parametrization ---------------------------------------------
 
 
-@lru_cache(maxsize=256)  # reuse is along one ray and across tau attempts
 def _ray(g: GroupElement, xi) -> tuple:
     """The t-independent part of the ray from g x0 toward the chart point
     xi: the start (x0, y0), the sign s in exp(s t), and for a circular ray
     a function giving enclosures of its centre c, radius r and start
     parameter u0 = tan(theta0 / 2), once per iv precision (else None)."""
-    x0, y0 = g.apply_point(*BASEPOINT)
+    x0, y0 = orbit_point(g)
     circ = _geodesic_circle(x0, y0, xi)
     if circ is None:
         return x0, y0, (1 if xi is INFINITY else -1), None
@@ -380,26 +377,6 @@ def geodesic_point(g: GroupElement, xi, t) -> tuple[CertifiedReal, CertifiedReal
     fx = CertifiedReal(refine=lambda dps: coords()[0])
     fy = CertifiedReal(refine=lambda dps: coords()[1])
     return fx, fy
-
-
-def hyperbolic_distance(p1, p2) -> CertifiedReal:
-    """Distance between interior points given as rational pairs or pairs of
-    CertifiedReal coordinates."""
-
-    def val(w):
-        if isinstance(w, CertifiedReal):
-            if w.exact is not None:
-                return fraction_to_iv(w.exact)
-            return w._refine(iv.dps)
-        return fraction_to_iv(Fraction(w))
-
-    def _d():
-        x1, y1 = val(p1[0]), val(p1[1])
-        x2, y2 = val(p2[0]), val(p2[1])
-        arg = 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
-        return iv_acosh(arg)
-
-    return CertifiedReal(refine=lambda dps: _d())
 
 
 def orbit_point(g: GroupElement) -> tuple[Fraction, Fraction]:

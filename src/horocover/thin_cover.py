@@ -380,6 +380,22 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, chain: list,
     return Membership("yes", delta=Fraction(1, 4 << k))
 
 
+def base_members(w, ladder: ThetaLadder) -> list:
+    """The (Y, i), i = 1, 2, with (e, w) certified in U(Y, i), for w a
+    chart point: one reduction gives Z(e, w), one walk gives Y_1 and Y_2,
+    and each level is certified once.  Empty where Z(e, w) is undefined."""
+    try:
+        Z = _select_z_base(w, ladder)
+    except WindowRequiredError:
+        return []
+    if Z is None:
+        return []
+    chain = rational_hits(Z.p, Z.q, ladder.theta)
+    Ys = _walk_chain(Z, ladder, w, chain)
+    return [(Ys[i], i) for i in (1, 2) if _certify_yes(
+        Ys[i], i, w, Z, chain, ladder, _MAX_HALVINGS).verdict == "yes"]
+
+
 # -- theorem-level verification --------------------------------------------
 
 

@@ -10,7 +10,9 @@ enumeration against the chain order of `rational_hits`, the
 candidate-by-candidate membership loop against `find_long_member` and
 the comparison of every pair of certified intervals in Fractions against
 the disjointness sweep of `verify_thin_theorem`, the charts built one
-triple at a time against `build_charts`.  They live beside the
+triple at a time against `build_charts`, and the orbit points of a
+bounding box, enumerated from coprime bottom rows and filtered by interval
+distances, against the flood fill of `flow_cover`.  They live beside the
 tests, so no simplification of the program can validate itself through
 them.
 """
@@ -20,9 +22,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from horocover.certified import surd_interval
+from mpmath import iv
+
+from horocover.certified import (
+    CertifiedReal,
+    fraction_to_iv,
+    surd_interval,
+    surd_iv,
+)
 from horocover.flow_cover import FlowLineChart
-from horocover.hyperbolic import Horoball, proj_dist_frac
+from horocover.hyperbolic import (
+    Horoball,
+    _geodesic_circle,
+    chart_point,
+    geodesic_point,
+    orbit_point,
+    proj_dist_frac,
+)
 from horocover.projection_complex import ProjComplexGraph, Window
 from horocover.projection_data import (
     WindowRequiredError,
@@ -348,6 +364,157 @@ def charts_per_triple(triples, line_R: float) -> dict:
             charts[key] = FlowLineChart(xi, line_R)
         charts[key].add(v)
     return charts
+
+
+# -- orbit points near a ray ---------------------------------------------------
+
+
+def iv_acosh(x):
+    return iv.log(x + iv.sqrt(x * x - 1))
+
+
+def hyperbolic_distance(p1, p2) -> CertifiedReal:
+    """Distance between interior points given as rational pairs or pairs of
+    CertifiedReal coordinates."""
+
+    def val(w):
+        if isinstance(w, CertifiedReal):
+            if w.exact is not None:
+                return fraction_to_iv(w.exact)
+            return w._refine(iv.dps)
+        return fraction_to_iv(Fraction(w))
+
+    def _d():
+        x1, y1 = val(p1[0]), val(p1[1])
+        x2, y2 = val(p2[0]), val(p2[1])
+        arg = 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
+        return iv_acosh(arg)
+
+    return CertifiedReal(refine=lambda dps: _d())
+
+
+def _large_roots(s_lo: float, s_hi: float, c: int) -> tuple[float, float]:
+    """[lo, hi] holding every d >= c with d / (c^2 + d^2) in [s_lo, s_hi]:
+    the map falls from 1/(2c) at d = c to 0, and its value s is taken at
+    the larger root (1 + sqrt(1 - 4 s^2 c^2)) / (2 s)."""
+
+    def root(s):
+        if s <= 0:
+            return math.inf
+        if 2 * s * c >= 1:
+            return float(c)
+        return (1 + math.sqrt(1 - 4 * s * s * c * c)) / (2 * s)
+
+    return root(s_hi), root(s_lo)
+
+
+def orbit_points_in_box(xl: float, xh: float, yl: float, yh: float) -> set:
+    """Every orbit point (a' + i) / n with xl <= a'/n <= xh and yl <= 1/n
+    <= yh, as keys (a', n), from the bottom rows (c, d) of v = (a, b; c, d):
+    v x0 = ((a c + b d) + i) / (c^2 + d^2).  For c > 0, a/c - x = d / (c n)
+    and c^2 + d^2 >= 2 c |d| put a/c within 1/(2 c^2) of x, so a runs over
+    a short range; d runs over the class of a^-1 mod c, where d / (c^2 +
+    d^2) = a - c x, as |d| <= c or within the large roots of that value
+    over the box (`_large_roots`), padded and then checked exactly."""
+    nmin, nmax = math.ceil(1 / yh), math.floor(1 / yl)
+    out = set()
+    if nmin <= 1 <= nmax:  # c = 0: v = T^b
+        out |= {(b, 1) for b in range(math.ceil(xl), math.floor(xh) + 1)}
+    for c in range(1, math.isqrt(nmax) + 1):
+        dmax = math.isqrt(nmax - c * c)
+        for a in range(math.floor(c * xl) - 1, math.ceil(c * xh) + 2):
+            if math.gcd(a, c) != 1:
+                continue
+            d0 = pow(a, -1, c) if c > 1 else 0
+            spans = [(-c, c)]
+            s_lo, s_hi = a - c * xh, a - c * xl
+            for sign, (lo, hi) in ((1, _large_roots(s_lo, s_hi, c)),
+                                   (-1, _large_roots(-s_hi, -s_lo, c))):
+                if lo > dmax:
+                    continue
+                lo = max(c, math.floor(lo * (1 - 1e-9)) - 2)
+                hi = min(dmax, math.ceil(min(hi, dmax) * (1 + 1e-9)) + 2)
+                spans.append((lo, hi) if sign > 0 else (-hi, -lo))
+            for lo, hi in spans:
+                lo, hi = max(lo, -dmax), min(hi, dmax)
+                for d in range(lo + (d0 - lo) % c, hi + 1, c):
+                    n = c * c + d * d
+                    if not nmin <= n <= nmax:
+                        continue
+                    b = (a * d - 1) // c
+                    key = a * c + b * d
+                    if xl * n <= key <= xh * n:
+                        out.add((key, n))
+    return out
+
+
+def _cosh_iv(r: Fraction):
+    e = iv.exp(fraction_to_iv(Fraction(r)))
+    return (e + 1 / e) / 2
+
+
+def tube_reference(g, xi, t0, t1, rho, dps: int = 40) -> set:
+    """The orbit points within rho of the times [t0, t1] of the ray from
+    g x0 toward xi, as keys (a, n), by enumeration and certified distances:
+    the segment is sampled every 1/2 in time (`geodesic_point`), each sample
+    gives the Euclidean box of its hyperbolic ball of radius rho + 1/4 +
+    1/100, which together hold the rho-neighbourhood, and the box's orbit
+    points (`orbit_points_in_box`) are filtered in mpmath intervals at
+    `dps`.  The distance to the segment is the distance to its line when
+    the foot lies between the ends (Pythagoras: cosh d(foot, end) = cosh
+    d(z, end) / cosh d(z, line) <= cosh(t1 - t0)), else to the nearer end.
+    Raises AssertionError when the intervals cannot separate a candidate
+    from rho."""
+    t0, t1, rho = Fraction(t0), Fraction(t1), Fraction(rho)
+    steps = max(1, math.ceil(2 * (t1 - t0)))
+    radius = float(rho) + 0.26
+    cands = set()
+    for k in range(steps + 1):
+        x, y = (float(c) for c in geodesic_point(g, xi, t0 + (t1 - t0) * k
+                                                 / steps))
+        w = y * math.sinh(radius)
+        cands |= orbit_points_in_box(x - w, x + w, y * math.exp(-radius),
+                                     y * math.exp(radius))
+    xi = chart_point(xi)
+    x0, y0 = orbit_point(g)
+    circle = _geodesic_circle(x0, y0, xi)
+    old = iv.dps
+    try:
+        iv.dps = dps
+        ends = [tuple(c._refine(dps) if c.exact is None
+                      else fraction_to_iv(c.exact)
+                      for c in geodesic_point(g, xi, t)) for t in (t0, t1)]
+        if circle is not None:
+            cen, rad = surd_iv(circle[0]), iv.sqrt(surd_iv(circle[1]))
+        limit, span = _cosh_iv(rho), _cosh_iv(t1 - t0)
+        out = set()
+        for a, n in cands:
+            x, y = fraction_to_iv(Fraction(a, n)), fraction_to_iv(
+                Fraction(1, n))
+            if circle is None:
+                sinh_line = abs(x - fraction_to_iv(x0)) / y
+            else:
+                sinh_line = abs((x - cen) ** 2 + y * y - rad * rad) / (
+                    2 * rad * y)
+            line = iv.sqrt(1 + sinh_line ** 2)
+            to_end = [1 + ((x - px) ** 2 + (y - py) ** 2) / (2 * y * py)
+                      for px, py in ends]
+            nearer = iv.mpf([min(e.a for e in to_end),
+                             min(e.b for e in to_end)])
+            inside = [e / line <= span for e in to_end]
+            if all(v is True for v in inside):
+                dist = line
+            elif False in inside:
+                dist = nearer
+            else:  # the foot is at an end: both distances nearly agree
+                dist = iv.mpf([line.a, nearer.b])
+            if dist.b < limit.a:
+                out.add((a, n))
+            elif not dist.a > limit.b:
+                raise AssertionError(f"undecided at {(a, n)}")
+        return out
+    finally:
+        iv.dps = old
 
 
 # -- surds ------------------------------------------------------------------

@@ -14,12 +14,12 @@ from horocover.certified import (
     Undecided,
     fraction_to_iv,
     iv_acos,
-    iv_acosh,
     iv_to_fractions,
     surd_interval,
     surd_iv,
 )
 from horocover.surd import PHI, SQRT2
+from reference import iv_acosh
 
 
 class TestIntervals:
@@ -55,13 +55,13 @@ class TestCertifiedReal:
         assert root2.compare(Fraction(7, 5)) == 1
 
     def test_equal_expressions_undecided(self):
-        # the band compare of orbit_points_near: an inexact enclosure of
-        # 1/3 never separates from the rational 1/3, so it ends Undecided
+        # an inexact enclosure of 1/3 never separates from the rational
+        # 1/3, so it ends Undecided
         third = CertifiedReal(refine=lambda dps: iv.mpf(1) / 3)
         lo, hi = third.interval()
         assert lo < Fraction(1, 3) < hi
         with pytest.raises(Undecided):
-            third.compare(Fraction(1, 3), max_dps=60)
+            third.compare(Fraction(1, 3))
 
     def test_of_surd(self):
         c = CertifiedReal(refine=lambda dps: surd_iv(PHI))

@@ -1,20 +1,23 @@
-"""Thick cover: classification, the filtered orbit-point predicate against
-the per-candidate loop it replaced, the per-ray walk against the per-point
-one, flow-line charts against their per-triple construction, the staggered
-interval cover, and pullback longness."""
+"""Thick cover: classification, the flood fill of orbit points near a ray
+against an enumeration of every orbit point in its bounding boxes, its
+exact fallback and equivariance, ray points against the per-point
+construction, flow-line charts against their per-triple construction, the
+staggered interval cover, and pullback longness."""
 
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from horocover import flow_cover
+from horocover import flow_cover, hyperbolic
 from horocover.certified import (
     INFINITE,
     CertifiedReal,
-    Undecided,
     fraction_to_iv,
     iv_acos,
     surd_iv,
@@ -23,9 +26,10 @@ from horocover.flow_cover import (
     FlowLineChart,
     ThickCertificate,
     ThickParams,
-    _NEIGHBORS,
-    _square_bounds,
-    _twice_cosh_minus_2,
+    _MID_GAP,
+    _Ray,
+    _exp_bounds,
+    _exp_sign,
     build_charts,
     build_long_thin_cover,
     choose_tau,
@@ -35,6 +39,7 @@ from horocover.flow_cover import (
     fsubset_check,
     orbit_points_near,
     sample_coarse_flow,
+    tube_points,
     verify_thick_theorem,
 )
 from horocover.hyperbolic import (
@@ -47,14 +52,13 @@ from horocover.hyperbolic import (
     _geodesic_circle,
     chart_point,
     geodesic_point,
-    hyperbolic_distance,
     locate,
-    orbit_point,
     word_ball,
 )
 from horocover.surd import INFINITY, PHI, SQRT2, Surd
-from reference import charts_per_triple, surd_sample_set
-from test_hyperbolic import reference_locate
+from reference import charts_per_triple, surd_sample_set, tube_reference
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # thick and thin surd directions: (1, 0, c, 1) PHI = [0; c, 1, 1, ...]
 # has the projection c + 1/phi at 0/1; the projections toward sqrt(2)/4 =
@@ -72,25 +76,20 @@ def params():
 
 @pytest.fixture(scope="module")
 def walk(params):
-    """The sample at word radius 3, and each orbit_points_near result of
-    its walk as a pair (forward endpoint, list), in call order."""
-    xis, lists = [], []
+    """The sample at word radius 3, and each tube_points result of its
+    walk as a pair (forward endpoint, list), in call order."""
+    rays = []
 
-    def point(g, xi, t):
-        xis.append(xi)
-        return geodesic_point(g, xi, t)
-
-    def near(*args):
-        lists.append(orbit_points_near(*args))
-        return lists[-1]
+    def tube(g, xi, params):
+        rays.append((xi, tube_points(g, xi, params)))
+        return rays[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow_cover, "geodesic_point", point)
-        mp.setattr(flow_cover, "orbit_points_near", near)
+        mp.setattr(flow_cover, "tube_points", tube)
         sample = sample_coarse_flow(params, 3, [
             PHI, SQRT2, GEN_T.apply_boundary(PHI),
             GEN_S.apply_boundary(SQRT2)])
-    return sample, list(zip(xis, lists, strict=True))
+    return sample, rays
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +100,22 @@ def sample(walk):
 @pytest.fixture(scope="module")
 def cover(sample, params):
     return build_long_thin_cover(sample, params.beta)
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The perfbench thick workload at seed 7: its word radius, parameters
+    and thick directions."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    inputs = workloads.Thick().setup(7)
+    params = inputs["params"]
+    return workloads.Thick.RADIUS, params, [
+        xi for xi in inputs["xis"] if isinstance(
+            classify(IDENTITY, xi, params.Theta), ThickCertificate)]
 
 
 class TestClassify:
@@ -142,137 +157,151 @@ class TestClassify:
         # D_max = log(Theta/2) pinned to 1
         assert params.depth_bound == pytest.approx(1.0, abs=1e-3)
 
-
-def _midpoint(c: CertifiedReal) -> Fraction:
-    """The midpoint of the dps-40 enclosure of c."""
-    lo, hi = c.interval(40)
-    return (lo + hi) / 2
-
-
-def reference_orbit_points_near(point, rho, slack=0.05):
-    """The per-candidate loop the filter replaced: a float prefilter that
-    drops d > rho + slack, then a certified compare of every candidate it
-    leaves, kept when Undecided."""
-    px, py = point
-    if isinstance(px, CertifiedReal):
-        sx, sy = _midpoint(px), _midpoint(py)
-    else:
-        sx, sy = Fraction(px), Fraction(py)
-    h = locate((sx, sy))
-    out = []
-    for u in word_ball(2):
-        v = h * u
-        ox, oy = orbit_point(v)
-        fx, fy = float(ox), float(oy)
-        arg = 1 + ((fx - float(sx)) ** 2 + (fy - float(sy)) ** 2) / (
-            2 * fy * float(sy))
-        if math.acosh(max(arg, 1.0)) > float(rho) + slack:
-            continue
-        try:
-            if hyperbolic_distance((ox, oy), point).compare(
-                    rho, max_dps=60) <= 0:
-                out.append(v)
-        except Undecided:
-            out.append(v)
-    return out
+    def test_params_rejected(self):
+        # a ray segment needs t_max >= 0
+        with pytest.raises(ValueError):
+            ThickParams(Fraction(6), RHO, Fraction(3), Fraction(-1))
 
 
 RHO = Fraction(2)
-# the ray from G_TIE x0 toward SQRT2 has G_TIE in the neighbour set of its
-# point at t = RHO, so its start is a candidate at distance exactly t
-G_TIE = GroupElement(0, -1, 1, 2)
 WORDS = st.lists(st.sampled_from([GEN_S, GEN_T, GEN_T.inverse()]),
                  max_size=6).map(lambda w: math.prod(w, start=IDENTITY))
+# ray times, without the tie t = RHO of a ray's start with its time-t point
+TIMES = [Fraction(k, 2) for k in range(25) if k != 4]
 
 
-def _no_compare(monkeypatch):
+def _move(h: GroupElement, keys) -> set:
+    """h applied to the orbit points of keys (a, n), as keys."""
+    out = set()
+    for a, n in keys:
+        x, y = h.apply_point(Fraction(a, n), Fraction(1, n))
+        out.add((x / y, 1 / y))
+    return out
+
+
+def _no_intervals(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("certified compare called")
+        raise AssertionError("point enclosure or located point used")
 
     monkeypatch.setattr(CertifiedReal, "compare", refuse)
+    monkeypatch.setattr(CertifiedReal, "interval", refuse)
 
 
-def _starts_kept(g, t, origin):
-    pt = geodesic_point(g, SQRT2, t)
-    m = tuple(_midpoint(c) for c in pt)
-    start = orbit_point(g)
-    assert any(orbit_point(locate(m) * u) == start for u in _NEIGHBORS)
-    kept = orbit_points_near(pt, RHO, (g, t) if origin else None)
-    return any(orbit_point(v) == start for v in kept)
+def _count_exact(monkeypatch) -> list:
+    calls = []
+    within = _Ray._within
+
+    def counted(self, *args):
+        calls.append(args)
+        return within(self, *args)
+
+    monkeypatch.setattr(_Ray, "_within", counted)
+    return calls
+
+
+def _start_kept(g, t) -> bool:
+    start = (g.a * g.c + g.b * g.d, g.c * g.c + g.d * g.d)
+    return start in orbit_points_near(g, SQRT2, t, RHO)
 
 
 class TestOrbitPointsNear:
-    @given(st.integers(-20, 20), st.integers(0, 20))
-    def test_square_bounds(self, lo, width):
-        squares = [s * s for s in range(lo, lo + width + 1)]
-        assert _square_bounds(lo, lo + width) == (min(squares), max(squares))
-
     @settings(max_examples=40, deadline=None)
+    @given(st.fractions(-30, 30, max_denominator=16),
+           st.sampled_from([8, 64, 130]))
+    def test_exp_bounds_enclose(self, r, bits):
+        lo, hi = _exp_bounds(r, bits)
+        with mpmath.workdps(80):
+            v = mpmath.exp(mpmath.mpf(r.numerator) / r.denominator) \
+                * mpmath.mpf(2) ** bits
+            assert lo <= v <= hi
+            assert hi - lo <= v * mpmath.mpf(2) ** (4 - bits) + 2
+
+    def test_exp_sign(self):
+        # terms of one exponent merge, so an exact cancellation is 0
+        one = Fraction(1)
+        assert _exp_sign([(0, (3, 0)), (one, (2, 0)), (one, (-2, 0)),
+                          (0, (-3, 0))], 0) == 0
+        assert _exp_sign([(one, (1000, 0)), (0, (-2718, 0))], 0) == 1
+        assert _exp_sign([(one, (1000, 0)), (0, (-2719, 0))], 0) == -1
+        # 2 e^(1/2) - (1 + sqrt 5) = 3.297... - 3.236... in Z[sqrt 5]
+        assert _exp_sign([(Fraction(1, 2), (2, 0)), (0, (-1, -1))], 5) == 1
+        # e^-20 is tiny but positive
+        assert _exp_sign([(Fraction(-20), (1, 0))], 0) == 1
+
+    @settings(max_examples=15, deadline=None)
     @given(st.sampled_from(word_ball(3)), WORDS,
-           st.sampled_from([PHI, SQRT2]),
-           st.sampled_from(list(ThickParams(Fraction(6), RHO,
-                                            Fraction(3)).t_grid())),
-           st.booleans())
-    def test_equals_reference_on_rays(self, g, w, xi, t, origin):
-        pt = geodesic_point(g, w.apply_boundary(xi), t)
-        got = orbit_points_near(pt, RHO, (g, t) if origin else None)
-        assert got == reference_orbit_points_near(pt, RHO)
+           st.sampled_from([PHI, SQRT2]), st.sampled_from(TIMES))
+    def test_equals_reference_on_rays(self, g, w, xi, t):
+        xi = w.apply_boundary(xi)
+        got = orbit_points_near(g, xi, t, RHO)
+        assert len(got) == len(set(got))
+        assert set(got) == tube_reference(g, xi, t, t, RHO)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.fractions(-3, 3, max_denominator=12),
-           st.fractions(Fraction(1, 12), 4, max_denominator=12),
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(word_ball(3)),
+           st.sampled_from([PHI, -SQRT2, INFINITY, Fraction(0),
+                            Fraction(5, 2)]),
            st.sampled_from([Fraction(1, 2), Fraction(1), RHO]))
-    def test_equals_reference_on_rational_points(self, x, y, rho):
-        assert orbit_points_near((x, y), rho) == \
-            reference_orbit_points_near((x, y), rho)
+    def test_equals_reference_on_rational_points(self, g, xi, rho):
+        # at time 0 the ray point is the rational orbit point g x0
+        assert set(orbit_points_near(g, xi, 0, rho)) == \
+            tube_reference(g, xi, 0, 0, rho)
 
-    @pytest.mark.parametrize("origin", [True, False])
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(word_ball(2)), WORDS,
+           st.sampled_from([PHI, SQRT2, Fraction(1, 3)]))
+    def test_filter_sound_on_a_wide_box(self, g, w, xi):
+        # every orbit point within rho + 1 of a segment, a box wider than
+        # the reference's, is decided by the exact test alone, and by the
+        # float filter wherever it decides, as the reference decides it
+        xi, t1 = w.apply_boundary(xi), Fraction(4)
+        ray = _Ray(g, xi)
+        want = tube_reference(g, xi, 0, t1, RHO)
+        cands = set(ray.fill(Fraction(0), t1, RHO + 1, (g.a, g.b, g.c, g.d),
+                             _MID_GAP + 3.5))
+        assert want <= cands
+        keep_at = math.cosh(RHO)
+        for a, n in cands:
+            inside = (a, n) in want
+            assert ray._within(a, n, Fraction(0), t1, RHO) == inside
+            X, perm = ray._cosh_distance(a, n, 0.0, float(t1))
+            if abs(X - keep_at) > flow_cover._BAND * X * (1 + perm):
+                assert (X < keep_at) == inside
+
+    @pytest.mark.parametrize("exact", [True, False])
     def test_start_near_rho_decided_without_compare(self, monkeypatch,
-                                                    origin):
-        # 2^-40 off the tie, the enclosure alone separates the start
-        _no_compare(monkeypatch)
-        eps = Fraction(1, 2 ** 40)
-        assert _starts_kept(G_TIE, RHO - eps, origin)
-        assert not _starts_kept(G_TIE, RHO + eps, origin)
+                                                    exact):
+        # 2^-40 off the tie only the exact test separates the start; 2^-20
+        # off, the floats do
+        _no_intervals(monkeypatch)
+        calls = _count_exact(monkeypatch)
+        eps = Fraction(1, 2 ** (40 if exact else 20))
+        g = GroupElement(0, -1, 1, 2)
+        assert _start_kept(g, RHO - eps)
+        assert not _start_kept(g, RHO + eps)
+        assert bool(calls) == exact
 
     def test_tie_kept_without_compare(self, monkeypatch):
-        _no_compare(monkeypatch)
-        assert _starts_kept(G_TIE, RHO, origin=True)
+        # at t = rho the start is at distance exactly rho: the exponential
+        # sum has equal exponents, which merge to an exact 0
+        _no_intervals(monkeypatch)
+        calls = _count_exact(monkeypatch)
+        assert _start_kept(GroupElement(0, -1, 1, 2), RHO)
+        assert calls
 
-    def test_tie_without_origin_is_kept_as_undecided(self):
-        assert _starts_kept(G_TIE, RHO, origin=False)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(-64, 64), st.integers(8, 64), st.booleans())
-    @example(-52, 32, True)  # boxes where the drop bound is tight
-    @example(-48, 10, True)
-    def test_filter_sound_on_a_wide_box(self, i, j, keep):
-        # a point known only to a box of width 1/8 at every precision:
-        # with the fallback compare forced, what the filter keeps must be
-        # within rho at every sampled box point, and what it drops beyond
-        x, y, w = Fraction(i, 32), Fraction(j, 32), Fraction(1, 16)
-        point = tuple(CertifiedReal(refine=lambda dps, c=c: iv.mpf(
-            [fraction_to_iv(c - w).a, fraction_to_iv(c + w).b]))
-            for c in (x, y))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(CertifiedReal, "compare",
-                       lambda self, other, max_dps: -1 if keep else 1)
-            kept = orbit_points_near(point, RHO)
-        c_lo, c_hi = _twice_cosh_minus_2(RHO)
-        h = locate((x, y))
-        for v in (h * u for u in _NEIGHBORS):
-            ox, oy = orbit_point(v)
-            grid = [(x + k * w / 2, y + m * w / 2)
-                    for k in range(-2, 3) for m in range(-2, 3)]
-            grid.append((min(max(ox, x - w), x + w),
-                         min(max(oy, y - w), y + w)))
-            # 2 (cosh d - 1) at each sampled point of the box
-            vals = [((ox - gx) ** 2 + (oy - gy) ** 2) / (oy * gy)
-                    for gx, gy in grid]
-            if keep and v not in kept:
-                assert min(vals) > c_lo
-            if not keep and v in kept:
-                assert max(vals) < c_hi
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(word_ball(2)), WORDS, WORDS,
+           st.sampled_from([PHI, SQRT2, -SQRT2, Fraction(1, 3), INFINITY]),
+           st.sampled_from([Fraction(0), Fraction(3, 2), Fraction(5)]))
+    def test_equivariant(self, g, w, h, xi, t):
+        # moving the ray by h moves its tube and its time-t ball by h
+        xi = w.apply_boundary(xi)
+        short = ThickParams(Fraction(6), RHO, Fraction(3), Fraction(4))
+        moved_xi = h.apply_boundary(xi)
+        assert set(tube_points(h * g, moved_xi, short)) == \
+            _move(h, tube_points(g, xi, short))
+        assert set(orbit_points_near(h * g, moved_xi, t, RHO)) == \
+            _move(h, orbit_points_near(g, xi, t, RHO))
 
 
 def reference_geodesic_point(g, xi, t):
@@ -310,33 +339,58 @@ def reference_geodesic_point(g, xi, t):
 
 
 class TestRayWalk:
-    def test_sample_equals_reference_walk(self, monkeypatch):
-        # the thick benchmark's settings: word radius 1 toward PHI and
-        # SQRT2; every ray walked point by point as before, each point
-        # located by the exact loop alone, finds the same orbit points at
-        # each of the 4 x 2 x 25 ray points
-        params = ThickParams(Theta=Fraction(5437, 1000), rho=Fraction(2),
-                             beta=Fraction(3), t_max=Fraction(12))
+    def test_sample_equals_reference_tubes(self, bench):
+        # the thick benchmark at seed 7: every ray's tube is the set of
+        # orbit points within rho that the bounding-box enumeration finds
+        radius, params, thick = bench
+        total = 0
+        for g in word_ball(radius):
+            for xi in thick:
+                got = tube_points(g, xi, params)
+                assert len(got) == len(set(got))
+                assert set(got) == tube_reference(g, xi, 0, params.t_max,
+                                                  params.rho)
+                total += len(got)
+        assert total == sample_coarse_flow(params, radius, thick).size
 
-        def found():
-            calls = []
+    def test_sample_without_point_enclosures(self, bench, monkeypatch):
+        # the sample needs no located point, ray point or interval
+        radius, params, xis = bench
+        want = sample_coarse_flow(params, radius, xis)
 
-            def near(*args):
-                calls.append(orbit_points_near(*args))
-                return calls[-1]
+        def refuse(*args, **kwargs):
+            raise AssertionError("point enclosure or located point used")
 
-            with monkeypatch.context() as mp:
-                mp.setattr(flow_cover, "orbit_points_near", near)
-                sample_coarse_flow(params, 1, [PHI, SQRT2])
-            return calls
+        for module in (flow_cover, hyperbolic):
+            monkeypatch.setattr(module, "locate", refuse, raising=False)
+            monkeypatch.setattr(module, "geodesic_point", refuse,
+                                raising=False)
+        monkeypatch.setattr(CertifiedReal, "interval", refuse)
+        got = sample_coarse_flow(params, radius, xis)
+        assert got.size == want.size
+        assert {k: list(v) for k, v in got.points.items()} == \
+            {k: list(v) for k, v in want.points.items()}
 
-        got = found()
-        monkeypatch.setattr(flow_cover, "geodesic_point",
-                            reference_geodesic_point)
-        monkeypatch.setattr(flow_cover, "locate", reference_locate)
-        want = found()
-        assert len(got) == 4 * 2 * 25 and got == want
-        assert sum(map(len, got)) > 8 * 25
+    @pytest.mark.parametrize("xi", [PHI, SQRT2, GEN_T.apply_boundary(PHI),
+                                    GroupElement(1, 0, 7, 1).apply_boundary(
+                                        PHI)])
+    def test_depth_bound_holds(self, xi):
+        # the depth of each ray point, measured where locate puts it in
+        # the fundamental domain (only the horoball at infinity meets it),
+        # stays below the bound; on the thick rays the bound is below rho,
+        # so the fill's margin is 2 asinh(1/2)
+        thick = isinstance(classify(IDENTITY, xi, Fraction(5437, 1000)),
+                           ThickCertificate)
+        for g in word_ball(1):
+            bound = _Ray(g, xi).depth_bound(Fraction(12))
+            for k in range(49):
+                x, y = (float(c) for c in geodesic_point(g, xi,
+                                                          Fraction(k, 4)))
+                z = (Fraction(x), Fraction(y))
+                depth = math.log(max(1.0, float(
+                    locate(z).inverse().apply_point(*z)[1])))
+                assert depth <= bound + 1e-9
+            assert bound < RHO or not thick
 
     @pytest.mark.parametrize("xi", [PHI, -SQRT2, INFINITY, Fraction(0),
                                     Fraction(5, 2)])

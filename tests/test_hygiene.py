@@ -142,13 +142,7 @@ def test_detector_lists_caches():
 
 # the caches kept on purpose, one reason each: a cache hides the cost of
 # repeated work instead of removing it
-CACHES = {
-    "hyperbolic._ray":
-        "the t-independent part of a ray and its enclosures, asked again "
-        "at every sample time of the ray and at every tau attempt",
-    "flow_cover._twice_cosh_minus_2":
-        "one mpmath enclosure per rho, asked again at every sample point",
-}
+CACHES = {}
 
 
 def test_caches_listed():
