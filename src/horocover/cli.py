@@ -427,7 +427,7 @@ def render_ford_scene() -> str:
                 'stroke-width="0.8"/>')
     for xi, color in ((PHI, "#393"), (SQRT2, "#339")):
         f = float(xi)
-        c, r = (f * f - 1) / (2 * f), 0.0
+        c = (f * f - 1) / (2 * f)
         r = abs(f - c)
         # geodesic from i toward xi: arc of the circle |z - c| = r
         steps = 60

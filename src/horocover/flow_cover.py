@@ -8,11 +8,11 @@ space CF_0 holds the triples (x_-, v, xi_+) with v an orbit point within
 rho of the witness ray from x_- toward xi_+ over its times [0, t_max].  The
 sample keeps what the charts read: for each forward endpoint, the orbit
 points v found along its rays, and the number of triples.  Each endpoint
-gives one flow-line chart with an arclength parameter, and the long thin
-cover lays two staggered interval families of length 4*beta along each
-chart.  The coarse flow map iota_tau pushes a pair (g, xi) to the orbit
-points within rho of the time-tau point of its ray, and covers pull back
-through it.
+gives one flow-line chart, the v within line_R of the line from x0 toward
+it with their foot times on that line, and the long thin cover lays two
+staggered interval families of length 4*beta along each chart.  The coarse
+flow map iota_tau pushes a pair (g, xi) to the orbit points within rho of
+the time-tau point of its ray, and covers pull back through it.
 
 Both are one flood fill over the orbit points, complete by a margin.  The
 orbit points v x0 are the midpoints of the edges of the Farey tessellation
@@ -52,7 +52,8 @@ Each kept point is decided exactly: in the chart of its ray the distance is
 an element of Q(sqrt d) against e^t and cosh rho, compared in floats from
 exact integers outside a band that covers their error, and inside it as an
 exponential sum whose terms with equal exponents are merged, which
-Lindemann-Weierstrass lets refinement decide (see `_Ray`).
+Lindemann-Weierstrass lets refinement decide (see `_Ray`); so are a chart's
+members and their foot times, snapped to the nearest quarter.
 """
 
 from __future__ import annotations
@@ -261,7 +262,11 @@ class _Ray:
     less than 100 ulps < 2^-45 of X (1 + perm), for X the value and perm
     the size of that difference as a sinh; a comparison with a float of
     libm's cosh (within 2 ulps) decides only outside the band _BAND X (1 +
-    perm), and `_within` decides the rest exactly."""
+    perm), and `_within` (`_near_line` for the whole line) decides the
+    rest exactly.  The foot time, half the log of a quotient of sums of
+    squares, errs by less than 2^-45 (1 + |time|), so the quarter snap
+    decides in floats when 4 time lies more than _BAND (1 + |4 time|) from
+    a half-integer, and `chart_time` decides the rest exactly."""
 
     __slots__ = ("g", "xi", "d", "n0", "xn", "xd", "en", "ed", "c", "_fl",
                  "_floats")
@@ -299,8 +304,9 @@ class _Ray:
                 (a * xdp - n * xnp, a * xdq - n * xnq))
 
     def _cosh_distance(self, a: int, n: int, t0: float, t1: float):
-        """(X, perm): cosh of the distance from (a + i) / n to the segment of
-        times [t0, t1], in floats, and the size perm of its error term."""
+        """(X, perm, time): cosh of the distance from (a + i) / n to the
+        segment of times [t0, t1] (the line for t0 = -inf, t1 = inf), in
+        floats, the size perm of its error term, and its foot time."""
         fl, (ed, xd, c, _, _) = self._fl, self._floats
         (fp, fq), (hp, hq) = self._fh(a, n)
         f, h = fl(fp, fq), fl(hp, hq)
@@ -310,32 +316,27 @@ class _Ray:
                               / (self.n0 * self.n0 * (h * h + xd * xd)))
         past = t0 - time if time < t0 else max(0.0, time - t1)
         return (math.sqrt(1 + s * s) * math.cosh(past),
-                (abs(fh) + abs(exd)) / (n * c))
+                (abs(fh) + abs(exd)) / (n * c), time)
 
-    def _within(self, a: int, n: int, t0: Fraction, t1: Fraction,
-                rho: Fraction) -> bool:
-        """Whether d((a + i) / n, segment [t0, t1]) <= rho, exactly: the
-        distance to an end, or to the line when the foot lies between the
-        ends, each compared as an exponential sum (`_exp_sign`)."""
+    def _exact(self, a: int, n: int) -> tuple:
+        """(f, h, size, hh) in Z[sqrt d], with |M z|^2 = size / hh."""
         d, n0 = self.d, self.n0
         f, h = self._fh(a, n)
         size = tuple(s + t for s, t in zip(_mul(f, f, d), _mul(
             self.ed, self.ed, d)))  # |M z|^2 n0^2 (h^2 + xi_d^2)
         hh = tuple(n0 * n0 * (s + t) for s, t in zip(_mul(h, h, d), _mul(
             self.xd, self.xd, d)))  # n0^2 (h^2 + xi_d^2)
-        nc = tuple(n * n0 * s for s in self.c)
-        minus_nc = (-nc[0], -nc[1])
+        return f, h, size, hh
 
-        def near_end(t):
-            return _exp_sign([(0, size), (2 * t, hh), (t + rho, minus_nc),
-                              (t - rho, minus_nc)], d) <= 0
+    def _foot_sign(self, size: tuple, hh: tuple, t: Fraction) -> int:
+        """The sign of (foot time - t), exactly: of size - hh e^{2t}."""
+        return _exp_sign([(0, size), (2 * t, (-hh[0], -hh[1]))], self.d)
 
-        if near_end(t0) or t1 != t0 and near_end(t1):
-            return True
-        minus_hh = (-hh[0], -hh[1])
-        if _exp_sign([(0, size), (2 * t0, minus_hh)], d) < 0 or \
-                _exp_sign([(0, size), (2 * t1, minus_hh)], d) > 0:
-            return False  # the foot lies past an end
+    def _near_line(self, n: int, f: tuple, h: tuple, rho: Fraction) -> bool:
+        """Whether d((a + i) / n, line) <= rho, exactly: sinh d = |f h +
+        eta_d xi_d| / (n c) <= sinh rho, squared and doubled, is 4 (f h +
+        eta_d xi_d)^2 + 2 (n c)^2 <= (n c)^2 (e^{2 rho} + e^{-2 rho})."""
+        d = self.d
         twice = tuple(2 * (s + t) for s, t in zip(_mul(f, h, d), _mul(
             self.ed, self.xd, d)))
         cc = tuple(n * s for s in self.c)
@@ -344,6 +345,44 @@ class _Ray:
         minus_m2 = (-m2[0], -m2[1])
         return _exp_sign([(0, lead), (2 * rho, minus_m2),
                           (-2 * rho, minus_m2)], d) <= 0
+
+    def _within(self, a: int, n: int, t0: Fraction, t1: Fraction,
+                rho: Fraction) -> bool:
+        """Whether d((a + i) / n, segment [t0, t1]) <= rho, exactly: the
+        distance to an end, or to the line when the foot lies between the
+        ends, each compared as an exponential sum (`_exp_sign`)."""
+        f, h, size, hh = self._exact(a, n)
+        nc = tuple(n * self.n0 * s for s in self.c)
+        minus_nc = (-nc[0], -nc[1])
+
+        def near_end(t):
+            return _exp_sign([(0, size), (2 * t, hh), (t + rho, minus_nc),
+                              (t - rho, minus_nc)], self.d) <= 0
+
+        if near_end(t0) or t1 != t0 and near_end(t1):
+            return True
+        if self._foot_sign(size, hh, t0) < 0 or \
+                self._foot_sign(size, hh, t1) > 0:
+            return False  # the foot lies past an end
+        return self._near_line(n, f, h, rho)
+
+    def chart_time(self, a: int, n: int, R: Fraction) -> Fraction | None:
+        """The foot time of (a + i) / n snapped to the nearest quarter k/4,
+        or None when the point lies further than R from the line; inside
+        the band, by `_near_line` and by comparing |M z|^2 with
+        e^{(2k +- 1)/4}, which Lindemann-Weierstrass keeps from a tie."""
+        X, perm, time = self._cosh_distance(a, n, -math.inf, math.inf)
+        keep_at, band = math.cosh(R), _BAND * X * (1 + perm)
+        if X > keep_at + band or X >= keep_at - band and \
+                not self._near_line(n, *self._fh(a, n), R):
+            return None
+        k = round(4 * time)
+        side = 1 if 4 * time > k else -1
+        if abs(4 * time - k) >= 0.5 - _BAND * (1 + abs(4 * time)):
+            _, _, size, hh = self._exact(a, n)
+            if self._foot_sign(size, hh, Fraction(2 * k + side, 8)) == side:
+                k += side
+        return Fraction(k, 4)
 
     def depth_bound(self, t: Fraction) -> float:
         """An upper bound on the depth of the ray's points up to time t:
@@ -392,7 +431,7 @@ class _Ray:
         for v in queue:
             A, B, C, D = v
             a, n = A * C + B * D, C * C + D * D
-            X, perm = self._cosh_distance(a, n, f0, f1)
+            X, perm, _ = self._cosh_distance(a, n, f0, f1)
             band = _BAND * X * (1 + perm)
             if X < keep_at - band or (X <= keep_at + band
                                       and self._within(a, n, t0, t1, rho)):
@@ -429,7 +468,8 @@ def orbit_points_near(g: GroupElement, xi, t, rho: Fraction) -> list:
     ray, t = _Ray(g, xi), Fraction(t)
     near = ray._point(t)
     start = _element(g if near is None else locate(near))
-    X, perm = ray._cosh_distance(*_orbit_ints(start), float(t), float(t))
+    X, perm, _ = ray._cosh_distance(*_orbit_ints(start), float(t),
+                                    float(t))
     L0 = math.acosh(X * (1 + _BAND * (1 + perm)))
     return ray.fill(t, t, rho, start, _MID_GAP + max(float(rho), L0) + _PAD)
 
@@ -469,44 +509,6 @@ def flow_point(g: GroupElement, xi, tau, params: ThickParams) -> set:
 # -- flow-line charts -------------------------------------------------------
 
 
-def _ray_parameter_fn(xi):
-    """Signed arclength along the geodesic from the basepoint toward xi,
-    of the orthogonal projection of a point (x, y); float precision, which
-    only feeds the interval combinatorics of the cover."""
-    if xi is INFINITY:
-        return lambda x, y: math.log(y)
-    f = float(xi)
-    if f == 0.0:
-        return lambda x, y: -math.log(y)
-    c = (f * f - 1) / (2 * f)
-    u0 = math.tan(math.atan2(1.0, -c) / 2)
-    toward_zero = f > c
-
-    def param(x, y):
-        u = math.tan(math.atan2(y, x - c) / 2)
-        return math.log(u0 / u) if toward_zero else math.log(u / u0)
-
-    return param
-
-
-def _line_distance_fn(xi):
-    """Distance from a point to the full geodesic line carrying the
-    basepoint witness ray toward xi (float)."""
-    if xi is INFINITY:
-        return lambda x, y: math.asinh(abs(x) / y)
-    f = float(xi)
-    if f == 0.0:
-        return lambda x, y: math.asinh(abs(x) / y)
-    c = (f * f - 1) / (2 * f)
-    r2 = (f - c) ** 2
-
-    def dist(x, y):
-        num = abs((x - c) ** 2 + y * y - r2)
-        return math.asinh(num / (2 * math.sqrt(r2) * y))
-
-    return dist
-
-
 # the multiplicative bound of the charts' embedding audit
 _MU_HAT = 2.0
 
@@ -516,42 +518,38 @@ class FlowLineChart:
     """Orbit points near a common forward endpoint, with an arclength
     parameter along the canonical witness ray from the basepoint.
 
-    The parameter of a member is intrinsic: the projection onto the
-    witness ray, snapped to a quarter-integer grid.  Orbit points further
-    than line_R from the carrying geodesic belong to other flow lines and
-    are not admitted."""
+    The parameter of a member is intrinsic: its foot time log |M z| in the
+    chart M of `_Ray(IDENTITY, xi_plus)`, snapped to the nearest quarter.
+    Orbit points further than line_R from the carrying geodesic belong to
+    other flow lines and are not admitted (both exact: `_Ray.chart_time`)."""
 
     xi_plus: object
-    line_R: float = 3.0
+    line_R: Fraction
     members: dict = field(default_factory=dict)  # (a, n) -> parameter t
 
     def __post_init__(self):
-        self._param_fn = _ray_parameter_fn(self.xi_plus)
-        self._dist_fn = _line_distance_fn(self.xi_plus)
-        self._coords = {}
+        self._ray = _Ray(IDENTITY, self.xi_plus)
 
     def add(self, key: tuple[int, int]):
         """Offer the orbit point (a + i) / n of key = (a, n)."""
-        a, n = key
-        x, y = a / n, 1 / n  # correctly rounded
-        if self._dist_fn(x, y) <= self.line_R:
-            self._coords[key] = (x, y)
-            self.members[key] = Fraction(round(4 * self._param_fn(x, y)), 4)
+        t = self._ray.chart_time(*key, self.line_R)
+        if t is not None:
+            self.members[key] = t
 
     def audit_embedding(self):
         """The parameter map is a (mu_hat, A_hat)-quasi-isometric embedding
         of (members, d_T) into the reals: measure the best additive A_hat
         for the multiplicative bound mu_hat = _MU_HAT, over all member
-        pairs."""
-        vs = sorted(self.members, key=lambda v: (self.members[v], v))
+        pairs, in floats."""
         # quarter-integer parameters: their float differences are exact
-        pts = [(*self._coords[v], float(self.members[v])) for v in vs]
+        pts = [(a, n, float(t)) for (a, n), t in self.members.items()]
         A_hat = 0.0
-        for i, (xu, yu, tu) in enumerate(pts):
-            for xw, yw, tw in pts[i + 1:]:
-                arg = 1 + ((xu - xw) ** 2 + (yu - yw) ** 2) / (2 * yu * yw)
-                d = math.acosh(max(arg, 1.0))
-                dt = abs(tu - tw)
+        for i, (a, n, t) in enumerate(pts):
+            for b, m, u in pts[i + 1:]:
+                # cosh d((a + i) / n, (b + i) / m), from integers
+                d = math.acosh(1 + ((a * m - b * n) ** 2 + (n - m) ** 2)
+                               / (2 * n * m))
+                dt = abs(t - u)
                 A_hat = max(A_hat, dt - _MU_HAT * d, d - _MU_HAT * dt)
         return _MU_HAT, A_hat
 
@@ -562,8 +560,8 @@ def build_charts(sample: CoarseFlowSample):
     (points further out belong to other flow lines), with the intrinsic
     arclength parameter.  Charts violating the (2, max_A) embedding audit,
     max_A = 2 line_R + 1, are rejected with diagnostics."""
-    line_R = float(sample.params.rho) + 1.0
-    max_A = 2 * line_R + 1.0
+    line_R = sample.params.rho + 1
+    max_A = 2 * line_R + 1
     charts = {}
     for xi, vs in sample.points.items():
         chart = charts[str(xi)] = FlowLineChart(xi, line_R)
@@ -601,6 +599,7 @@ class LongThinCover:
     longness_ok: bool = True
     rejected_charts: list = field(default_factory=list)
     _by_chart: dict = field(init=False, repr=False, default_factory=dict)
+    _pullback: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         for U in self.elements:
@@ -609,15 +608,6 @@ class LongThinCover:
     def elements_containing(self, chart_key: str, t: Fraction):
         return [U for U in self._by_chart.get(chart_key, ())
                 if U.lo <= t < U.hi]
-
-    def member_elements(self, v: tuple[int, int], xi_plus):
-        """Cover elements containing the flow point v, a key (a, n), on the
-        chart of the forward endpoint xi_plus, the chart every flow triple
-        belongs to."""
-        key = str(xi_plus)
-        chart = self.charts.get(key)
-        t = None if chart is None else chart.members.get(v)
-        return [] if t is None else self.elements_containing(key, t)
 
 
 def build_long_thin_cover(sample: CoarseFlowSample,
@@ -685,15 +675,20 @@ def fsubset_check(cover: LongThinCover) -> int:
 
 
 def flow_elements(g: GroupElement, xi, tau, cover: LongThinCover,
-                  params: ThickParams) -> set:
+                  params: ThickParams) -> frozenset:
     """The cover elements containing every flow point of (g, xi) at time
-    tau, that is, whose pullback by iota_tau contains (g, xi); empty when
-    the pair has no flow point."""
-    pts = flow_point(g, xi, tau, params)
-    if not pts:
-        return set()
-    return set.intersection(*(set(cover.member_elements(v, xi))
-                              for v in pts))
+    tau on the chart of xi, the chart every flow triple belongs to, that
+    is, whose pullback by iota_tau contains (g, xi); empty when the pair has
+    no flow point.  Kept in the cover, so each iota_tau ball is filled once."""
+    key, chart_key = (g, xi, tau, params), str(xi)
+    if key not in cover._pullback:
+        chart = cover.charts.get(chart_key)
+        ts = {chart.members.get(v) if chart else None
+              for v in flow_point(g, xi, tau, params)}
+        cover._pullback[key] = frozenset() if not ts or None in ts else \
+            frozenset.intersection(*(frozenset(cover.elements_containing(
+                chart_key, t)) for t in ts))
+    return cover._pullback[key]
 
 
 def _element_order(U: CoverElement):

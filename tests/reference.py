@@ -10,11 +10,13 @@ enumeration against the chain order of `rational_hits`, the
 candidate-by-candidate membership loop against `find_long_member` and
 the comparison of every pair of certified intervals in Fractions against
 the disjointness sweep of `verify_thin_theorem`, the charts built one
-triple at a time against `build_charts`, and the orbit points of a
-bounding box, enumerated from coprime bottom rows and filtered by interval
-distances, against the flood fill of `flow_cover`.  They live beside the
-tests, so no simplification of the program can validate itself through
-them.
+triple at a time against `build_charts`, the foot times and line
+distances of mpmath against the exact chart of `_Ray`, the iota_tau balls
+filled anew for every pair against those `flow_elements` keeps, and the
+orbit points of a bounding box, enumerated from coprime bottom rows and
+filtered by interval distances, against the flood fill of `flow_cover`.
+They live beside the tests, so no simplification of the program can
+validate itself through them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 from mpmath import iv
 
 from horocover.certified import (
@@ -30,7 +33,7 @@ from horocover.certified import (
     surd_interval,
     surd_iv,
 )
-from horocover.flow_cover import FlowLineChart
+from horocover.flow_cover import FlowLineChart, flow_point
 from horocover.hyperbolic import (
     Horoball,
     _geodesic_circle,
@@ -364,6 +367,89 @@ def charts_per_triple(triples, line_R: float) -> dict:
             charts[key] = FlowLineChart(xi, line_R)
         charts[key].add(v)
     return charts
+
+
+def tau_reference(S, params, pairs, cover, tau_max) -> tuple:
+    """`choose_tau`'s report and the `order_extended` of
+    `verify_thick_theorem`, with every iota_tau ball filled anew: at each
+    tau every pair (g, xi) meets the cover elements of its gs one s at a
+    time, and the order pass fills each pair again at the tau chosen."""
+
+    def flow_elements(h, xi, tau):
+        chart, common = cover.charts.get(str(xi)), None
+        for v in flow_point(h, xi, tau, params):
+            t = chart.members.get(v) if chart else None
+            here = set() if t is None else set(
+                cover.elements_containing(str(xi), t))
+            common = here if common is None else common & here
+        return common or set()
+
+    tau = params.beta
+    report = {"tau_chosen": None, "attempts": [],
+              "status": "not-found-within-budget"}
+    while tau <= tau_max:
+        failures = 0
+        for g, xi in pairs:
+            common = None
+            for s in S:
+                here = flow_elements(g * s, xi, tau)
+                common = here if common is None else common & here
+                if not common:
+                    failures += 1
+                    break
+        report["attempts"].append({"tau": str(tau), "failures": failures})
+        if failures == 0:
+            report["tau_chosen"] = str(tau)
+            report["status"] = "ok"
+            return report, max((len(flow_elements(g, xi, tau))
+                                for g, xi in pairs), default=0)
+        tau *= 2
+    return report, None
+
+
+def line_position(xi, key, dps: int = 60) -> tuple:
+    """(foot time, distance) of the orbit point z = (a + i) / n of key =
+    (a, n) on the line through x0 = i toward xi, in mpmath at `dps` digits,
+    without `_Ray`.  For xi = infinity the line is the imaginary axis, the
+    foot time is log |z| and sinh d(z, line) = |Re z| / Im z.  Otherwise
+    the other end of the line is -1/xi, and phi(w) = (xi w + 1) / (w - xi)
+    sends it to a ray from 0: the foot time is log |phi(z)| - log |phi(i)|
+    and the distance asinh |tan(arg phi(z) - arg phi(i))|."""
+    a, n = key
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(a, 1) / n
+        if xi is INFINITY:
+            return mpmath.log(abs(z)), mpmath.asinh(abs(z.real) / z.imag)
+        if isinstance(xi, Surd):
+            x = (mpmath.mpf(xi.p) + xi.q * mpmath.sqrt(xi.d)) / xi.r
+        else:
+            x = mpmath.mpf(xi.numerator) / xi.denominator
+        w, at_i = ((x * v + 1) / (v - x) for v in (z, mpmath.mpc(0, 1)))
+        return (mpmath.log(abs(w)) - mpmath.log(abs(at_i)),
+                mpmath.asinh(abs(mpmath.tan(mpmath.arg(w)
+                                            - mpmath.arg(at_i)))))
+
+
+def chart_reference(xi, keys, line_R, dps: int = 60) -> dict:
+    """The chart of the line through x0 = i toward xi from `line_position`:
+    each key (a, n) whose orbit point lies within line_R of the line, in
+    the order of keys, mapped to its foot time rounded to the nearest
+    quarter.  Raises AssertionError when a decision lies within
+    10^(20 - dps) of its threshold."""
+    out = {}
+    with mpmath.workdps(dps):
+        tol = mpmath.mpf(10) ** (20 - dps)
+        R, half = mpmath.mpf(line_R.numerator) / line_R.denominator, \
+            mpmath.mpf(1) / 2
+        for key in keys:
+            time, dist = line_position(xi, key, dps)
+            k = mpmath.floor(4 * time + half)
+            if abs(dist - R) <= tol or \
+                    abs(abs(4 * time - k) - half) <= tol:
+                raise AssertionError(f"undecided at {key}")
+            if dist <= R:
+                out[key] = Fraction(int(k), 4)
+    return out
 
 
 # -- orbit points near a ray ---------------------------------------------------

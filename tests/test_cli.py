@@ -1,12 +1,15 @@
-"""CLI harness: config handling, report format, determinism, rejection of
-unknown config keys, and rendering."""
+"""CLI harness: config handling, report format and the distribution's
+version, determinism, rejection of unknown config keys, and rendering."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from horocover import __version__, cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -35,6 +38,15 @@ class TestConfig:
         assert doc["version"] == __version__
         assert doc["config_hash"] == cli.config_hash(cfg)
         assert doc["results"] == {"x": 1}
+
+    @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+    def test_distribution_is_the_package(self):
+        # the distribution's name and version are the package's, the
+        # version that every report stamps
+        from setuptools.config.pyprojecttoml import read_configuration
+        project = read_configuration(ROOT / "pyproject.toml")["project"]
+        assert (project["name"], project["version"]) == \
+            ("horocover", __version__)
 
 
 class TestMain:

@@ -1,8 +1,10 @@
 """Thick cover: classification, the flood fill of orbit points near a ray
 against an enumeration of every orbit point in its bounding boxes, its
 exact fallback and equivariance, ray points against the per-point
-construction, flow-line charts against their per-triple construction, the
-staggered interval cover, and pullback longness."""
+construction, flow-line charts against their per-triple construction and
+against mpmath foot times and line distances, with their exact branches,
+the staggered interval cover, and pullback longness with each iota_tau
+ball filled once."""
 
 import math
 import sys
@@ -56,7 +58,14 @@ from horocover.hyperbolic import (
     word_ball,
 )
 from horocover.surd import INFINITY, PHI, SQRT2, Surd
-from reference import charts_per_triple, surd_sample_set, tube_reference
+from reference import (
+    chart_reference,
+    charts_per_triple,
+    line_position,
+    surd_sample_set,
+    tau_reference,
+    tube_reference,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,20 +111,29 @@ def cover(sample, params):
     return build_long_thin_cover(sample, params.beta)
 
 
-@pytest.fixture(scope="module")
-def bench():
-    """The perfbench thick workload at seed 7: its word radius, parameters
-    and thick directions."""
+def _thick_workload():
+    """The perfbench thick workload."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    inputs = workloads.Thick().setup(7)
+    return workloads.Thick()
+
+
+def _thick_only(xis, Theta) -> list:
+    return [xi for xi in xis if isinstance(classify(IDENTITY, xi, Theta),
+                                           ThickCertificate)]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The perfbench thick workload at seed 7: its word radius, parameters
+    and thick directions."""
+    workload = _thick_workload()
+    inputs = workload.setup(7)
     params = inputs["params"]
-    return workloads.Thick.RADIUS, params, [
-        xi for xi in inputs["xis"] if isinstance(
-            classify(IDENTITY, xi, params.Theta), ThickCertificate)]
+    return workload.RADIUS, params, _thick_only(inputs["xis"], params.Theta)
 
 
 class TestClassify:
@@ -187,15 +205,16 @@ def _no_intervals(monkeypatch):
     monkeypatch.setattr(CertifiedReal, "interval", refuse)
 
 
-def _count_exact(monkeypatch) -> list:
+def _count_exact(monkeypatch, method: str = "_within") -> list:
+    """The arguments of each call to the exact test `_Ray.<method>`."""
     calls = []
-    within = _Ray._within
+    exact = getattr(_Ray, method)
 
     def counted(self, *args):
         calls.append(args)
-        return within(self, *args)
+        return exact(self, *args)
 
-    monkeypatch.setattr(_Ray, "_within", counted)
+    monkeypatch.setattr(_Ray, method, counted)
     return calls
 
 
@@ -264,7 +283,7 @@ class TestOrbitPointsNear:
         for a, n in cands:
             inside = (a, n) in want
             assert ray._within(a, n, Fraction(0), t1, RHO) == inside
-            X, perm = ray._cosh_distance(a, n, 0.0, float(t1))
+            X, perm, _ = ray._cosh_distance(a, n, 0.0, float(t1))
             if abs(X - keep_at) > flow_cover._BAND * X * (1 + perm):
                 assert (X < keep_at) == inside
 
@@ -413,12 +432,66 @@ class TestCharts:
         sample, lists = walk
         charts, _ = build_charts(sample)
         want = charts_per_triple(
-            [(xi, v) for xi, vs in lists for v in vs],
-            float(params.rho) + 1.0)
+            [(xi, v) for xi, vs in lists for v in vs], params.rho + 1)
         assert list(charts) == list(want)
         for key, chart in charts.items():
             assert list(chart.members.items()) == \
                 list(want[key].members.items())
+
+    def test_charts_equal_mpmath_reference(self, bench):
+        # the thick benchmark at seed 7: each chart admits the orbit points,
+        # and at the quarters, that the foot times and line distances of
+        # mpmath give
+        radius, params, thick = bench
+        sample = sample_coarse_flow(params, radius, thick)
+        charts, rejected = build_charts(sample)
+        assert not rejected
+        for xi, vs in sample.points.items():
+            assert list(charts[str(xi)].members.items()) == \
+                list(chart_reference(xi, vs, params.rho + 1).items())
+
+    @settings(max_examples=15, deadline=None)
+    @given(WORDS, st.sampled_from([PHI, SQRT2, -SQRT2, INFINITY]),
+           st.sampled_from([Fraction(k, 2) for k in range(-4, 17)]))
+    def test_chart_equals_mpmath_reference_near_rays(self, w, xi, t):
+        # the orbit points within line_R + 1 of a point of the line toward
+        # w xi, offered to its chart, inside and outside line_R
+        xi, line_R = w.apply_boundary(xi), Fraction(3)
+        keys = orbit_points_near(IDENTITY, xi, t, line_R + 1)
+        chart = FlowLineChart(xi, line_R)
+        for v in keys:
+            chart.add(v)
+        assert list(chart.members.items()) == \
+            list(chart_reference(xi, keys, line_R).items())
+
+    def test_exact_branches_agree(self, sample, monkeypatch):
+        # with the float band widened past every value, each admission and
+        # each quarter snap is decided exactly, to the same members; the
+        # sample at word radius 3 has points outside line_R
+        want, _ = build_charts(sample)
+        monkeypatch.setattr(flow_cover, "_BAND", 2.0 ** 60)
+        lines = _count_exact(monkeypatch, "_near_line")
+        snaps = _count_exact(monkeypatch, "_foot_sign")
+        got, _ = build_charts(sample)
+        assert len(lines) == sum(len(vs) for vs in sample.points.values())
+        assert len(snaps) == sum(len(c.members) for c in got.values())
+        assert {k: list(c.members.items()) for k, c in got.items()} == \
+            {k: list(c.members.items()) for k, c in want.items()}
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_admission_off_a_tie_is_exact(self, monkeypatch, inside):
+        # (7 + i)/3 lies 1.81 from the line toward PHI, with foot time 1.81;
+        # with line_R 10^-20 off that distance only the exact test
+        # separates it
+        calls = _count_exact(monkeypatch, "_near_line")
+        with mpmath.workdps(60):
+            _, dist = line_position(PHI, (7, 3))
+            R = Fraction(int(mpmath.floor(dist * 10 ** 20)) + inside,
+                         10 ** 20)
+        chart = FlowLineChart(PHI, R)
+        chart.add((7, 3))
+        assert chart.members == ({(7, 3): Fraction(7, 4)} if inside else {})
+        assert len(calls) == 1
 
     def test_sample_counts_every_triple(self, walk, monkeypatch):
         sample, lists = walk
@@ -479,6 +552,17 @@ class TestPullback:
         hits = flow_elements(IDENTITY, xi, Fraction(3), cover, params)
         assert 1 <= len(hits) <= 2
 
+    def test_pullback_off_the_chart(self, cover, params):
+        # a flow point of T^10 x0 toward PHI at time 3 lies outside the
+        # chart of PHI, and 1 + sqrt(3) has no chart: neither pair pulls
+        # back an element
+        far, tau = GroupElement(1, 10, 0, 1), Fraction(3)
+        members = cover.charts[str(PHI)].members
+        assert not set(flow_point(far, PHI, tau, params)) <= set(members)
+        assert flow_elements(far, PHI, tau, cover, params) == set()
+        assert flow_elements(IDENTITY, Surd(1, 1, 3), tau, cover,
+                             params) == set()
+
     def test_theorem_small_scale(self, params):
         rep = verify_thick_theorem(
             [IDENTITY, GEN_T, GEN_T.inverse(), GEN_S],
@@ -500,3 +584,29 @@ class TestPullback:
         assert rep["order_extended"] is None
         assert rep["extension_restricts"] is None
         assert rep["order_within_pin"] == (rep["order_measured"] <= 2)
+
+    @pytest.mark.parametrize("seed", [7, 1009])
+    def test_each_ball_filled_once(self, seed, monkeypatch):
+        # the thick benchmark fills each iota_tau ball once, 30 in all, and
+        # reports what filling it anew for every pair and pass gives
+        workload = _thick_workload()
+        inputs = workload.setup(seed)
+        fills = []
+        fill = flow_cover.orbit_points_near
+
+        def counted(*args):
+            fills.append(args)
+            return fill(*args)
+
+        monkeypatch.setattr(flow_cover, "orbit_points_near", counted)
+        rep = workload.verify(inputs)
+        monkeypatch.undo()
+        assert len(fills) == len(set(fills)) == 30
+        params, S = inputs["params"], inputs["S"]
+        thick = _thick_only(inputs["xis"], params.Theta)
+        cover = build_long_thin_cover(
+            sample_coarse_flow(params, workload.RADIUS, thick), params.beta)
+        pairs = [(g, xi) for g in word_ball(max(1, workload.RADIUS - 2))
+                 for xi in thick]
+        assert (rep["tau"], rep["order_extended"]) == tau_reference(
+            S, params, pairs, cover, workload.TAU_BUDGET)
