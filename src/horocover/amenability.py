@@ -1,22 +1,15 @@
 """Partitions of unity over covers, the ell^1 almost-equivariance defect,
 cover combination, and coinduction on finite toy instances.
 
-Weights are exact rationals: margins are measured in the metric the caller
-passes, snapped to dyadic rationals, and normalized with Fraction
+Weights are exact rationals: margins are the values of the metric the
+caller passes, taken exactly as Fractions, and normalized with Fraction
 arithmetic, so every simplex invariant and every ell^1 distance is exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-_SNAP = 1 << 20
-
-
-def _snap(x: float) -> Fraction:
-    return Fraction(round(x * _SNAP), _SNAP)
 
 
 class UncoveredSampleError(ValueError):
@@ -49,7 +42,11 @@ def partition_of_unity(membership, metric, samples, order: int,
 
     `membership(x)` lists the elements containing x; the margin of x in U
     is the metric distance from x to the nearest sample point outside U (a
-    certified-complement snapshot), and weights are margins normalized.
+    certified-complement snapshot), 1 when U holds the whole sample, and
+    weights are margins normalized.  The metric's values are taken exactly
+    (`Fraction` of each), so it should return rationals or integers.  Every
+    margin is positive, as a metric is on distinct points and a sample
+    point at distance 0 from x has the members of x.
     """
     samples = list(samples)
     members = [frozenset(membership(x)) for x in samples]
@@ -59,20 +56,11 @@ def partition_of_unity(membership, metric, samples, order: int,
             raise UncoveredSampleError(f"sample {key(x)} is uncovered")
         vec = {}
         for e in members[i]:
-            margin = math.inf
-            for j, y in enumerate(samples):
-                if e not in members[j]:
-                    margin = min(margin, metric(x, y))
-            if margin is math.inf:
-                margin = 1.0  # e covers the whole sample
-            vec[e] = _snap(margin)
-        total = sum(vec.values(), Fraction(0))
-        if total == 0:
-            # every margin snapped to zero: fall back to the uniform vector
-            vec = {e: Fraction(1, len(vec)) for e in vec}
-        else:
-            vec = {e: w / total for e, w in vec.items()}
-        nerve.vectors[key(x)] = vec
+            outside = (metric(x, y) for y, m in zip(samples, members)
+                       if e not in m)
+            vec[e] = Fraction(min(outside, default=1))
+        total = sum(vec.values())
+        nerve.vectors[key(x)] = {e: w / total for e, w in vec.items()}
     return nerve
 
 

@@ -46,7 +46,6 @@ DEFAULT_CONFIG = {
     "theta_hat": "1",
     "theta": "2",
     "theta_P": "6",
-    "theta_P_prime": "0",
     "theta_S_radius": 3,
     "axiom_triples": 100000,
     "axiom_qmax": 50,
@@ -301,7 +300,7 @@ def _thin_nerve_defect(ladder) -> Fraction:
     sample = xs + [Fraction(-1) / x for x in xs]
     nerve = amenability.partition_of_unity(
         lambda xi: thin_cover.base_members(xi, ladder),
-        lambda a, b: abs(float(a - b)), sample, order=1, key=str)
+        lambda a, b: abs(a - b), sample, order=1, key=str)
     nerve.check_invariants()
 
     def action(s, elt):
@@ -360,7 +359,6 @@ def calibrate(cfg: dict) -> dict:
     cfg["theta"] = str(2 * theta_hat)
     pins = []
     tP = Fraction(0)
-    tPp = Fraction(0)
     for spec, graph in _graphs(cfg):
         w_tpp = verify_local_estimate(graph)
         w_tp = verify_attraction(graph)
@@ -371,10 +369,8 @@ def calibrate(cfg: dict) -> dict:
         pins.append({"theta_P_prime": str(w_tpp), "theta_P": str(w_tp),
                      "transfer_failures": fails})
         tP = max(tP, w_tp, worst_fail)
-        tPp = max(tPp, w_tpp)
     cfg["window_pins"] = pins
     cfg["theta_P"] = str(tP)
-    cfg["theta_P_prime"] = str(tPp)
     return cfg
 
 

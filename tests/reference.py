@@ -12,9 +12,11 @@ the comparison of every pair of certified intervals in Fractions against
 the disjointness sweep of `verify_thin_theorem`, the charts built one
 triple at a time against `build_charts`, the foot times and line
 distances of mpmath against the exact chart of `_Ray`, the iota_tau balls
-filled anew for every pair against those `flow_elements` keeps, and the
+filled anew for every pair against those `flow_elements` keeps, the
 orbit points of a bounding box, enumerated from coprime bottom rows and
-filtered by interval distances, against the flood fill of `flow_cover`.
+filtered by interval distances, against the flood fill of `flow_cover`,
+and the thin nerve map's margins, weights and defect in Fractions against
+`partition_of_unity` and `defect`.
 They live beside the tests, so no simplification of the program can
 validate itself through them.
 """
@@ -35,6 +37,7 @@ from horocover.certified import (
 )
 from horocover.flow_cover import FlowLineChart, flow_point
 from horocover.hyperbolic import (
+    GEN_S,
     Horoball,
     _geodesic_circle,
     chart_point,
@@ -53,6 +56,7 @@ from horocover.thin_cover import (
     BASE_INDEX,
     ThinReport,
     _select_z_base,
+    base_members,
     is_theta5_thin,
     membership_U,
     select_Yi,
@@ -601,6 +605,39 @@ def tube_reference(g, xi, t0, t1, rho, dps: int = 40) -> set:
         return out
     finally:
         iv.dps = old
+
+
+# -- the thin nerve map -----------------------------------------------------
+
+
+def nerve_defect_reference(ladder, ks) -> Fraction:
+    """The ell^1 defect of the boundary-only thin nerve map on the sample
+    {1/2 + 1/k : k in ks} and its images under the inversion z -> -1/z, in
+    Fractions: the margin of x in a member (Y, i) of `base_members` is its
+    least distance |x - y| to a sample point y outside (Y, i), 1 when there
+    is none; the weights are the margins over their sum; the defect is the
+    largest ell^1 distance between the weights at -1/x and those at x moved
+    by (Y, i) -> (S Y, i)."""
+    xs = [Fraction(1, 2) + Fraction(1, k) for k in ks]
+    sample = xs + [-1 / x for x in xs]
+    members = {x: set(base_members(x, ladder)) for x in sample}
+
+    def weights(x) -> dict:
+        margins = {}
+        for e in members[x]:
+            margins[e] = min((abs(x - y) for y in sample
+                              if e not in members[y]), default=Fraction(1))
+        total = sum(margins.values())
+        return {e: m / total for e, m in margins.items()}
+
+    worst = Fraction(0)
+    for x in xs:
+        moved = weights(-1 / x)
+        pushed = {(Y.translate(GEN_S), i): w
+                  for (Y, i), w in weights(x).items()}
+        worst = max(worst, sum(abs(moved.get(e, 0) - pushed.get(e, 0))
+                               for e in set(moved) | set(pushed)))
+    return worst
 
 
 # -- surds ------------------------------------------------------------------

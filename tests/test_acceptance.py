@@ -235,7 +235,7 @@ def test_8_amenability_defect(cfg, tmp_path):
     d1 = Fraction(res["defect_radius_1"])
     d3 = Fraction(res["defect_radius_3"])
     ok = (rc == 0 and res["monotone"] and d3 < d1
-          and (d1, d3) == (Fraction(1), Fraction(125, 208))
+          and (d1, d3) == (Fraction(1), Fraction(3, 5))
           and res["coinduction_equivariant"]["coinduced_defect"] == "0"
           and res["coinduction_equivariant"]["transfer_holds"]
           and res["coinduction_defective"]["transfer_holds"])

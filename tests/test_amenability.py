@@ -22,7 +22,7 @@ from horocover.amenability import (
 
 
 def line_metric(a, b):
-    return abs(float(a - b))
+    return abs(a - b)
 
 
 def interval_membership(x):
@@ -48,6 +48,16 @@ class TestPartition:
         nerve = partition_of_unity(interval_membership, line_metric,
                                    samples, order=1)
         assert nerve.vectors["0"]["left"] == 1
+
+    def test_margins_are_exact(self):
+        # 3/2 lies in both elements, with margins 3/2 + 2^-22 in "left" (to
+        # the sample point outside it) and 3/2 in "right": the weights are
+        # as exact as the margins, however close they are
+        eps, mid = Fraction(1, 2 ** 22), Fraction(3, 2)
+        nerve = partition_of_unity(interval_membership, line_metric,
+                                   [Fraction(0), mid, 3 + eps], order=1)
+        assert nerve.vectors["3/2"] == {"left": (mid + eps) / (3 + eps),
+                                        "right": mid / (3 + eps)}
 
     def test_uncovered_raises(self):
         with pytest.raises(UncoveredSampleError):

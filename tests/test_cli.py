@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from horocover import __version__, cli
+from reference import nerve_defect_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,9 +104,11 @@ class TestDeterminism:
 
 class TestPins:
     def test_defect_pins(self, cfg):
-        for radius, pin in ((1, Fraction(1)), (3, Fraction(125, 208))):
+        # the nerve map's exact defects, which the Fraction reference gives
+        for radius, pin in ((1, Fraction(1)), (3, Fraction(3, 5))):
             ladder = cli._ladder(dict(cfg, theta_S_radius=radius))
-            assert cli._thin_nerve_defect(ladder) == pin
+            assert cli._thin_nerve_defect(ladder) == pin == \
+                nerve_defect_reference(ladder, cli._DEFECT_KS)
 
     def test_calibrate_writes_pins(self, tmp_path):
         # `complex --calibrate` on an empty overlay: theta_hat from the
@@ -118,7 +121,7 @@ class TestPins:
         written = json.loads(p.read_text())
         assert written == dict(
             cli.DEFAULT_CONFIG, theta_hat="1", theta="2", theta_P="6",
-            theta_P_prime="2/3", window_pins=[
+            window_pins=[
                 {"theta_P": "6", "theta_P_prime": "0",
                  "transfer_failures": 0},
                 {"theta_P": "4", "theta_P_prime": "2/3",

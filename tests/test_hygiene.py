@@ -2,8 +2,9 @@
 every function, class and public method it defines is used by the program
 or the benchmark, every defaulted parameter is set by some caller, no
 function is a mere alias of another, every cache has a chosen finite size
-and a stated reason, no setdefault builds a default it may not need, and
-every layer the benchmark tracer patches exists."""
+and a stated reason, no setdefault builds a default it may not need, every
+default config key is read by some command, and every layer the benchmark
+tracer patches exists."""
 
 import ast
 import importlib.util
@@ -434,6 +435,43 @@ def test_no_eager_setdefault():
     found = [name for path in MODULES
              for name in eager_setdefaults(path.read_text(), path.stem)]
     assert found == []
+
+
+def unread_config_keys(source: str) -> list[str]:
+    """Keys of the module's DEFAULT_CONFIG dict literal that it never reads
+    as cfg["key"] or cfg.get("key"), in the literal's order; a store such as
+    cfg["key"] = value is not a read."""
+    tree = ast.parse(source)
+    defaults = next(n.value for n in tree.body if isinstance(n, ast.Assign)
+                    and [getattr(t, "id", None) for t in n.targets]
+                    == ["DEFAULT_CONFIG"])
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Load) \
+                and getattr(n.value, "id", None) == "cfg":
+            read.add(getattr(n.slice, "value", None))
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                and n.func.attr == "get" \
+                and getattr(n.func.value, "id", None) == "cfg" and n.args:
+            read.add(getattr(n.args[0], "value", None))
+    return [k.value for k in defaults.keys if k.value not in read]
+
+
+def test_detector_flags_unread_config_keys():
+    source = ('DEFAULT_CONFIG = {"seed": 7, "by_get": 1, "stored": 0,\n'
+              '                  "other_dict": 2, "unread": 3}\n'
+              'def run(cfg, spec):\n'
+              '    return cfg["seed"], cfg.get("by_get"), spec["other_dict"]\n'
+              'def calibrate(cfg):\n'
+              '    cfg["stored"] = 1\n'
+              '    return cfg\n')
+    assert unread_config_keys(source) == ["stored", "other_dict", "unread"]
+
+
+def test_every_config_key_read():
+    # a key no command reads changes every report's config_hash and
+    # nothing else
+    assert unread_config_keys((SRC / "cli.py").read_text()) == []
 
 
 def _traced():
