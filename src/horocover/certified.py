@@ -49,15 +49,6 @@ def surd_iv(s: Surd):
     return (iv.mpf(s.p) + s.q * iv.sqrt(iv.mpf(s.d))) / s.r
 
 
-def surd_interval(s: Surd, dps: int) -> tuple[Fraction, Fraction]:
-    old = iv.dps
-    try:
-        iv.dps = dps
-        return iv_to_fractions(surd_iv(s))
-    finally:
-        iv.dps = old
-
-
 def iv_acos(x):
     """acos for interval arguments (mpmath.iv lacks the inverse trig)."""
     return iv.atan2(iv.sqrt(1 - x * x), x)

@@ -69,6 +69,8 @@ DEFAULT_CONFIG = {
     "N_hat": 2,
 }
 
+_THICK_POOL_RADIUS = 4  # _thick_xis translates PHI and SQRT2 by this ball
+
 
 def _hb(name: str) -> Horoball:
     if name == "oo":
@@ -79,7 +81,8 @@ def _hb(name: str) -> Horoball:
 
 def load_config(path: str | None) -> dict:
     """DEFAULT_CONFIG overlaid with the JSON object at path; a key the
-    defaults lack raises ValueError, as no run would read it."""
+    defaults lack raises ValueError, as no run would read it, and so does a
+    `thick_translates` above the distinct points `_thick_xis` can draw."""
     cfg = dict(DEFAULT_CONFIG)
     if path:
         overlay = json.loads(Path(path).read_text())
@@ -87,6 +90,13 @@ def load_config(path: str | None) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(overlay)
+    limit = len({g.apply_boundary(xi) for g in word_ball(_THICK_POOL_RADIUS)
+                 for xi in (PHI, SQRT2)}) - 2
+    if cfg["thick_translates"] > limit:
+        raise ValueError(
+            f"thick_translates is at most {limit}, the distinct translates "
+            f"of PHI and SQRT2 by word_ball({_THICK_POOL_RADIUS}) besides "
+            "themselves")
     return cfg
 
 
@@ -221,7 +231,7 @@ def _thick_params(cfg: dict) -> flow_cover.ThickParams:
 def _thick_xis(cfg: dict):
     rng = random.Random(cfg["seed"])
     xis = [PHI, SQRT2]
-    pool = word_ball(4)
+    pool = word_ball(_THICK_POOL_RADIUS)
     while len(xis) < 2 + cfg["thick_translates"]:
         g = pool[rng.randrange(len(pool))]
         y = g.apply_boundary(rng.choice([PHI, SQRT2]))

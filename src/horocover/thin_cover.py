@@ -14,11 +14,10 @@ of the certificates then witness disjointness.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .certified import surd_interval
 from .hyperbolic import (
     HOROBALL_INF,
     GroupElement,
@@ -156,27 +155,29 @@ def select_Yi(g: GroupElement, xi, i: int,
     """The vertex Y_i(g, xi), or None when Z(g, xi) is undefined, as it is
     where large projections accumulate; angles come from the linear order
     of large projections itself."""
-    w = g.inverse().apply_boundary(xi)
     try:
-        Z = _select_z_base(w, ladder)
+        walk = _base_walk(g.inverse().apply_boundary(xi), ladder)
     except WindowRequiredError:
         return None
-    if Z is None:
-        return None
-    chain = rational_hits(Z.p, Z.q, ladder.theta)
-    return _walk_chain(Z, ladder, w, chain)[i].translate(g)
+    return None if walk is None else walk[2][i].translate(g)
 
 
-def _walk_chain(Z: Horoball, ladder: ThetaLadder, w, chain: list) -> dict:
-    """{i: Y_i} for i = 1, 2 from one walk of the linear order toward Z:
-    the first vertex with angle >= Theta_i, the basepoint index first, and
-    Z when there is none.  Theta_2 > Theta_1, so Y_2 never precedes Y_1.
-    The order is `chain`, from `rational_hits(Z.p, Z.q, ladder.theta)`.
+def _base_walk(w, ladder: ThetaLadder):
+    """(Z, chain, {i: Y_i}) at the chart point w: Z = Z(e, w), the linear
+    order toward it from `rational_hits(Z.p, Z.q, ladder.theta)`, and from
+    one walk along it Y_i, i = 1, 2, the first vertex with angle >= Theta_i,
+    the basepoint index first, and Z when there is none (Theta_2 > Theta_1,
+    so Y_2 never precedes Y_1).  None where Z(e, w) is undefined; raises
+    WindowRequiredError where large projections accumulate at w.
 
     The anchor is the orbit point o = i, so the basepoint index has the
     finite angle |Re(o) - w| = |w|.  A chain vertex V's angle between its
     neighbours A, C in the order is |A x C| / (|V x A| |V x C|) in integer
     determinants (`proj_dist_int`), finite as the vertices are distinct."""
+    Z = _select_z_base(w, ladder)
+    if Z is None:
+        return None
+    chain = rational_hits(Z.p, Z.q, ladder.theta)
     levels = ladder._levels[1:3]
     if isinstance(w, Fraction):
         a, b = abs(w.numerator), w.denominator
@@ -193,7 +194,7 @@ def _walk_chain(Z: Horoball, ladder: ThetaLadder, w, chain: list) -> dict:
                       if n * d >= m * f]
             if len(found) == 2:
                 break
-    return dict(zip((1, 2), found + [Z, Z]))
+    return Z, chain, dict(zip((1, 2), found + [Z, Z]))
 
 
 # -- membership in U(Y, i) with interval certification ---------------------
@@ -219,28 +220,41 @@ def _exceeds(Y: Horoball, a: int, b: int, m: tuple):
     return b * m[1] > m[0] * q * gap
 
 
-def _inf_exceeds(Y: Horoball, lo: tuple, hi: tuple, m: tuple) -> bool:
-    """inf over [lo, hi] of d^pi_Y(X, .) > m, endpoints as (a, b) pairs.
-
-    w -> 1/(q|qw - p|) is monotone on each side of its pole and has no zero
-    on a bounded interval, so the infimum is at an endpoint (a pole inside
-    only raises interior values).  Infinite endpoint values are skipped,
-    and an interval with none finite fails; a failing first end decides."""
-    first = _exceeds(Y, *lo, m)
-    ends = (first, first is not False and _exceeds(Y, *hi, m))
-    return False not in ends and True in ends
-
-
 def _halvings(x: tuple, y: tuple, cap: int) -> int:
-    """The number of steps k in range(cap) with 2 delta = 2^-(k+1) >= x - y,
-    for integer pairs x, y (positive denominators, any terms)."""
+    """The first step k < cap with x - 2 delta > y, delta = 2^-(k+2), or
+    cap if there is none, for integer pairs x, y (positive denominators,
+    any terms): the steps before it are those with 2^-(k+1) >= x - y."""
     n, d = x[0] * y[1] - y[0] * x[1], x[1] * y[1]
     if n <= 0:
         return cap
     return min(cap, max(0, (d // n).bit_length() - 1))
 
 
-# the number of halvings delta = 1/4, 1/8, ... that membership_U tries
+def _clears(Y: Horoball, m: tuple, lo0: tuple, hi0: tuple, cap: int) -> int:
+    """The first step k < cap at which inf over H_k of d^pi_Y(X, .) > m =
+    (n, d), or cap: the value 1 / (q |q t - p|) exceeds m exactly within
+    r = d / (n q^2) of the pole p/q, so the infimum does exactly while H_k
+    lies inside (p/q - r, p/q + r); never at the basepoint index, q = 0."""
+    p, q = Y.p, Y.q
+    if q == 0:
+        return cap
+    n, d = m
+    c, s = p * q * n, n * q * q  # the pole p/q = c/s
+    return max(_halvings(lo0, (c - d, s), cap),
+               _halvings((c + d, s), hi0, cap))
+
+
+def _centre(w) -> tuple:
+    """(lo, hi, den) with lo/den <= w <= hi/den, lo = hi at a rational w;
+    at a surd w, lo = floor(w 2^200) (exact, `Surd.__floor__`), hi = lo+1."""
+    if isinstance(w, Surd):
+        den = 1 << 200
+        lo = math.floor(w * den)
+        return lo, lo + 1, den
+    return w.numerator, w.numerator, w.denominator
+
+
+# the cap on the step k of a certificate, delta = 2^-(k+2) >= 2^-49
 _MAX_HALVINGS = 48
 
 
@@ -259,23 +273,22 @@ def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
     if w is INFINITY:
         return Membership("no", detail="xi at the basepoint tangency")
     try:
-        Z = _select_z_base(w, ladder)
+        walk = _base_walk(w, ladder)
     except WindowRequiredError as err:
         return Membership("boundary-uncertain", detail=str(err))
-    if Z is None:
+    if walk is None:
         # certified complement when the projection sup stays below Theta_4
         if isinstance(w, Surd) and \
                 sup_projection(BASE_INDEX, w).below(ladder.Theta(4)):
             return Membership("no", detail="certified Theta_4-thick")
         return Membership("boundary-uncertain", detail="no Z and no certificate")
-    chain = rational_hits(Z.p, Z.q, ladder.theta)
-    Yi = _walk_chain(Z, ladder, w, chain)[i]
-    if Yi == Y0:
+    Z, chain, Ys = walk
+    if Ys[i] == Y0:
         return _certify_yes(Y0, i, w, Z, chain, ladder, _MAX_HALVINGS)
     # certify the complement: the actual member's interval excludes U(Y0,i)
-    other = _certify_yes(Yi, i, w, Z, chain, ladder, _MAX_HALVINGS)
+    other = _certify_yes(Ys[i], i, w, Z, chain, ladder, _MAX_HALVINGS)
     if other.verdict == "yes":
-        return Membership("no", detail=f"certified member of U({Yi},{i})")
+        return Membership("no", detail=f"certified member of U({Ys[i]},{i})")
     return Membership("boundary-uncertain", detail="competitor uncertified")
 
 
@@ -295,20 +308,18 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, chain: list,
       (3) the walk prefix below Y0 is target-independent: its angles are
           measured between vertices at or before Y0, the same for every
           target beyond Y0; and the Theta_4 clause has a robust witness on H.
-    Only the doubled interval [w - 2 delta, w + 2 delta] depends on delta =
-    1/4, 1/8, ...; the first delta to pass wins.  The tests that see no pole
-    (the basepoint angle, and each competitor of (2) with value <= margin,
-    excused exactly while its tangency lies in the interval) are hoisted
-    into the range of delta; the rest are tested in integers, and the first
-    k to pass is found by bisection, as each test is monotone in k (delta =
-    2^-(k+2)): the intervals are nested and `_inf_exceeds` is exactly "the
-    infimum over the closed interval exceeds m" (the pole's value taken as
-    +infinity; constantly false at Y.q = 0), so it can only turn true as k
-    grows, and so can conjunctions and disjunctions of such tests.  At a
-    rational w = a/b, Z = Horoball(a, b) has its pole at w, so Z's test
-    first passes at the k with 2^(k+1) > margin4 b^2; that k, moved into
-    the range if it lies outside, and the k below it are probed first, and
-    the bisection runs only where they fail to bracket the answer.
+    Step k tests delta = 2^-(k+2) on H_k = [lo0 - 2^-(k+1), hi0 +
+    2^-(k+1)] about the enclosure [lo0, hi0] of w (`_centre`).  Each test
+    but (2) asks whether H_k lies inside an open interval (L, R) (a
+    half-line for the basepoint index's own angle), so it holds exactly
+    from the step max(_halvings(lo0, L), _halvings(R, hi0)) on; `_clears`
+    gives that step for the infimum tests.  A competitor of (2) with value
+    <= margin is excused exactly while its tangency lies in H_k, which
+    ends at some step; `stop` is the least.  So the certificate is step
+        k = max(first, clears(Y0, margin),
+                min(clears(Z, margin4), clears(Y0, margin4))),
+    `first` the basepoint angle's step and clears(Y0, margin), test (1),
+    skipped at the basepoint index; the verdict is "yes" iff k < stop.
 
     All tests run on integer pairs; at w = a/b a chain entry (p, q, e) is a
     competitor when b floor.den > floor.num q e.
@@ -324,57 +335,35 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, chain: list,
     # Z = Horoball(w) already holds every V above theta < Theta_4/2.
     Th, margin, margin4 = ladder._levels[i], ladder._margins[i], \
         ladder._margins[4]
+    a0, a1, b = _centre(w)
+    lo0, hi0, cap = (a0, b), (a1, b), max_halvings
     if isinstance(w, Surd):
-        lo0, hi0 = (t.as_integer_ratio() for t in surd_interval(w, 60))
         try:
             hits = [(V.p, V.q) for V, _ in enumerate_large_projections(
                 INFINITY, w, ladder.Theta(4) / 2)]
         except WindowRequiredError as err:
             return Membership("boundary-uncertain", detail=str(err))
     else:
-        a, b = w.numerator, w.denominator
-        lo0 = hi0 = (a, b)
         n4, d4 = ladder._floor4
         hits = [(p, q) for p, q, e in chain if b * d4 > n4 * q * e]
-    (a0, b0), (a1, b1), cap = lo0, hi0, max_halvings
-    # Step k tests delta = 2^-(k+2).  The basepoint index preempts the walk
-    # and only needs its own angle inf_H |.| > margin, i.e. lo > margin or
-    # hi < -margin (nothing precedes it, nothing competes); any other Y0
-    # needs the basepoint angle below Theta_i on H, i.e. -Th < lo, hi < Th.
-    # Either holds exactly while 2 delta < room.  A blocker is excused
-    # exactly while 2 delta >= its distance past [lo0, hi0].
-    base = Y0 == BASE_INDEX
-    if base:
+    # The basepoint index only needs its own angle inf_H |.| > margin, i.e.
+    # lo > margin or hi < -margin (nothing precedes it, nothing competes);
+    # any other Y0 needs the basepoint angle below Theta_i on H, i.e.
+    # -Th < lo, hi < Th, and its own test (1).
+    if Y0 == BASE_INDEX:
         first = min(_halvings(lo0, margin, cap),
                     _halvings((-margin[0], margin[1]), hi0, cap))
-        blockers = []
+        own, blockers = 0, []
     else:
         first = max(_halvings(lo0, (-Th[0], Th[1]), cap),
                     _halvings(Th, hi0, cap))
+        own = _clears(Y0, margin, lo0, hi0, cap)
         blockers = [t for t in hits if t != (Y0.p, Y0.q)
                     and _exceeds(Y0, *t, margin) is False]
+    k = max(first, own, min(_clears(Z, margin4, lo0, hi0, cap),
+                            _clears(Y0, margin4, lo0, hi0, cap)))
     stop = min([cap] + [min(_halvings(lo0, t, cap), _halvings(t, hi0, cap))
                         for t in blockers])
-
-    def passes(k):
-        s = 2 << k  # 1 / (2 delta)
-        lo, hi = (a0 * s - b0, b0 * s), (a1 * s + b1, b1 * s)
-        # (1), then a robust Theta_4 witness on the interval
-        return (base or _inf_exceeds(Y0, lo, hi, margin)) and \
-            (_inf_exceeds(Z, lo, hi, margin4)
-             or _inf_exceeds(Y0, lo, hi, margin4))
-
-    start, end = first, stop
-    if isinstance(w, Fraction) and first < stop:
-        guess = (margin4[0] * b0 * b0 // margin4[1]).bit_length() - 1
-        guess = min(max(guess, first), stop - 1)
-        if not passes(guess):
-            start = guess + 1
-        elif guess > first and passes(guess - 1):
-            end = guess - 1
-        else:
-            start = end = guess
-    k = start + bisect_left(range(start, end), True, key=passes)
     if k >= stop:
         return Membership("boundary-uncertain", detail="delta exhausted")
     return Membership("yes", delta=Fraction(1, 4 << k))
@@ -385,13 +374,12 @@ def base_members(w, ladder: ThetaLadder) -> list:
     chart point: one reduction gives Z(e, w), one walk gives Y_1 and Y_2,
     and each level is certified once.  Empty where Z(e, w) is undefined."""
     try:
-        Z = _select_z_base(w, ladder)
+        walk = _base_walk(w, ladder)
     except WindowRequiredError:
         return []
-    if Z is None:
+    if walk is None:
         return []
-    chain = rational_hits(Z.p, Z.q, ladder.theta)
-    Ys = _walk_chain(Z, ladder, w, chain)
+    Z, chain, Ys = walk
     return [(Ys[i], i) for i in (1, 2) if _certify_yes(
         Ys[i], i, w, Z, chain, ladder, _MAX_HALVINGS).verdict == "yes"]
 
@@ -436,11 +424,10 @@ def find_long_member(g: GroupElement, xi, S: FinitePart,
     for s in S.elements:
         h = g * s
         w = h.inverse().apply_boundary(xi)
-        Z = _select_z_base(w, ladder)
-        if Z is None:
+        walk = _base_walk(w, ladder)
+        if walk is None:
             return None
-        chain = rational_hits(Z.p, Z.q, ladder.theta)
-        walks.append((h, w, Z, chain, _walk_chain(Z, ladder, w, chain)))
+        walks.append((h, w, *walk))
     for i in (1, 2):
         common = {Ys[i].translate(h) for h, _, _, _, Ys in walks}
         if len(common) != 1:
@@ -461,18 +448,18 @@ def _overlaps(members):
     certificates) whose interval meets, ends included, an earlier one of
     the same translate h and level i certifying another member Y': both
     certify Y_i(h, .), so they must be disjoint.  A surd centre enters with
-    the inner interval [hi0 - delta, lo0 + delta] of its enclosure, which
-    delta >= 2^-49 keeps nonempty.  Each group is swept by left end, keeping
-    the two members that reach furthest right.  Ends p/d compare exactly as
-    floor(p 2^k / d), 2^k >= every denominator squared."""
+    the inner interval [hi0 - delta, lo0 + delta] of its enclosure
+    (`_centre`), which delta >= 2^-49 keeps nonempty.  Each group is swept
+    by left end, keeping the two members that reach furthest right.  Ends
+    p/d compare exactly as floor(p 2^k / d), 2^k >= every denominator
+    squared."""
     groups = {}
     for n, (*_, Y, i, certificates) in enumerate(members):
         for h, w, delta in certificates:
-            lo0, hi0 = surd_interval(w, 60) if isinstance(w, Surd) else (w, w)
-            (a, b), (c, d) = hi0.as_integer_ratio(), lo0.as_integer_ratio()
+            a0, a1, b = _centre(w)
             r, s = delta.as_integer_ratio()
             groups.setdefault((h, i), []).append(
-                ((a * s - r * b) * d, (c * s + r * d) * b, b * d * s, Y, n))
+                (a1 * s - r * b, a0 * s + r * b, b * s, Y, n))
     for (h, _), group in groups.items():
         k = 2 * max(e[2] for e in group).bit_length()
         reach = {}

@@ -15,8 +15,9 @@ distances of mpmath against the exact chart of `_Ray`, the iota_tau balls
 filled anew for every pair against those `flow_elements` keeps, the
 orbit points of a bounding box, enumerated from coprime bottom rows and
 filtered by interval distances, against the flood fill of `flow_cover`,
-and the thin nerve map's margins, weights and defect in Fractions against
-`partition_of_unity` and `defect`.
+the thin nerve map's margins, weights and defect in Fractions against
+`partition_of_unity` and `defect`, and mpmath's interval enclosure of a
+surd against the integer enclosure of the thin certificates.
 They live beside the tests, so no simplification of the program can
 validate itself through them.
 """
@@ -32,7 +33,6 @@ from mpmath import iv
 from horocover.certified import (
     CertifiedReal,
     fraction_to_iv,
-    surd_interval,
     surd_iv,
 )
 from horocover.flow_cover import FlowLineChart, flow_point
@@ -292,6 +292,19 @@ def find_long_member_reference(g, xi, S, ladder):
     return None
 
 
+def surd_enclosure(w: Surd, dps: int = 60) -> tuple[Fraction, Fraction]:
+    """[lo, hi] about the surd w = (p + q sqrt d) / r from mpmath's interval
+    arithmetic at dps digits, with its binary endpoints as exact Fractions."""
+    old = iv.dps
+    try:
+        iv.dps = dps
+        x = (iv.mpf(w.p) + w.q * iv.sqrt(iv.mpf(w.d))) / w.r
+    finally:
+        iv.dps = old
+    return tuple((-1) ** sign * man * Fraction(2) ** exp
+                 for sign, man, exp, _ in x._mpi_)
+
+
 def overlaps_reference(members) -> list:
     """(n, h, rivals) for each certificate (h, w, delta) of the n-th member
     (Y, i, certificates), in that order, whose interval meets an earlier
@@ -304,8 +317,7 @@ def overlaps_reference(members) -> list:
     ivals = []
     for n, (Y, i, certificates) in enumerate(members):
         for h, w, delta in certificates:
-            lo0, hi0 = surd_interval(w, 60) if isinstance(w, Surd) \
-                else (w, w)
+            lo0, hi0 = surd_enclosure(w) if isinstance(w, Surd) else (w, w)
             ivals.append((h, i, hi0 - delta, lo0 + delta, Y, n))
     out = []
     for k, (h, i, lo, hi, Y, n) in enumerate(ivals):

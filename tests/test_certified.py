@@ -15,10 +15,9 @@ from horocover.certified import (
     fraction_to_iv,
     iv_acos,
     iv_to_fractions,
-    surd_interval,
     surd_iv,
 )
-from horocover.surd import PHI, SQRT2
+from horocover.surd import PHI
 from reference import iv_acosh
 
 
@@ -27,11 +26,6 @@ class TestIntervals:
         lo, hi = iv_to_fractions(fraction_to_iv(Fraction(22, 7)))
         assert lo <= Fraction(22, 7) <= hi
         assert hi - lo < Fraction(1, 10**12)
-
-    def test_surd_interval_shrinks(self):
-        w1 = (lambda t: t[1] - t[0])(surd_interval(SQRT2, 15))
-        w2 = (lambda t: t[1] - t[0])(surd_interval(SQRT2, 40))
-        assert w2 < w1 < Fraction(1, 10**10)
 
     @pytest.mark.parametrize("fn,ref,x", [
         (iv_acos, math.acos, 0.3),

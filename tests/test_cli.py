@@ -1,7 +1,11 @@
 """CLI harness: config handling, report format and the distribution's
-version, determinism, rejection of unknown config keys, and rendering."""
+version, determinism, rejection of unknown config keys and of more thick
+translates than there are, and rendering."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,6 +69,25 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             cli.main(["complex", "--max-refine", "5"])
         assert exc.value.code == 2
+        assert not (tmp_path / "r").exists()
+
+    def test_too_many_thick_translates_rejected(self, cfg, tmp_path):
+        # word_ball(4) moves PHI and SQRT2 to 53 distinct points, so 51
+        # translates besides them are the most `_thick_xis` can draw; with
+        # one more it looped for ever, hence the separate, timed process
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"thick_translates": 51}))
+        assert len(cli._thick_xis(cli.load_config(str(p)))) == 53
+        p.write_text(json.dumps({"thick_translates": 52}))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "horocover.cli", "thick", "--config",
+             str(p), "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert run.returncode == 2
+        assert "config rejected: thick_translates is at most 51" in \
+            run.stderr
         assert not (tmp_path / "r").exists()
 
     def test_calibrate_needs_config(self, tmp_path, monkeypatch):

@@ -489,3 +489,51 @@ def test_traced_layer_exists(module, attr):
     # one breaks the traced benchmark
     owner = importlib.import_module("horocover." + module)
     assert callable(reduce(getattr, attr.split("."), owner))
+
+
+def imports(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each name a horocover module imports, the module
+    absolute, with "*" for a whole module: `import mpmath` gives ("mpmath",
+    "*"), `from .certified import X` ("horocover.certified", "X") and
+    `from . import certified` ("horocover.certified", "*")."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {(a.name, "*") for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            base = ".".join(filter(None, ("horocover", node.module)))
+            found |= {(base, a.name) if node.module else
+                      (f"horocover.{a.name}", "*") for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {(node.module, a.name) for a in node.names}
+    return found
+
+
+def test_detector_reads_imports():
+    source = ("import mpmath.libmp\n"
+              "from mpmath import iv\n"
+              "from .certified import INFINITE, CertifiedReal\n"
+              "from . import certified\n"
+              "from horocover.surd import PHI\n")
+    assert imports(source) == {
+        ("mpmath.libmp", "*"), ("mpmath", "iv"),
+        ("horocover.certified", "INFINITE"),
+        ("horocover.certified", "CertifiedReal"),
+        ("horocover.certified", "*"), ("horocover.surd", "PHI")}
+
+
+# the modules that still hold interval arithmetic
+INTERVAL_MODULES = {"certified.py", "hyperbolic.py"}
+
+
+def test_intervals_stay_in_their_modules():
+    # every other module decides in integers and rationals: it imports no
+    # mpmath and takes only the INFINITE marker from `certified`
+    found = {p.name: imports(p.read_text()) for p in MODULES
+             if p.name not in INTERVAL_MODULES}
+    assert {name: sorted(m for m, _ in names if m.partition(".")[0] ==
+                         "mpmath") for name, names in found.items()} == \
+        dict.fromkeys(found, [])
+    assert {name: sorted(n for m, n in names if m == "horocover.certified"
+                         and n != "INFINITE")
+            for name, names in found.items()} == dict.fromkeys(found, [])

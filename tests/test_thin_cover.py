@@ -6,10 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from horocover import cli, projection_data, thin_cover
-from horocover.certified import INFINITE, surd_interval
+from horocover.certified import INFINITE
 from horocover.hyperbolic import (
     GEN_S,
     GEN_T,
@@ -33,12 +33,12 @@ from horocover.thin_cover import (
     LadderAuditError,
     Membership,
     ThetaLadder,
+    _base_walk,
+    _centre,
     _certify_yes,
     _exceeds,
-    _inf_exceeds,
     _overlaps,
     _select_z_base,
-    _walk_chain,
     find_long_member,
     is_theta5_thin,
     membership_U,
@@ -51,6 +51,7 @@ from reference import (
     find_long_member_reference,
     overlaps_reference,
     select_Z,
+    surd_enclosure,
     verify_thin_reference,
     walk_graph,
     walk_one_level,
@@ -88,9 +89,9 @@ def seeded_pairs(seed: int, n: int) -> list:
     return pairs
 
 
-def walk(Z, ladder, w):
-    """Both Y_i from the walk along the chain toward Z."""
-    return _walk_chain(Z, ladder, w, rational_hits(Z.p, Z.q, ladder.theta))
+def walk(w, ladder):
+    """Both Y_i from the walk along the chain toward Z(e, w)."""
+    return _base_walk(w, ladder)[2]
 
 
 def certify(Y0, i, w, Z, ladder, max_halvings):
@@ -111,12 +112,13 @@ def near_ladder_points():
 
 
 def reference_steps(Y0, i, w, Z, ladder, max_halvings):
-    """The halving loop of _certify_yes in Fractions, one step k per delta
-    = 2^-(k+2), each delta in turn: whether the tests that see no pole
-    hold (the basepoint angle, and every competitor inside the interval or
-    beyond Y0), and whether every test holds.  Values come from
-    proj_dist_frac, infima are the least finite endpoint value, and every
-    competitor of a fresh enumeration at w is re-tested at every delta.  At
+    """The steps of _certify_yes in Fractions, one step k per delta =
+    2^-(k+2), each delta tested in turn rather than in closed form: whether
+    the tests that see no pole hold (the basepoint angle, and every
+    competitor inside the interval or beyond Y0), and whether every test
+    holds.  Values come from proj_dist_frac, infima are the least finite
+    endpoint value, and every competitor of a fresh enumeration at w is
+    re-tested at every delta.  A surd w enters with mpmath's enclosure.  At
     a rational w = a/b the competitors come from the brute-force scan,
     independent of the convergent enumeration: a hit Y = p/q has
     q |q a - p b| < b / theta, so q <= b / theta."""
@@ -133,7 +135,7 @@ def reference_steps(Y0, i, w, Z, ladder, max_halvings):
     Th, Th4 = ladder.Theta(i), ladder.Theta(4)
     margin, margin4 = Th + ladder.theta_P, Th4 + ladder.theta_P
     if isinstance(w, Surd):
-        lo0, hi0 = surd_interval(w, 60)
+        lo0, hi0 = surd_enclosure(w)
         hits = enumerate_large_projections(INFINITY, w, Th4 / 2)
     else:
         lo0 = hi0 = w
@@ -273,7 +275,7 @@ class TestSelection:
         # Theta_2 = 360 put the angles on either side of the thresholds
         xi = expansion(a0, quotients)
         Z = _select_z_base(xi, ladder)
-        assert walk(Z, ladder, xi) == {
+        assert walk(xi, ladder) == {
             i: walk_one_level(Z, i, ladder, xi) for i in (1, 2)}
 
     @settings(max_examples=60, deadline=None)
@@ -290,7 +292,7 @@ class TestSelection:
         ladder = ThetaLadder(Fraction(1, 2), Fraction(10), THETA_P)
         xi = expansion(a0, quotients)
         Z = _select_z_base(xi, ladder)
-        assert walk(Z, ladder, xi) == {
+        assert walk(xi, ladder) == {
             i: walk_one_level(Z, i, ladder, xi) for i in (1, 2)}
 
 
@@ -382,7 +384,12 @@ class TestMembership:
 
     @settings(max_examples=150, deadline=None)
     @given(st.fractions(-1000, 1000, max_denominator=3000)
-           | near_ladder_points(),
+           | near_ladder_points()
+           | st.builds(lambda g, xi: g.apply_boundary(xi), sl2z_words(),
+                       st.sampled_from([PHI, SQRT2]))
+           | st.builds(lambda g, c: (g * GroupElement(1, 0, c, 1))
+                       .apply_boundary(PHI), sl2z_words(),
+                       st.integers(50, 3000)),
            st.sampled_from([1, 2]), st.sampled_from([48, 12, 3]),
            st.sampled_from(["walk", "base", "tangency", "ball", "near",
                             "first", "last"]))
@@ -399,16 +406,39 @@ class TestMembership:
     @example(Fraction(1, 300), 1, 48, "tangency")
     def test_certificate_matches_fraction_reference(self, ladder, w, i,
                                                     halvings, pick):
-        Z = _select_z_base(w, ladder)
+        # w rational, or a surd g PHI, g SQRT2 or g (1, 0, c, 1) PHI, whose
+        # enclosure n / 2^200 < w < (n + 1) / 2^200 meets the reference's
+        # enclosure by mpmath; a surd without Z has no certificate to check
+        # (g PHI and g SQRT2 have none: their projections stay near their
+        # partial quotients, far below Theta_4 for words of 10 letters)
+        try:
+            Z = _select_z_base(w, ladder)
+        except WindowRequiredError:
+            reject()
+        if Z is None:
+            reject()
         chain = [Horoball(p, q) for p, q, _ in rational_hits(
             Z.p, Z.q, ladder.theta)] or [Z]
-        Y0 = {"walk": walk(Z, ladder, w)[i], "base": BASE_INDEX,
+        Y0 = {"walk": walk(w, ladder)[i], "base": BASE_INDEX,
               "tangency": Z, "ball": Horoball(0, 1),
-              "near": Horoball(round(w), 1), "first": chain[0],
+              "near": Horoball(math.floor(w + Fraction(1, 2)), 1),
+              "first": chain[0],
               "last": chain[-1]}[pick]
         m = certify(Y0, i, w, Z, ladder, halvings)
         assert (m.verdict, m.delta) == \
             certify_reference(Y0, i, w, Z, ladder, halvings)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sl2z_words(), st.sampled_from([PHI, SQRT2, DEEP_SURD]))
+    def test_surd_centre_enclosure(self, g, xi):
+        # n / 2^200 < w < (n + 1) / 2^200, inside the reference's mpmath
+        # enclosure widened by 2^-200
+        w = g.apply_boundary(xi)
+        lo, hi, den = _centre(w)
+        assert (hi - lo, den) == (1, 1 << 200)
+        assert Fraction(lo, den) < w < Fraction(hi, den)
+        ref_lo, ref_hi = surd_enclosure(w)
+        assert ref_lo - Fraction(1, den) <= Fraction(lo, den) <= ref_hi
 
     @pytest.mark.parametrize("Y0", [Horoball(0, 1), BASE_INDEX,
                                     Horoball(1, 2000)], ids=repr)
@@ -420,47 +450,18 @@ class TestMembership:
             assert (m.verdict, m.delta) == \
                 certify_reference(Y0, i, w, Z, ladder, 48)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.fractions(-300, 300, max_denominator=60),
-           st.fractions(0, 1, max_denominator=16), st.data())
-    def test_inf_exceeds_monotone_in_k(self, lo0, width, data):
-        # step k of _certify_yes tests [lo0 - 2^-(k+1), hi0 + 2^-(k+1)]:
-        # nested intervals, along which every test only turns true, which
-        # is what lets the first passing k be found by bisection
-        hi0 = lo0 + width
-        steps = 24
-        ends = [t for k in range(steps) for t in
-                (lo0 - Fraction(1, 2 << k), hi0 + Fraction(1, 2 << k))]
-        Y = data.draw(st.one_of(
-            st.just(BASE_INDEX),
-            st.sampled_from([Horoball.at(t) for t in ends]),  # pole at an end
-            st.builds(lambda q, off: Horoball(math.floor(lo0 * q) + off, q),
-                      st.integers(1, 60), st.integers(-2, 3))))
-        # m near the values Y takes on the intervals, so that the tests flip
-        vals = [1 / abs(Y.q * (Y.q * t - Y.p)) for t in ends
-                if Y.q and Y.q * t != Y.p] or [1]
-        m = data.draw(st.sampled_from(vals)) * data.draw(
-            st.fractions(Fraction(1, 2), 2, max_denominator=64))
-        (a0, b0), (a1, b1) = lo0.as_integer_ratio(), hi0.as_integer_ratio()
-        got = [_inf_exceeds(Y, (a0 * s - b0, b0 * s), (a1 * s + b1, b1 * s),
-                            m.as_integer_ratio())
-               for s in (2 << k for k in range(steps))]
-        assert got == sorted(got)
-        if Y == BASE_INDEX:
-            assert not any(got)
-
     @pytest.mark.parametrize("w, Y0, i, searched", [
         # the basepoint angle |w| = 233 never exceeds Theta_1 + theta_P
         (Fraction(233), BASE_INDEX, 1, 0),
         # |w| > Theta_1 leaves no room, and a blocker stops the halvings
-        # at k = 8: the range of k is empty with first > stop
+        # at k = 8: no step has first <= k < stop
         (Fraction(-191136, 301), Horoball(-191136, 301), 1, 0),
-        # every k is searched and none passes
+        # the pole-free tests hold at every step and the rest never do
         (Fraction(233), Horoball(0, 1), 1, 48),
         (Fraction(27, 2), Horoball(14, 1), 2, 48),
     ], ids=str)
     def test_delta_exhausted(self, ladder, w, Y0, i, searched):
-        # the steps whose pole-free tests hold are range(first, stop) of
+        # the steps whose pole-free tests hold are first <= k < stop of
         # _certify_yes: `searched` of them, and none passes the rest
         Z = _select_z_base(w, ladder)
         steps = list(reference_steps(Y0, i, w, Z, ladder, 48))
@@ -469,25 +470,21 @@ class TestMembership:
         m = certify(Y0, i, w, Z, ladder, 48)
         assert m == Membership("boundary-uncertain", detail="delta exhausted")
 
-    @pytest.mark.parametrize("w, Y0, i, halvings, guess, k", [
-        # Z's test decides: the answer is the guess
-        (Fraction(1, 500), Horoball(0, 1), 1, 48, 27, 27),
-        # the Y0 test passes first, below the guess (a certificate of the
-        # thin benchmark at seed 7)
-        (Fraction(12233, 3598), Horoball(17, 5), 1, 48, 32, 16),
-        # the guess fails, and so does every k above it
-        (Fraction(306319, 1047), Horoball(293, 1), 2, 48, 29, None),
+    @pytest.mark.parametrize("w, Y0, i, halvings, k", [
+        # Z's Theta_4 test decides: at w = a/b, Z = Horoball(a, b) first
+        # passes it at the k with 2^(k+1) > (Theta_4 + theta_P) b^2
+        (Fraction(1, 500), Horoball(0, 1), 1, 48, 27),
+        # Y0's own Theta_4 test passes first, at k = 16 below Z's 32 (a
+        # certificate of the thin benchmark at seed 7)
+        (Fraction(12233, 3598), Horoball(17, 5), 1, 48, 16),
+        # Y0's test (1) never passes
+        (Fraction(306319, 1047), Horoball(293, 1), 2, 48, None),
         # first = stop = 12 at the basepoint index (its angle 1/2 never
-        # clears the margin): nothing is probed, though Z's test alone
-        # would pass at k = 11, just below the empty range
-        (Fraction(1, 2), BASE_INDEX, 1, 12, 11, None),
+        # clears the margin), though Z's test alone passes at k = 11
+        (Fraction(1, 2), BASE_INDEX, 1, 12, None),
     ], ids=["guess", "below-guess", "guess-fails", "empty-range"])
     def test_delta_search_from_z_threshold(self, ladder, w, Y0, i, halvings,
-                                           guess, k):
-        # at w = a/b, Z = Horoball(a, b) first passes its Theta_4 test at
-        # the k with 2^(k+1) > (Theta_4 + theta_P) b^2
-        m4 = ladder.Theta(4) + ladder.theta_P
-        assert 2 << guess > m4 * w.denominator ** 2 >= 1 << guess
+                                           k):
         Z = _select_z_base(w, ladder)
         m = certify(Y0, i, w, Z, ladder, halvings)
         assert m.delta == (None if k is None else Fraction(1, 4 << k))
@@ -495,8 +492,8 @@ class TestMembership:
             certify_reference(Y0, i, w, Z, ladder, halvings)
 
     def test_delta_search_guess_below_range(self):
-        # Theta_1 = 240 + 2^-20 leaves w = 240 the room 2^-20, so the range
-        # starts at first = 20, above Z's own k = 9: the guess is clamped up
+        # Theta_1 = 240 + 2^-20 leaves w = 240 the room 2^-20 below the
+        # basepoint angle's bound, so k = 20, above Z's own k = 9
         ladder = ThetaLadder(Fraction(2) + Fraction(1, 20 << 20),
                              Fraction(10), Fraction(6))
         w = Fraction(240)
@@ -794,9 +791,13 @@ class TestDisjointness:
 
     def test_surd_centre(self):
         # PHI enters with the inner interval [hi0 - 1/4, lo0 + 1/4] of its
-        # enclosure [lo0, hi0], so an interval from lo0 + 1/4 touches it
-        # and one from hi0 + 1/4 does not, nor does [15/8, 17/8]
-        lo0, hi0 = surd_interval(PHI, 60)
+        # enclosure lo0 = n / 2^200 < PHI < hi0 = (n + 1) / 2^200, where
+        # n = floor((2^200 + sqrt5 2^200) / 2), so an interval from
+        # lo0 + 1/4 touches it and one from hi0 + 1/4 does not, nor does
+        # [15/8, 17/8]
+        n = ((1 << 200) + math.isqrt(5 << 400)) // 2
+        lo0, hi0 = Fraction(n, 1 << 200), Fraction(n + 1, 1 << 200)
+        assert lo0 < PHI < hi0
         d = Fraction(1, 8)
         for left, flagged in ((lo0 + 2 * d, True), (hi0 + 2 * d, False),
                               (Fraction(15, 8), False)):
