@@ -50,7 +50,6 @@ DEFAULT_CONFIG = {
     "axiom_triples": 100000,
     "axiom_qmax": 50,
     "finiteness_pairs": 1000,
-    "finiteness_qmax": 200,
     "windows": [
         {"anchors": ["oo", "0/1"], "theta": "1/2", "K": "5"},
         {"anchors": ["oo", "2/5"], "theta": "1", "K": "2"},
@@ -141,8 +140,7 @@ def cmd_axioms(cfg: dict, out: Path) -> int:
     p2 = check_triangle(family, quads)
     pairs = [(u, v) for _, u, v in triples[:cfg["finiteness_pairs"]]
              if u is not v]
-    p4 = check_finiteness(family, pairs, theta=Fraction(1, 4),
-                          qmax=cfg["finiteness_qmax"])
+    p4 = check_finiteness(family, pairs, theta=Fraction(1, 4))
     p3_triples = [(Y, Yp, xi) for (Y, _u, xi), (Yp, _u2, _v2)
                   in zip(triples[:200], triples[200:400]) if Y != Yp]
     p3 = check_behrstock(family, p3_triples,

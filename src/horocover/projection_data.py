@@ -6,8 +6,11 @@ boundary circle.  Its axioms (P1)-(P4) are checked exactly on rational
 data through the integer closed form `proj_dist_int`: a distance is the
 terms (n, f_u, f_v) of n / (f_u f_v), and the checks cross-multiply
 instead of building Fractions ((P2) fails exactly when n_uv f_w + n_vw f_u
-< n_uw f_v).  The brute-force (P4) oracle tests n theta.den > theta.num
-f_u f_v over every q <= qmax.  The Behrstock constant (P3) comes from the
+< n_uw f_v).  (P4) compares the enumeration, as a full set, with a
+brute-force oracle that tests n theta.den > theta.num f_u f_v at every
+q up to the pair's proved window m (1/theta + 1/n), for m the larger
+endpoint denominator and n = |a e - b c|, and at every p within 2 /
+(theta q) of q u or q v.  The Behrstock constant (P3) comes from the
 exact certificate `pair_maxmin`: a pair's sup-min is 1 / |p'q - pq'|, at
 most 1 and equal to 1 at Farey neighbours.  Large projections are
 enumerated exactly, always at the cusp: one endpoint is moved to infinity,
@@ -150,37 +153,52 @@ def rational_hits(a: int, b: int, theta: Fraction) -> list:
     return hits
 
 
-def brute_force_large_projections(u, v, theta: Fraction, qmax: int):
-    """Oracle: scan every horoball with denominator <= qmax directly,
-    comparing n / (f_u f_v) > theta in integers."""
+def finiteness_window(u, v, theta: Fraction) -> int:
+    """The largest denominator q of a Y = p/q with d^pi_Y(u, v) > theta,
+    for rational u = a/b and v = c/e (infinity = (1, 0)): with n =
+    |a e - b c| and m = max(b, e), every such q <= m (1/theta + 1/n).
+
+    A hit has positive f_u = |q a - p b| and f_v = |q c - p e| with theta
+    f_u f_v < n.  For b, e > 0, |u - v| <= |u - p/q| + |v - p/q| gives
+    q n <= f_u e + f_v b, which on that hyperbola is at most max(e + b n /
+    theta, b + e n / theta).  At u = infinity, f_u = q and n = e, so q <
+    e / theta.  At u = v, n = 0 and nothing is large: the window is 0."""
+    (a, b), (c, e) = rational_pair(u), rational_pair(v)
+    n = abs(a * e - b * c)
+    if n == 0:
+        return 0
+    tn, td = theta.numerator, theta.denominator
+    return max(b, e) * (td * n + tn) // (tn * n)
+
+
+def brute_force_large_projections(u, v, theta: Fraction, qmax=None):
+    """Oracle: test n theta.den > theta.num f_u f_v in integers at every
+    horoball p/q with q <= `finiteness_window` (and q <= qmax, if given)
+    whose p can hold a hit, independent of the Euclid walk.
+
+    With x = |q u - p| and y = |q v - p| for finite u and v, a hit has
+    x y < |u - v| / theta while x + y >= q |u - v|, so min(x, y) < 2 /
+    (theta q); at u = infinity it has q y < 1 / theta.  So p lies within
+    k / (theta q) of q x for a finite endpoint x, k the number of finite
+    endpoints."""
     u, v = chart_point(u), chart_point(v)
-    if u == v:
-        return []
+    top = finiteness_window(u, v, theta)
+    if qmax is not None:
+        top = min(top, qmax)
     tn, td = theta.numerator, theta.denominator
     U, V = rational_pair(u), rational_pair(v)
     finite = [w for w in (U, V) if w[1] != 0]
-    # a hit needs |qu - p| |qv - p| < B = num / theta, so p lies within
-    # sqrt(B) of qu or qv (both finite) or within B / q of the finite one
-    num = Fraction(1) if len(finite) < 2 else abs(u - v)
-    B = num / theta
-    root = math.isqrt(math.ceil(B)) + 1
-
-    def candidates():
-        if len(finite) == 2:
-            yield HOROBALL_INF.p, HOROBALL_INF.q
-        for q in range(1, qmax + 1):
-            pad = root if len(finite) == 2 else \
-                -(-B.numerator // (B.denominator * q)) + 1
-            ps = set()
-            for a, b in finite:
-                center = (a * q) // b
-                ps.update(range(center - pad, center + pad + 2))
-            for p in sorted(ps):
-                if math.gcd(p, q) == 1:
-                    yield p, q
-
+    k = len(finite)
+    candidates = [(HOROBALL_INF.p, HOROBALL_INF.q)] if k == 2 else []
+    for q in range(1, top + 1):
+        ps = set()
+        for a, b in finite:
+            # (q a / b -+ k / (theta q)) over the denominator b tn q
+            den, mid, pad = b * tn * q, q * q * a * tn, k * td * b
+            ps.update(range((mid - pad) // den, -(-(mid + pad) // den) + 1))
+        candidates += [(p, q) for p in ps if math.gcd(p, q) == 1]
     hits = []
-    for Y in candidates():
+    for Y in candidates:
         n, fu, fv = proj_dist_int(Y, U, V)
         if fu and fv and n * td > tn * fu * fv:
             hits.append((Horoball(*Y), Fraction(n, fu * fv)))
@@ -454,21 +472,25 @@ def check_behrstock(family: FareyFamily, sample,
 
 
 def check_finiteness(family: FareyFamily, pairs, theta: Fraction,
-                     qmax: int) -> AxiomReport:
-    """(P4): the exact enumeration equals brute force over q <= qmax."""
+                     qmax=None) -> AxiomReport:
+    """(P4): the exact enumeration equals the brute force over the pair's
+    `finiteness_window`, as full sets.  An optional cap qmax compares
+    both only up to q <= qmax, and so misses a fast path that drops the
+    hits beyond it."""
     rep = AxiomReport("P4")
     for (u, v) in pairs:
         rep.samples += 1
         fast = {(Y.p, Y.q) for Y, _ in enumerate_large_projections(u, v, theta)}
+        if qmax is not None:
+            fast = {k for k in fast if k[1] <= qmax}
         slow = {(Y.p, Y.q)
                 for Y, _ in brute_force_large_projections(u, v, theta, qmax)}
-        fast_win = {k for k in fast if k[1] <= qmax}
-        if fast_win != slow:
+        if fast != slow:
             rep.violations += 1
             rep.witnesses.append({
                 "u": str(u), "v": str(v),
-                "missing": sorted(slow - fast_win)[:5],
-                "extra": sorted(fast_win - slow)[:5]})
+                "missing": sorted(slow - fast)[:5],
+                "extra": sorted(fast - slow)[:5]})
     return rep
 
 

@@ -3,21 +3,23 @@
 Each one answers a question the program answers by a faster route: the
 Behrstock scan against the `pair_maxmin` certificate, the integer scan
 for large projections at a rational point against the Euclid walk of
-`rational_hits`, the path enumeration against `ProjComplexGraph.dmax`,
-the walk in a window graph against the walk along the linear order, one
-walk per ladder level against the walk that finds both, the sorted
-enumeration against the chain order of `rational_hits`, the
-candidate-by-candidate membership loop against `find_long_member` and
-the comparison of every pair of certified intervals in Fractions against
-the disjointness sweep of `verify_thin_theorem`, the charts built one
-triple at a time against `build_charts`, the foot times and line
-distances of mpmath against the exact chart of `_Ray`, the iota_tau balls
-filled anew for every pair against those `flow_elements` keeps, the
-orbit points of a bounding box, enumerated from coprime bottom rows and
-filtered by interval distances, against the flood fill of `flow_cover`,
-the thin nerve map's margins, weights and defect in Fractions against
-`partition_of_unity` and `defect`, and mpmath's interval enclosure of a
-surd against the integer enclosure of the thin certificates.
+`rational_hits`, the (P4) scan of every q up to a cap against the banded
+scan over the pair's window, the path enumeration against
+`ProjComplexGraph.dmax`, the walk in a window graph against the walk
+along the linear order, one walk per ladder level against the walk that
+finds both, the sorted enumeration against the chain order of
+`rational_hits`, the candidate-by-candidate membership loop against
+`find_long_member` and the comparison of every pair of certified
+intervals in Fractions against the disjointness sweep of
+`verify_thin_theorem`, the charts built one triple at a time against
+`build_charts`, the foot times and line distances of mpmath against the
+exact chart of `_Ray`, the iota_tau balls filled anew for every pair
+against those `flow_elements` keeps, the orbit points of a bounding box,
+enumerated from coprime bottom rows and filtered by interval distances,
+against the flood fill of `flow_cover`, the thin nerve map's margins,
+weights and defect in Fractions against `partition_of_unity` and
+`defect`, and mpmath's interval enclosure of a surd against the integer
+enclosure of the thin certificates.
 They live beside the tests, so no simplification of the program can
 validate itself through them.
 """
@@ -44,6 +46,8 @@ from horocover.hyperbolic import (
     geodesic_point,
     orbit_point,
     proj_dist_frac,
+    proj_dist_int,
+    rational_pair,
 )
 from horocover.projection_complex import ProjComplexGraph, Window
 from horocover.projection_data import (
@@ -91,6 +95,43 @@ def calibrate_behrstock(qmax: int):
 
 
 # -- large projections at a rational point ----------------------------------
+
+
+def brute_force_reference(u, v, theta: Fraction, qmax: int):
+    """Every horoball p/q with q <= qmax and d^pi_{p/q}(u, v) > theta, by
+    the integer test n theta.den > theta.num f_u f_v, sorted by (q, p).
+
+    It scans every q up to qmax, with no window from the pair, and pads
+    each q u and q v by a width that does not shrink with q: a hit has
+    |q u - p| |q v - p| < B = |u - v| / theta, so p lies within sqrt(B)
+    of q u or q v, or within B / q of the one finite endpoint (B = 1 /
+    theta) when the other is infinity.  This is the oracle the banded,
+    windowed `brute_force_large_projections` replaced."""
+    u, v = chart_point(u), chart_point(v)
+    if u == v:
+        return []
+    tn, td = theta.numerator, theta.denominator
+    U, V = rational_pair(u), rational_pair(v)
+    finite = [w for w in (U, V) if w[1] != 0]
+    num = Fraction(1) if len(finite) < 2 else abs(u - v)
+    B = num / theta
+    root = math.isqrt(math.ceil(B)) + 1
+    candidates = [(1, 0)] if len(finite) == 2 else []
+    for q in range(1, qmax + 1):
+        pad = root if len(finite) == 2 else \
+            -(-B.numerator // (B.denominator * q)) + 1
+        ps = set()
+        for a, b in finite:
+            center = (a * q) // b
+            ps.update(range(center - pad, center + pad + 2))
+        candidates += [(p, q) for p in sorted(ps) if math.gcd(p, q) == 1]
+    hits = []
+    for Y in candidates:
+        n, fu, fv = proj_dist_int(Y, U, V)
+        if fu and fv and n * td > tn * fu * fv:
+            hits.append((Horoball(*Y), Fraction(n, fu * fv)))
+    hits.sort(key=lambda t: (t[0].q, t[0].p))
+    return hits
 
 
 def enumerate_inf_rational_scan(w: Fraction, theta: Fraction):

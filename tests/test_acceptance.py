@@ -88,7 +88,7 @@ def test_1_exact_axiom_suite(cfg):
     t12 = time.time() - t0
     t0 = time.time()
     pairs = [(u, v) for _, u, v in triples[:1000] if u is not v]
-    p4 = check_finiteness(family, pairs, theta=Fraction(1, 4), qmax=200)
+    p4 = check_finiteness(family, pairs, theta=Fraction(1, 4))
     t4 = time.time() - t0
     ok = (p1.violations == 0 and p2.violations == 0 and p4.violations == 0
           and t12 < 60 and t4 < 120)

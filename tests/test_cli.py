@@ -58,7 +58,7 @@ class TestMain:
     def test_unknown_config_key_rejected(self, cfg, tmp_path, capsys):
         for key, value in (("ladder_override", {f"Theta_{i}": str(i + 1)
                                                 for i in range(6)}),
-                           ("max_refine", 400)):
+                           ("max_refine", 400), ("finiteness_qmax", 200)):
             p = tmp_path / f"{key}.json"
             p.write_text(json.dumps(dict(cfg, **{key: value})))
             with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_hyperbolic import reference_proj_dist_frac
 
+from horocover import projection_data
 from horocover.certified import INFINITE
 
 from horocover.hyperbolic import (
@@ -33,6 +34,7 @@ from horocover.projection_data import (
     check_triangle,
     enumerate_large_projections,
     enumerate_large_projections_windowed,
+    finiteness_window,
     pair_maxmin,
     random_rational,
     sample_triples_rational,
@@ -41,6 +43,7 @@ from horocover.projection_data import (
 )
 from horocover.surd import INFINITY, PHI, SQRT2, Surd
 from reference import (
+    brute_force_reference,
     calibrate_behrstock,
     enumerate_inf_rational_scan,
     sqrt_of,
@@ -133,16 +136,70 @@ class TestAxioms:
         assert rep.exact_constant <= 1
 
     def test_p4_enumeration_matches_brute_force(self, family):
-        rep = check_finiteness(family, p4_pairs(), theta=Fraction(1, 4),
-                               qmax=60)
+        rep = check_finiteness(family, p4_pairs(), theta=Fraction(1, 4))
         assert rep.violations == 0
 
     @pytest.mark.parametrize("theta", [Fraction(2), Fraction(5, 2)], ids=str)
     def test_p4_convergent_enumeration_matches_brute_force(self, family,
                                                            theta):
         # at theta >= 2 the two-rational pairs go through the convergents
-        rep = check_finiteness(family, p4_pairs(), theta=theta, qmax=60)
+        rep = check_finiteness(family, p4_pairs(), theta=theta)
         assert rep.violations == 0 and rep.samples == 41
+
+
+class TestFinitenessWindow:
+    @settings(max_examples=100, deadline=None)
+    @given(st.fractions(-3, 3, max_denominator=60) | st.just(INFINITY),
+           st.fractions(-3, 3, max_denominator=60) | st.just(INFINITY),
+           st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1),
+                            Fraction(2), Fraction(5, 2)]))
+    # the window attained, past m / theta = 24/5: W = floor(12 (2/5 + 1/23))
+    # = 5 and -3/5 is a hit
+    @example(Fraction(-7, 12), Fraction(-6, 7), Fraction(5, 2))
+    def test_window_is_sound(self, u, v, theta):
+        # the scan of every q <= 2 W + 20 finds no hit beyond the window,
+        # and the banded oracle finds every hit within it
+        W = finiteness_window(u, v, theta)
+        ref = brute_force_reference(u, v, theta, 2 * W + 20)
+        assert all(Y.q <= W for Y, _ in ref)
+        assert brute_force_large_projections(u, v, theta) == ref
+
+    def test_window_is_attained(self):
+        u, v, theta = Fraction(-7, 12), Fraction(-6, 7), Fraction(5, 2)
+        W = finiteness_window(u, v, theta)
+        assert W == 5
+        assert max(Y.q for Y, _ in brute_force_large_projections(
+            u, v, theta)) == W
+
+    @pytest.mark.parametrize("theta", [Fraction(1, 4), Fraction(2)], ids=str)
+    def test_banded_oracle_equals_reference(self, theta):
+        for u, v in p4_pairs():
+            W = finiteness_window(u, v, theta)
+            assert brute_force_large_projections(u, v, theta) == \
+                brute_force_reference(u, v, theta, 2 * W + 20)
+
+    def test_planted_enumeration_dropping_large_q(self, family, monkeypatch):
+        # 4/239 is a hit against (oo, 1/60) at theta = 1/4: 239 |239 - 4
+        # 60| < 60 / theta.  No pair of the default sample has one beyond
+        # q = 200: with denominators <= 50, q n <= 50 (f_u + f_v) <= 200 n
+        theta, pair = Fraction(1, 4), (INFINITY, Fraction(1, 60))
+        assert finiteness_window(*pair, theta) == 241
+        real = projection_data.enumerate_large_projections
+        monkeypatch.setattr(
+            projection_data, "enumerate_large_projections",
+            lambda u, v, t: [h for h in real(u, v, t) if h[0].q <= 200])
+        assert check_finiteness(family, [pair], theta).violations == 1
+        # a cap at 200 hides the dropped hit
+        assert check_finiteness(family, [pair], theta,
+                                qmax=200).violations == 0
+
+    def test_equal_endpoints(self, family):
+        theta, u, v = Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)
+        assert u is not v
+        assert finiteness_window(u, v, theta) == 0
+        assert finiteness_window(INFINITY, INFINITY, theta) == 0
+        rep = check_finiteness(family, [(u, v), (INFINITY, INFINITY)], theta)
+        assert (rep.samples, rep.violations) == (2, 0)
 
 
 # -- the axiom checks against Fraction loops --------------------------------

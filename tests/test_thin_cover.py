@@ -119,9 +119,9 @@ def reference_steps(Y0, i, w, Z, ladder, max_halvings):
     holds.  Values come from proj_dist_frac, infima are the least finite
     endpoint value, and every competitor of a fresh enumeration at w is
     re-tested at every delta.  A surd w enters with mpmath's enclosure.  At
-    a rational w = a/b the competitors come from the brute-force scan,
-    independent of the convergent enumeration: a hit Y = p/q has
-    q |q a - p b| < b / theta, so q <= b / theta."""
+    a rational w = a/b the competitors come from the brute-force scan over
+    the pair's window, independent of the convergent enumeration: a hit
+    Y = p/q has q |q a - p b| < b / theta, so q < b / theta."""
     def dpi(Y, e):
         return proj_dist_frac(Y, INFINITY, e)
 
@@ -139,8 +139,7 @@ def reference_steps(Y0, i, w, Z, ladder, max_halvings):
         hits = enumerate_large_projections(INFINITY, w, Th4 / 2)
     else:
         lo0 = hi0 = w
-        hits = brute_force_large_projections(
-            INFINITY, w, Th4 / 2, qmax=math.floor(w.denominator / (Th4 / 2)))
+        hits = brute_force_large_projections(INFINITY, w, Th4 / 2)
     hits = [V for V, _ in hits]
     for k in range(max_halvings):
         delta = Fraction(1, 4 << k)
@@ -385,8 +384,9 @@ class TestMembership:
     @settings(max_examples=150, deadline=None)
     @given(st.fractions(-1000, 1000, max_denominator=3000)
            | near_ladder_points()
-           | st.builds(lambda g, xi: g.apply_boundary(xi), sl2z_words(),
-                       st.sampled_from([PHI, SQRT2]))
+           | st.builds(lambda g, c: (g * GroupElement(1, 0, c, 1))
+                       .apply_boundary(SQRT2), sl2z_words(),
+                       st.integers(600, 3000))
            | st.builds(lambda g, c: (g * GroupElement(1, 0, c, 1))
                        .apply_boundary(PHI), sl2z_words(),
                        st.integers(50, 3000)),
@@ -406,11 +406,12 @@ class TestMembership:
     @example(Fraction(1, 300), 1, 48, "tangency")
     def test_certificate_matches_fraction_reference(self, ladder, w, i,
                                                     halvings, pick):
-        # w rational, or a surd g PHI, g SQRT2 or g (1, 0, c, 1) PHI, whose
-        # enclosure n / 2^200 < w < (n + 1) / 2^200 meets the reference's
-        # enclosure by mpmath; a surd without Z has no certificate to check
-        # (g PHI and g SQRT2 have none: their projections stay near their
-        # partial quotients, far below Theta_4 for words of 10 letters)
+        # w rational, or a surd g (1, 0, c, 1) SQRT2 or g (1, 0, c, 1) PHI,
+        # whose enclosure n / 2^200 < w < (n + 1) / 2^200 meets the
+        # reference's enclosure by mpmath; a surd without Z has no
+        # certificate to check.  (1, 0, c, 1) puts a partial quotient near c
+        # into the expansion, so at c >= 600 = Theta_4 most words g keep a
+        # projection above Theta_4 (plain g PHI and g SQRT2 never do)
         try:
             Z = _select_z_base(w, ladder)
         except WindowRequiredError:
