@@ -1,16 +1,19 @@
-"""Certified real values as refinable intervals with rational endpoints.
+"""Certified real values as refinable intervals with rational endpoints,
+and the INFINITE marker.
 
 A CertifiedReal wraps a procedure dps -> enclosing interval (mpmath.iv under
 the hood, endpoints exported as exact Fractions).  Comparisons against exact
 rationals either decide or, after refining up to a depth limit, report
 Undecided.  Exact rational values short-circuit every refinement.
+
+The verifier decides in integers, rationals and Z[sqrt d] and takes only
+INFINITE from here, so mpmath is imported inside the functions that build or
+evaluate an interval: a process that never evaluates one never loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from mpmath import iv
 
 from .surd import Surd
 
@@ -39,11 +42,13 @@ def iv_to_fractions(x) -> tuple[Fraction, Fraction]:
 
 
 def fraction_to_iv(f: Fraction):
+    from mpmath import iv
     return iv.mpf(f.numerator) / f.denominator
 
 
 def surd_iv(s: Surd):
     """Interval enclosure of a Surd at the current iv precision."""
+    from mpmath import iv
     if s.q == 0:
         return iv.mpf(s.p) / s.r
     return (iv.mpf(s.p) + s.q * iv.sqrt(iv.mpf(s.d))) / s.r
@@ -51,6 +56,7 @@ def surd_iv(s: Surd):
 
 def iv_acos(x):
     """acos for interval arguments (mpmath.iv lacks the inverse trig)."""
+    from mpmath import iv
     return iv.atan2(iv.sqrt(1 - x * x), x)
 
 
@@ -69,6 +75,7 @@ class CertifiedReal:
     def interval(self, dps: int = DEFAULT_DPS) -> tuple[Fraction, Fraction]:
         if self.exact is not None:
             return self.exact, self.exact
+        from mpmath import iv
         old = iv.dps
         try:
             iv.dps = dps

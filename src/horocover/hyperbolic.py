@@ -17,8 +17,6 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from mpmath import iv
-
 from .certified import (
     INFINITE,
     CertifiedReal,
@@ -237,21 +235,6 @@ def projection_distance(Y: Horoball, u, v):
     return d if d is INFINITE else CertifiedReal(exact=d)
 
 
-def penetration_depth(Y: Horoball, u, v) -> CertifiedReal:
-    """log(d/2) for d the projection distance: the depth to which the full
-    geodesic (u, v) dips into the open horoball (negative when disjoint)."""
-    u, v = chart_point(u), chart_point(v)
-    t = Y.tangency
-    if u == t or v == t:
-        raise ValueError("endpoint at the tangency point of Y")
-    if u == v:
-        raise ValueError("penetration depth needs distinct endpoints")
-    d = projection_distance(Y, u, v).exact
-    if d == 2:
-        return CertifiedReal(exact=Fraction(0))
-    return CertifiedReal(refine=lambda dps: iv.log(fraction_to_iv(d) / 2))
-
-
 # -- ray geometry ---------------------------------------------------------
 
 
@@ -333,6 +316,7 @@ def _ray(g: GroupElement, xi) -> tuple:
     xi: the start (x0, y0), the sign s in exp(s t), and for a circular ray
     a function giving enclosures of its centre c, radius r and start
     parameter u0 = tan(theta0 / 2), once per iv precision (else None)."""
+    from mpmath import iv
     x0, y0 = orbit_point(g)
     circ = _geodesic_circle(x0, y0, xi)
     if circ is None:
@@ -354,6 +338,7 @@ def _ray(g: GroupElement, xi) -> tuple:
 def geodesic_point(g: GroupElement, xi, t) -> tuple[CertifiedReal, CertifiedReal]:
     """The point at arclength t >= 0 along the unit-speed ray from g*x0
     toward xi, as certified coordinates."""
+    from mpmath import iv
     x0, y0, s, circle = _ray(g, chart_point(xi))
     t = Fraction(t)
 

@@ -19,7 +19,8 @@ enumerated from coprime bottom rows and filtered by interval distances,
 against the flood fill of `flow_cover`, the thin nerve map's margins,
 weights and defect in Fractions against `partition_of_unity` and
 `defect`, and mpmath's interval enclosure of a surd against the integer
-enclosure of the thin certificates.
+enclosure of the thin certificates.  `penetration_depth` is the depth
+identity log(d/2) as a certified real, which only the tests evaluate.
 They live beside the tests, so no simplification of the program can
 validate itself through them.
 """
@@ -65,6 +66,24 @@ from horocover.thin_cover import (
     membership_U,
     select_Yi,
 )
+
+
+# -- the depth identity -----------------------------------------------------
+
+
+def penetration_depth(Y: Horoball, u, v) -> CertifiedReal:
+    """log(d/2) for d the projection distance: the depth to which the full
+    geodesic (u, v) dips into the open horoball (negative when disjoint)."""
+    u, v = chart_point(u), chart_point(v)
+    t = Y.tangency
+    if u == t or v == t:
+        raise ValueError("endpoint at the tangency point of Y")
+    if u == v:
+        raise ValueError("penetration depth needs distinct endpoints")
+    d = proj_dist_frac(Y, u, v)
+    if d == 2:
+        return CertifiedReal(exact=Fraction(0))
+    return CertifiedReal(refine=lambda dps: iv.log(fraction_to_iv(d) / 2))
 
 
 # -- the Behrstock constant -------------------------------------------------

@@ -18,7 +18,6 @@ from horocover.hyperbolic import (
     GEN_T,
     IDENTITY,
     Horoball,
-    penetration_depth,
     proj_dist_frac,
 )
 from horocover.projection_complex import (
@@ -39,7 +38,7 @@ from horocover.projection_data import (
     stern_brocot_horoball,
 )
 from horocover import flow_cover, thin_cover
-from reference import calibrate_behrstock, dmax_brute
+from reference import calibrate_behrstock, dmax_brute, penetration_depth
 
 
 _CAPFD = None

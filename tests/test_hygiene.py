@@ -3,11 +3,17 @@ every function, class and public method it defines is used by the program
 or the benchmark, every defaulted parameter is set by some caller, no
 function is a mere alias of another, every cache has a chosen finite size
 and a stated reason, no setdefault builds a default it may not need, every
-default config key is read by some command, and every layer the benchmark
-tracer patches exists."""
+default config key is read by some command, every layer the benchmark
+tracer patches exists and a traced round runs, and no command loads
+mpmath."""
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+import time
 from collections import Counter, defaultdict
 from functools import reduce
 from pathlib import Path
@@ -154,10 +160,7 @@ def test_caches_listed():
 
 # defined for the tests alone, on purpose; the brute-force references
 # live in tests/reference.py
-TEST_ONLY = {
-    "penetration_depth": "acceptance 2 checks the depth identity "
-                         "log(d/2) against mpmath",
-}
+TEST_ONLY = {}
 
 
 def _referenced_names(node) -> list[str]:
@@ -491,6 +494,20 @@ def test_traced_layer_exists(module, attr):
     assert callable(reduce(getattr, attr.split("."), owner))
 
 
+def test_traced_round_runs():
+    # a traced round installs every span through the program's modules and
+    # reports a layer for each
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "round.py"), "thick", "7",
+         "1", repr(time.monotonic())],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["problems"] == [] and result["failed"] == 0
+    assert {f"{module}.{attr.rpartition('.')[2]}"
+            for module, attr in _traced()} <= set(result["layers"])
+
+
 def imports(source: str) -> set[tuple[str, str]]:
     """(module, name) for each name a horocover module imports, the module
     absolute, with "*" for a whole module: `import mpmath` gives ("mpmath",
@@ -522,7 +539,9 @@ def test_detector_reads_imports():
         ("horocover.certified", "*"), ("horocover.surd", "PHI")}
 
 
-# the modules that still hold interval arithmetic
+# the modules that still hold interval arithmetic; each imports mpmath
+# inside the functions that build or evaluate an interval, never at module
+# level (see test_commands_never_load_mpmath)
 INTERVAL_MODULES = {"certified.py", "hyperbolic.py"}
 
 
@@ -537,3 +556,29 @@ def test_intervals_stay_in_their_modules():
     assert {name: sorted(n for m, n in names if m == "horocover.certified"
                          and n != "INFINITE")
             for name, names in found.items()} == dict.fromkeys(found, [])
+
+
+def test_commands_never_load_mpmath(tmp_path):
+    # the verifier decides without intervals, so loading every module and
+    # running a command leaves mpmath unloaded; the first interval
+    # evaluation loads it and gives the enclosure it always gave at dps 30
+    script = (
+        "import sys\n"
+        "from horocover import cli\n"
+        f"assert cli.main(['complex', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('horocover.')))\n"
+        "print('mpmath' in sys.modules)\n"
+        "from horocover.hyperbolic import IDENTITY, geodesic_point\n"
+        "from horocover.surd import PHI\n"
+        "print(*geodesic_point(IDENTITY, PHI, 1)[1].interval())\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert run.returncode == 0, run.stderr
+    loaded, mpmath_loaded, enclosure = run.stdout.splitlines()[-3:]
+    assert loaded == str(sorted(f"horocover.{p.stem}" for p in MODULES))
+    assert mpmath_loaded == "False"
+    assert enclosure == ("9966642217137693716799492521349/"
+                         "10141204801825835211973625643008 "
+                         "2491660554284423429199873130343/"
+                         "2535301200456458802993406410752")

@@ -22,7 +22,6 @@ from horocover.hyperbolic import (
     locate,
     normalizer,
     orbit_point,
-    penetration_depth,
     proj_dist_frac,
     proj_dist_int,
     projection_distance,
@@ -31,7 +30,7 @@ from horocover.hyperbolic import (
 )
 from horocover.certified import INFINITE
 from horocover.surd import INFINITY, PHI, SQRT2, Surd
-from reference import hyperbolic_distance
+from reference import hyperbolic_distance, penetration_depth
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=40)
 
