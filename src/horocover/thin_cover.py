@@ -7,9 +7,9 @@ selection Z(e, xi) is the deterministic argmax of d^pi_Y(X, xi) with
 lexicographic (q, p) tie-breaks, preferring values above Theta_5; one walk
 of the linear order of large-projection vertices toward Z gives Y_1 and Y_2.
 Membership in U(Y, i) is certified on explicit delta-intervals, a sound
-under-approximation of the interior; S-longness reduces each translate once.
-One Euclid walk per translate gives the chain in integers; the intervals
-of the certificates then witness disjointness.
+under-approximation of the interior.  S-longness runs each translate gs on
+integer pairs (its point s^-1 g^-1 xi, one Euclid walk for the chain, Y_1,
+Y_2, and a step per certificate); the intervals then witness disjointness.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .hyperbolic import (
     HOROBALL_INF,
     GroupElement,
     Horoball,
+    rational_pair,
     word_ball,
 )
 from .projection_data import (
@@ -129,25 +130,20 @@ def theta_S(S: FinitePart, theta_P: Fraction) -> Fraction:
         for _, d in enumerate_large_projections(A, B, _THETA_S_FLOOR)])
 
 
-# -- the selection machinery (base chart) ----------------------------------
+# -- the selection machinery (base chart, on integer pairs) -----------------
 
 
-def _select_z_base(w, ladder: ThetaLadder) -> Horoball | None:
-    """Z(e, w): the choice of a Theta_4-large (preferably Theta_5-large)
-    projection index in the base chart; None if no certified candidate
-    exists."""
-    if w is INFINITY:
-        return None  # xi is the tangency of the basepoint index itself
-    if isinstance(w, Fraction):
-        return Horoball(w.numerator, w.denominator)
-    # quadratic surd: the complete list of convergents above Theta_4, with
-    # exact values; distinct convergents never tie, and max keeps the first
-    # (smallest q) anyway
-    hits, _, _ = enumerate_large_projections_windowed(w, ladder.Theta(4))
-    if not hits:
-        return None
-    top = [(Y, d) for Y, d in hits if d > ladder.Theta(5)] or hits
-    return max(top, key=lambda hit: hit[1])[0]
+def _point(w):
+    """A chart point in the integer form of the walk: an irrational Surd as
+    it is, else its `rational_pair` (a, b), b >= 0, infinity (1, 0)."""
+    return w if isinstance(w, Surd) else rational_pair(w)
+
+
+def _act(a: int, b: int, c: int, d: int, p: int, q: int) -> tuple:
+    """(a p + b q, c p + d q) signed as a `rational_pair`: a matrix of
+    determinant one maps primitive pairs to primitive pairs."""
+    p, q = a * p + b * q, c * p + d * q
+    return (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)
 
 
 def select_Yi(g: GroupElement, xi, i: int,
@@ -156,45 +152,54 @@ def select_Yi(g: GroupElement, xi, i: int,
     where large projections accumulate; angles come from the linear order
     of large projections itself."""
     try:
-        walk = _base_walk(g.inverse().apply_boundary(xi), ladder)
+        walk = _base_walk(_point(g.inverse().apply_boundary(xi)), ladder)
     except WindowRequiredError:
         return None
-    return None if walk is None else walk[2][i].translate(g)
+    return None if walk is None else Horoball(*walk[i + 1]).translate(g)
 
 
 def _base_walk(w, ladder: ThetaLadder):
-    """(Z, chain, {i: Y_i}) at the chart point w: Z = Z(e, w), the linear
-    order toward it from `rational_hits(Z.p, Z.q, ladder.theta)`, and from
-    one walk along it Y_i, i = 1, 2, the first vertex with angle >= Theta_i,
-    the basepoint index first, and Z when there is none (Theta_2 > Theta_1,
-    so Y_2 never precedes Y_1).  None where Z(e, w) is undefined; raises
-    WindowRequiredError where large projections accumulate at w.
+    """(z, chain, y_1, y_2) at the chart point w (integer form of
+    `_point`): z = (p, q) for Z = Z(e, w), the linear order toward it as
+    the triples (p, q, e) of `rational_hits(p, q, ladder.theta)`, and from
+    one walk along it y_i, i = 1, 2, the first vertex with angle >=
+    Theta_i, the basepoint index (1, 0) first, and z when there is none
+    (Theta_2 > Theta_1, so y_2 never precedes y_1).  None where Z(e, w) is
+    undefined; raises WindowRequiredError where large projections
+    accumulate at w.
 
     The anchor is the orbit point o = i, so the basepoint index has the
     finite angle |Re(o) - w| = |w|.  A chain vertex V's angle between its
     neighbours A, C in the order is |A x C| / (|V x A| |V x C|) in integer
     determinants (`proj_dist_int`), finite as the vertices are distinct."""
-    Z = _select_z_base(w, ladder)
-    if Z is None:
-        return None
-    chain = rational_hits(Z.p, Z.q, ladder.theta)
     levels = ladder._levels[1:3]
-    if isinstance(w, Fraction):
-        a, b = abs(w.numerator), w.denominator
-        found = [BASE_INDEX for n, d in levels if a * d >= n * b]
+    if isinstance(w, Surd):  # Z: convergents never tie, max keeps the first
+        hits, _, _ = enumerate_large_projections_windowed(w, ladder.Theta(4))
+        if not hits:
+            return None
+        top = [(Y, d) for Y, d in hits if d > ladder.Theta(5)] or hits
+        Z = max(top, key=lambda hit: hit[1])[0]
+        z = Z.p, Z.q
+        ys = [(1, 0) for i in (1, 2) if abs(w) >= ladder.Theta(i)]
+    elif w[1]:
+        z = w
+        ys = [(1, 0) for n, d in levels if abs(w[0]) * d >= n * w[1]]
     else:
-        found = [BASE_INDEX for i in (1, 2) if abs(w) >= ladder.Theta(i)]
-    if len(found) < 2:
-        path = ((1, 0, 0), *chain, (Z.p, Z.q, 0))
-        for (ap, aq, _), (p, q, _), (cp, cq, _) in zip(path, path[1:],
-                                                       path[2:]):
+        return None  # xi is the tangency of the basepoint index itself
+    chain = rational_hits(*z, ladder.theta)
+    if len(ys) < 2:
+        (m, d), ap, aq = levels[len(ys)], 1, 0  # no level fires below it
+        for (p, q, _), (cp, cq, _) in zip(chain, [*chain[1:], (*z, 0)]):
             n = abs(ap * cq - aq * cp)
             f = abs(q * ap - p * aq) * abs(q * cp - p * cq)
-            found += [Horoball(p, q) for m, d in levels[len(found):]
-                      if n * d >= m * f]
-            if len(found) == 2:
-                break
-    return Z, chain, dict(zip((1, 2), found + [Z, Z]))
+            if n * d >= m * f:
+                ys += [(p, q) for m2, d2 in levels[len(ys):]
+                       if n * d2 >= m2 * f]
+                if len(ys) == 2:
+                    break
+            ap, aq = p, q
+    y1, y2 = (*ys, z, z)[:2]
+    return z, chain, y1, y2
 
 
 # -- membership in U(Y, i) with interval certification ---------------------
@@ -207,51 +212,46 @@ class Membership:
     detail: str = ""
 
 
-def _exceeds(Y: Horoball, a: int, b: int, m: tuple):
-    """Whether d^pi_Y(X, a/b) > m in the base chart (b > 0, a/b in any
-    terms; m = (n, d), d > 0), in integers: the value is b / (q |q a - p b|),
-    so the test is b d > n q |q a - p b|.  None where the value is infinite:
-    at the pole a/b = p/q, and everywhere for the basepoint index (q = 0).
-    This is `proj_dist_int` at (1, 0), (a, b), inlined on the hot path."""
-    p, q = Y.p, Y.q
+def _exceeds(y: tuple, a: int, b: int, m: tuple):
+    """Whether d^pi_Y(X, a/b) > m for Y = y = (p, q), b > 0, m = (n, d),
+    d > 0: the value is b / (q |q a - p b|) (`proj_dist_int` at (1, 0),
+    (a, b)), so b d > n q |q a - p b|; None where it is infinite, at the
+    pole a/b = p/q and at the basepoint index (q = 0)."""
+    p, q = y
     gap = abs(q * a - p * b)
-    if q == 0 or gap == 0:
-        return None
-    return b * m[1] > m[0] * q * gap
+    return None if q == 0 or gap == 0 else b * m[1] > m[0] * q * gap
 
 
-def _halvings(x: tuple, y: tuple, cap: int) -> int:
-    """The first step k < cap with x - 2 delta > y, delta = 2^-(k+2), or
-    cap if there is none, for integer pairs x, y (positive denominators,
-    any terms): the steps before it are those with 2^-(k+1) >= x - y."""
-    n, d = x[0] * y[1] - y[0] * x[1], x[1] * y[1]
-    if n <= 0:
+def _step(gap: int, den: int, cap: int) -> int:
+    """The first step k < cap with 2^-(k+1) < gap / den (den > 0), or cap
+    if there is none (all steps when gap <= 0)."""
+    if gap <= 0:
         return cap
-    return min(cap, max(0, (d // n).bit_length() - 1))
+    return min(cap, max(0, (den // gap).bit_length() - 1))
 
 
-def _clears(Y: Horoball, m: tuple, lo0: tuple, hi0: tuple, cap: int) -> int:
+def _clears(y: tuple, m: tuple, lo: int, hi: int, den: int, cap: int) -> int:
     """The first step k < cap at which inf over H_k of d^pi_Y(X, .) > m =
-    (n, d), or cap: the value 1 / (q |q t - p|) exceeds m exactly within
-    r = d / (n q^2) of the pole p/q, so the infimum does exactly while H_k
+    (n, d), or cap, for Y = y = (p, q): 1 / (q |q t - p|) exceeds m exactly
+    within r = d / (n q^2) of the pole p/q, so the infimum does while H_k
     lies inside (p/q - r, p/q + r); never at the basepoint index, q = 0."""
-    p, q = Y.p, Y.q
+    p, q = y
     if q == 0:
         return cap
     n, d = m
     c, s = p * q * n, n * q * q  # the pole p/q = c/s
-    return max(_halvings(lo0, (c - d, s), cap),
-               _halvings((c + d, s), hi0, cap))
+    return _step(min(lo * s - (c - d) * den, (c + d) * den - hi * s),
+                 den * s, cap)
 
 
 def _centre(w) -> tuple:
-    """(lo, hi, den) with lo/den <= w <= hi/den, lo = hi at a rational w;
-    at a surd w, lo = floor(w 2^200) (exact, `Surd.__floor__`), hi = lo+1."""
+    """(lo, hi, den) with lo/den <= w <= hi/den (w as `_point` gives it),
+    lo = hi at a rational w; at a surd w, lo = floor(w 2^200) (exact,
+    `Surd.__floor__`), hi = lo+1."""
     if isinstance(w, Surd):
-        den = 1 << 200
-        lo = math.floor(w * den)
-        return lo, lo + 1, den
-    return w.numerator, w.numerator, w.denominator
+        lo = math.floor(w * (1 << 200))
+        return lo, lo + 1, 1 << 200
+    return w[0], w[0], w[1]
 
 
 # the cap on the step k of a certificate, delta = 2^-(k+2) >= 2^-49
@@ -268,12 +268,11 @@ def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
     if i not in (1, 2):
         raise ValueError("the thin families are U(.,1) and U(.,2)")
     ginv = g.inverse()
-    w = ginv.apply_boundary(xi)
-    Y0 = Y.translate(ginv)
+    w, Y0 = ginv.apply_boundary(xi), Y.translate(ginv)
     if w is INFINITY:
         return Membership("no", detail="xi at the basepoint tangency")
     try:
-        walk = _base_walk(w, ladder)
+        walk = _base_walk(_point(w), ladder)
     except WindowRequiredError as err:
         return Membership("boundary-uncertain", detail=str(err))
     if walk is None:
@@ -282,20 +281,26 @@ def membership_U(Y: Horoball, i: int, g: GroupElement, xi,
                 sup_projection(BASE_INDEX, w).below(ladder.Theta(4)):
             return Membership("no", detail="certified Theta_4-thick")
         return Membership("boundary-uncertain", detail="no Z and no certificate")
-    Z, chain, Ys = walk
-    if Ys[i] == Y0:
-        return _certify_yes(Y0, i, w, Z, chain, ladder, _MAX_HALVINGS)
-    # certify the complement: the actual member's interval excludes U(Y0,i)
-    other = _certify_yes(Ys[i], i, w, Z, chain, ladder, _MAX_HALVINGS)
-    if other.verdict == "yes":
-        return Membership("no", detail=f"certified member of U({Ys[i]},{i})")
-    return Membership("boundary-uncertain", detail="competitor uncertified")
+    z, chain, *ys = walk
+    y, why = ys[i - 1], "delta exhausted"
+    try:
+        k = _certify_yes(y, i, _point(w), z, chain, ladder, _MAX_HALVINGS)
+    except WindowRequiredError as err:
+        k, why = None, str(err)
+    if y == (Y0.p, Y0.q):
+        return Membership("boundary-uncertain", detail=why) if k is None \
+            else Membership("yes", delta=Fraction(1, 4 << k))
+    if k is None:  # else the actual member's interval excludes U(Y0, i)
+        return Membership("boundary-uncertain", detail="competitor uncertified")
+    return Membership("no", detail=f"certified member of U({Horoball(*y)},{i})")
 
 
-def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, chain: list,
-                 ladder: ThetaLadder, max_halvings: int) -> Membership:
-    """Interval certificate that Y_i stays equal to Y0 near w, given the
-    chain toward Z that the walk to Y0 used.
+def _certify_yes(y: tuple, i: int, w, z: tuple, chain: list,
+                 ladder: ThetaLadder, max_halvings: int) -> int | None:
+    """The step k of an interval certificate that Y_i stays equal to Y0 =
+    y near w, delta = 2^-(k+2), or None; y, z and w as `_base_walk` gives
+    them, with the chain toward z that the walk to Y0 used.  Raises
+    WindowRequiredError where values above Theta_4 / 2 accumulate at w.
 
     Sound sufficient conditions on H = [w - delta, w + delta]:
       (1) inf_H d^pi_{Y0}(X, .) > Theta_i + theta_P: every horoball with
@@ -308,80 +313,67 @@ def _certify_yes(Y0: Horoball, i: int, w, Z: Horoball, chain: list,
       (3) the walk prefix below Y0 is target-independent: its angles are
           measured between vertices at or before Y0, the same for every
           target beyond Y0; and the Theta_4 clause has a robust witness on H.
-    Step k tests delta = 2^-(k+2) on H_k = [lo0 - 2^-(k+1), hi0 +
-    2^-(k+1)] about the enclosure [lo0, hi0] of w (`_centre`).  Each test
-    but (2) asks whether H_k lies inside an open interval (L, R) (a
-    half-line for the basepoint index's own angle), so it holds exactly
-    from the step max(_halvings(lo0, L), _halvings(R, hi0)) on; `_clears`
-    gives that step for the infimum tests.  A competitor of (2) with value
-    <= margin is excused exactly while its tangency lies in H_k, which
-    ends at some step; `stop` is the least.  So the certificate is step
+    Step k tests H_k = [lo0 - 2^-(k+1), hi0 + 2^-(k+1)] about the
+    enclosure [lo0, hi0] of w (`_centre`).  Each test but (2) asks whether
+    H_k lies inside an open interval (L, R) (a half-line for the basepoint
+    index's own angle), so it holds from the `_step` of min(lo0 - L, R -
+    hi0) on (`_clears` for the infimum tests).  A competitor of (2) with
+    value <= margin is excused while its tangency lies in H_k; `stop` is
+    the step at which the first one leaves.  So the certificate is
         k = max(first, clears(Y0, margin),
-                min(clears(Z, margin4), clears(Y0, margin4))),
+                min(clears(Z, margin4), clears(Y0, margin4))) < stop,
     `first` the basepoint angle's step and clears(Y0, margin), test (1),
-    skipped at the basepoint index; the verdict is "yes" iff k < stop.
-
-    All tests run on integer pairs; at w = a/b a chain entry (p, q, e) is a
-    competitor when b floor.den > floor.num q e.
+    skipped at the basepoint index.  At Y0 = Z one clearance decides, as
+    margin < margin4 gives clears(Y0, margin) <= clears(Y0, margin4).
     """
-    # competitors with a pole outside the (doubled) interval: any V with
-    # d^pi_V(oo, t) > Theta_4 at some t within delta of w and pole at
-    # distance >= delta has q^2 |pole - w| < 2 q^2 |pole - t| < 2/Theta_4,
-    # so it shows up in a single enumeration at w with floor Theta_4 / 2.
-    # Poles inside the doubled interval are the tangency family, covered
-    # wholesale by the inf bound (1).
-    # The enumeration is exact for a surd w as well, so the competitor list
-    # is complete and delta needs no cap.  For a rational w the chain toward
-    # Z = Horoball(w) already holds every V above theta < Theta_4/2.
-    Th, margin, margin4 = ladder._levels[i], ladder._margins[i], \
+    # Competitors: a V with d^pi_V(oo, t) > Theta_4 at some t within delta
+    # of w and pole at distance >= delta has q^2 |pole - w| < 2 q^2 |pole -
+    # t| < 2/Theta_4, so it is a hit above Theta_4 / 2 at w: of the exact
+    # enumeration at a surd w (e = 0 marks them), and of the chain at w =
+    # a/b, where b floor.den > floor.num q e.  Poles inside the doubled
+    # interval are the tangency family, covered wholesale by test (1).
+    (t, u), margin, margin4 = ladder._levels[i], ladder._margins[i], \
         ladder._margins[4]
-    a0, a1, b = _centre(w)
-    lo0, hi0, cap = (a0, b), (a1, b), max_halvings
-    if isinstance(w, Surd):
-        try:
-            hits = [(V.p, V.q) for V, _ in enumerate_large_projections(
-                INFINITY, w, ladder.Theta(4) / 2)]
-        except WindowRequiredError as err:
-            return Membership("boundary-uncertain", detail=str(err))
-    else:
-        n4, d4 = ladder._floor4
-        hits = [(p, q) for p, q, e in chain if b * d4 > n4 * q * e]
-    # The basepoint index only needs its own angle inf_H |.| > margin, i.e.
-    # lo > margin or hi < -margin (nothing precedes it, nothing competes);
-    # any other Y0 needs the basepoint angle below Theta_i on H, i.e.
-    # -Th < lo, hi < Th, and its own test (1).
-    if Y0 == BASE_INDEX:
-        first = min(_halvings(lo0, margin, cap),
-                    _halvings((-margin[0], margin[1]), hi0, cap))
-        own, blockers = 0, []
-    else:
-        first = max(_halvings(lo0, (-Th[0], Th[1]), cap),
-                    _halvings(Th, hi0, cap))
-        own = _clears(Y0, margin, lo0, hi0, cap)
-        blockers = [t for t in hits if t != (Y0.p, Y0.q)
-                    and _exceeds(Y0, *t, margin) is False]
-    k = max(first, own, min(_clears(Z, margin4, lo0, hi0, cap),
-                            _clears(Y0, margin4, lo0, hi0, cap)))
-    stop = min([cap] + [min(_halvings(lo0, t, cap), _halvings(t, hi0, cap))
-                        for t in blockers])
-    if k >= stop:
-        return Membership("boundary-uncertain", detail="delta exhausted")
-    return Membership("yes", delta=Fraction(1, 4 << k))
+    lo, hi, den = _centre(w)
+    cap = max_halvings
+    hits = [(V.p, V.q, 0) for V, _ in enumerate_large_projections(
+        INFINITY, w, ladder.Theta(4) / 2)] if isinstance(w, Surd) else chain
+    # The basepoint index needs only its own angle inf_H |.| > margin
+    # (nothing precedes it, nothing competes); any other Y0 needs the
+    # basepoint angle below Theta_i on H, -Th < lo, hi < Th, and test (1).
+    if y[1] == 0:
+        m, d = margin
+        k = max(_step(max(lo * d - m * den, -m * den - hi * d), den * d, cap),
+                _clears(z, margin4, lo, hi, den, cap))
+        return k if k < cap else None
+    k = max(_step(min(lo * u + t * den, t * den - hi * u), den * u, cap),
+            _clears(y, margin4, lo, hi, den, cap) if y == z else max(
+                _clears(y, margin, lo, hi, den, cap),
+                min(_clears(z, margin4, lo, hi, den, cap),
+                    _clears(y, margin4, lo, hi, den, cap))))
+    (n4, d4), stop = ladder._floor4, cap
+    for p, q, e in hits:
+        if k < stop and den * d4 > n4 * q * e and \
+                _exceeds(y, p, q, margin) is False:
+            stop = min(stop, _step(max(lo * q - p * den, p * den - hi * q),
+                                   den * q, cap))
+    return k if k < stop else None
 
 
 def base_members(w, ladder: ThetaLadder) -> list:
     """The (Y, i), i = 1, 2, with (e, w) certified in U(Y, i), for w a
     chart point: one reduction gives Z(e, w), one walk gives Y_1 and Y_2,
     and each level is certified once.  Empty where Z(e, w) is undefined."""
-    try:
+    w = _point(w)
+    try:  # where the certificate raises at w, it does at both levels
         walk = _base_walk(w, ladder)
+        if walk is None:
+            return []
+        z, chain, *ys = walk
+        return [(Horoball(*y), i) for i, y in zip((1, 2), ys) if _certify_yes(
+            y, i, w, z, chain, ladder, _MAX_HALVINGS) is not None]
     except WindowRequiredError:
         return []
-    if walk is None:
-        return []
-    Z, chain, Ys = walk
-    return [(Ys[i], i) for i in (1, 2) if _certify_yes(
-        Ys[i], i, w, Z, chain, ladder, _MAX_HALVINGS).verdict == "yes"]
 
 
 # -- theorem-level verification --------------------------------------------
@@ -416,30 +408,38 @@ def find_long_member(g: GroupElement, xi, S: FinitePart,
     """(Y, i, certificates) with (gs, xi) certified in U(Y,i) for every s
     in S, or None; the certificate (h, w, delta) of h = gs says Y_i(h, .) =
     Y on [w - delta, w + delta], w = h^-1 xi.  Level i has one candidate:
-    Y_i(gs, xi), when it is the same for every s.  Each gs is reduced to
-    the base chart once, with Z(e, w), one chain and one walk.  Raises
-    WindowRequiredError where large projections accumulate at some w: no
-    certificate decides the pair there."""
+    Y_i(gs, xi), when it is the same for every s, compared as s Y_i(e, w).
+    Each translate runs on integer pairs: w = s^-1 (g^-1 xi), one walk, a
+    step k per certificate; only the member is built as objects.  Raises
+    WindowRequiredError where large projections accumulate at some w."""
+    w0 = _point(g.inverse().apply_boundary(xi))
     walks = []
     for s in S.elements:
-        h = g * s
-        w = h.inverse().apply_boundary(xi)
+        w = (w0 * s.d - s.b) / (w0 * -s.c + s.a) if isinstance(w0, Surd) \
+            else _act(s.d, -s.b, -s.c, s.a, *w0)  # s^-1 = (d, -b, -c, a)
         walk = _base_walk(w, ladder)
         if walk is None:
             return None
-        walks.append((h, w, *walk))
+        walks.append((s, w, *walk))
     for i in (1, 2):
-        common = {Ys[i].translate(h) for h, _, _, _, Ys in walks}
+        common = {_act(s.a, s.b, s.c, s.d, *ys[i - 1])
+                  for s, _, _, _, *ys in walks}
         if len(common) != 1:
             continue
-        certificates = []
-        for h, w, Z, chain, Ys in walks:
-            m = _certify_yes(Ys[i], i, w, Z, chain, ladder, _MAX_HALVINGS)
-            if m.verdict != "yes":
+        steps = []
+        for s, w, z, chain, *ys in walks:
+            try:
+                steps.append(_certify_yes(ys[i - 1], i, w, z, chain, ladder,
+                                          _MAX_HALVINGS))
+            except WindowRequiredError:
+                return None  # at w for either level
+            if steps[-1] is None:
                 break
-            certificates.append((h, w, m.delta))
         else:
-            return common.pop(), i, certificates
+            return Horoball(*common.pop()).translate(g), i, [
+                (g * s, w if isinstance(w, Surd) else Fraction(*w),
+                 Fraction(1, 4 << k))
+                for (s, w, *_), k in zip(walks, steps)]
     return None
 
 
@@ -456,7 +456,7 @@ def _overlaps(members):
     groups = {}
     for n, (*_, Y, i, certificates) in enumerate(members):
         for h, w, delta in certificates:
-            a0, a1, b = _centre(w)
+            a0, a1, b = _centre(_point(w))
             r, s = delta.as_integer_ratio()
             groups.setdefault((h, i), []).append(
                 (a1 * s - r * b, a0 * s + r * b, b * s, Y, n))

@@ -8,19 +8,22 @@ scan over the pair's window, the path enumeration against
 `ProjComplexGraph.dmax`, the walk in a window graph against the walk
 along the linear order, one walk per ladder level against the walk that
 finds both, the sorted enumeration against the chain order of
-`rational_hits`, the candidate-by-candidate membership loop against
-`find_long_member` and the comparison of every pair of certified
-intervals in Fractions against the disjointness sweep of
-`verify_thin_theorem`, the charts built one triple at a time against
-`build_charts`, the foot times and line distances of mpmath against the
-exact chart of `_Ray`, the iota_tau balls filled anew for every pair
-against those `flow_elements` keeps, the orbit points of a bounding box,
-enumerated from coprime bottom rows and filtered by interval distances,
-against the flood fill of `flow_cover`, the thin nerve map's margins,
-weights and defect in Fractions against `partition_of_unity` and
-`defect`, and mpmath's interval enclosure of a surd against the integer
-enclosure of the thin certificates.  `penetration_depth` is the depth
-identity log(d/2) as a certified real, which only the tests evaluate.
+`rational_hits`, the thin certificate tested one delta at a time in
+Fractions against its closed-form step, the candidate-by-candidate loop
+of those certificates and one-level walks against `find_long_member`
+(it calls neither the program's walk nor its certificate), the
+comparison of every pair of certified intervals in Fractions against
+the disjointness sweep of `verify_thin_theorem`, the charts built one
+triple at a time against `build_charts`, the foot times and line
+distances of mpmath against the exact chart of `_Ray`, the iota_tau
+balls filled anew for every pair against those `flow_elements` keeps,
+the orbit points of a bounding box, enumerated from coprime bottom rows
+and filtered by interval distances, against the flood fill of
+`flow_cover`, the thin nerve map's margins, weights and defect in
+Fractions against `partition_of_unity` and `defect`, and mpmath's
+interval enclosure of a surd against the integer enclosure of the thin
+certificates.  `penetration_depth` is the depth identity log(d/2) as a
+certified real, which only the tests evaluate.
 They live beside the tests, so no simplification of the program can
 validate itself through them.
 """
@@ -34,6 +37,7 @@ import mpmath
 from mpmath import iv
 
 from horocover.certified import (
+    INFINITE,
     CertifiedReal,
     fraction_to_iv,
     surd_iv,
@@ -41,6 +45,7 @@ from horocover.certified import (
 from horocover.flow_cover import FlowLineChart, flow_point
 from horocover.hyperbolic import (
     GEN_S,
+    IDENTITY,
     Horoball,
     _geodesic_circle,
     chart_point,
@@ -53,6 +58,7 @@ from horocover.hyperbolic import (
 from horocover.projection_complex import ProjComplexGraph, Window
 from horocover.projection_data import (
     WindowRequiredError,
+    brute_force_large_projections,
     enumerate_large_projections,
     pair_maxmin,
 )
@@ -60,11 +66,8 @@ from horocover.surd import INFINITY, PHI, SQRT2, Surd
 from horocover.thin_cover import (
     BASE_INDEX,
     ThinReport,
-    _select_z_base,
     base_members,
     is_theta5_thin,
-    membership_U,
-    select_Yi,
 )
 
 
@@ -272,15 +275,26 @@ def angle_table_equivariant(graph: ProjComplexGraph, g) -> bool:
 
 
 def select_Z(g, xi, ladder) -> Horoball | None:
-    """Z(g, xi): the base-chart choice at g^-1 xi, translated by g."""
-    Z0 = _select_z_base(g.inverse().apply_boundary(xi), ladder)
-    return None if Z0 is None else Z0.translate(g)
+    """Z(g, xi) by its definition at w = g^-1 xi, translated by g: the
+    tangency horoball of a rational w, else the argmax of the values above
+    Theta_4 from `enumerate_large_projections`, preferring those above
+    Theta_5, the first in (q, p) order on a tie.  None at w = infinity and
+    where no value exceeds Theta_4; raises WindowRequiredError where they
+    accumulate."""
+    w = g.inverse().apply_boundary(xi)
+    if w is INFINITY:
+        return None
+    if isinstance(w, Fraction):
+        return Horoball.at(w).translate(g)
+    hits = enumerate_large_projections(INFINITY, w, ladder.Theta(4))
+    top = [hit for hit in hits if hit[1] > ladder.Theta(5)] or hits
+    return max(top, key=lambda hit: hit[1])[0].translate(g) if top else None
 
 
 def walk_graph(xi, i: int, ladder, graph: ProjComplexGraph) -> Horoball:
     """Y_i(e, xi) measured in a window graph: candidates by d^max, nearest
     first, with the uniqueness and prefix audits of the selection."""
-    X, Z = BASE_INDEX, _select_z_base(xi, ladder)
+    X, Z = BASE_INDEX, select_Z(IDENTITY, xi, ladder)
     if graph.distance(X, Z) is None:
         raise WindowRequiredError("anchor window disconnected")
     Th = ladder.Theta(i)
@@ -333,23 +347,108 @@ def walk_one_level(Z: Horoball, i: int, ladder, w) -> Horoball:
     return Z
 
 
+def select_Yi_reference(h, xi, i: int, ladder) -> Horoball | None:
+    """Y_i(h, xi) = h Y_i(e, w) at w = h^-1 xi, from `walk_one_level`
+    toward Z(e, w); None where Z(e, w) is undefined."""
+    w = h.inverse().apply_boundary(xi)
+    try:
+        Z = select_Z(IDENTITY, w, ladder)
+    except WindowRequiredError:
+        return None
+    return None if Z is None else walk_one_level(Z, i, ladder, w).translate(h)
+
+
+def member_delta(Y: Horoball, i: int, h, xi, ladder):
+    """The delta of a certificate of (h, xi) in U(Y, i) by definition, or
+    None: at w = h^-1 xi the vertex Y_i(e, w) of `walk_one_level` is Y0 =
+    h^-1 Y, and `certify_reference` says "yes" at the cap 48."""
+    w, Y0 = h.inverse().apply_boundary(xi), Y.translate(h.inverse())
+    try:
+        Z = select_Z(IDENTITY, w, ladder)
+        if Z is None or walk_one_level(Z, i, ladder, w) != Y0:
+            return None
+        return certify_reference(Y0, i, w, Z, ladder, 48)[1]
+    except WindowRequiredError:
+        return None
+
+
 def find_long_member_reference(g, xi, S, ladder):
-    """S-longness by its definition: the candidates (Y, i) are the values
-    of select_Yi at h = g, then h = gs, for i = 1, then i = 2, in that
-    order without repeats; the first whose membership_U is "yes" at every
+    """S-longness by its definition, from `walk_one_level` and
+    `certify_reference` alone: the candidates (Y, i) are the values of
+    `select_Yi_reference` at h = g, then h = gs, for i = 1, then i = 2, in
+    that order without repeats; the first with a `member_delta` at every
     gs gives (Y, i, [(gs, (gs)^-1 xi, delta) for s in S])."""
     cands = []
     for i in (1, 2):
         for h in [g] + [g * s for s in S.elements]:
-            Y = select_Yi(h, xi, i, ladder)
+            Y = select_Yi_reference(h, xi, i, ladder)
             if Y is not None and (Y, i) not in cands:
                 cands.append((Y, i))
     for Y, i in cands:
-        ms = [membership_U(Y, i, g * s, xi, ladder) for s in S.elements]
-        if all(m.verdict == "yes" for m in ms):
-            return Y, i, [(g * s, (g * s).inverse().apply_boundary(xi),
-                           m.delta) for s, m in zip(S.elements, ms)]
+        certificates = []
+        for s in S.elements:
+            delta = member_delta(Y, i, g * s, xi, ladder)
+            if delta is None:
+                break
+            certificates.append(
+                (g * s, (g * s).inverse().apply_boundary(xi), delta))
+        else:
+            return Y, i, certificates
     return None
+
+
+def reference_steps(Y0, i, w, Z, ladder, max_halvings):
+    """The steps of the thin certificate in Fractions, one step k per delta
+    = 2^-(k+2), each delta tested in turn rather than in closed form:
+    whether the tests that see no pole hold (the basepoint angle, and every
+    competitor inside the interval or beyond Y0), and whether every test
+    holds.  Values come from proj_dist_frac, infima are the least finite
+    endpoint value, and every competitor of a fresh enumeration at w is
+    re-tested at every delta.  A surd w enters with mpmath's enclosure.  At
+    a rational w = a/b the competitors come from the brute-force scan over
+    the pair's window, independent of the convergent enumeration: a hit
+    Y = p/q has q |q a - p b| < b / theta, so q < b / theta."""
+    def dpi(Y, e):
+        return proj_dist_frac(Y, INFINITY, e)
+
+    def inf(Y, lo, hi):
+        vals = [d for d in (dpi(Y, lo), dpi(Y, hi)) if d is not INFINITE]
+        return min(vals) if vals else None
+
+    def above(d, m):
+        return d is not None and d > m
+
+    Th, Th4 = ladder.Theta(i), ladder.Theta(4)
+    margin, margin4 = Th + ladder.theta_P, Th4 + ladder.theta_P
+    if isinstance(w, Surd):
+        lo0, hi0 = surd_enclosure(w)
+        hits = enumerate_large_projections(INFINITY, w, Th4 / 2)
+    else:
+        lo0 = hi0 = w
+        hits = brute_force_large_projections(INFINITY, w, Th4 / 2)
+    hits = [V for V, _ in hits]
+    for k in range(max_halvings):
+        delta = Fraction(1, 4 << k)
+        lo, hi = lo0 - 2 * delta, hi0 + 2 * delta
+        if Y0 == BASE_INDEX:
+            free = (lo > 0 or hi < 0) and min(abs(lo), abs(hi)) > margin
+            pole = True
+        else:
+            free = max(abs(lo), abs(hi)) < Th and all(
+                lo <= V.tangency <= hi or dpi(Y0, V.tangency) is INFINITE
+                or dpi(Y0, V.tangency) > margin for V in hits if V != Y0)
+            pole = above(inf(Y0, lo, hi), margin)
+        yield free, free and pole and (above(inf(Z, lo, hi), margin4)
+                                       or above(inf(Y0, lo, hi), margin4))
+
+
+def certify_reference(Y0, i, w, Z, ladder, max_halvings):
+    """The first delta of reference_steps at which every test holds."""
+    for k, (_, ok) in enumerate(
+            reference_steps(Y0, i, w, Z, ladder, max_halvings)):
+        if ok:
+            return "yes", Fraction(1, 4 << k)
+    return "boundary-uncertain", None
 
 
 def surd_enclosure(w: Surd, dps: int = 60) -> tuple[Fraction, Fraction]:

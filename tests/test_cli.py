@@ -1,7 +1,9 @@
 """CLI harness: config handling, report format and the distribution's
-version, determinism, rejection of unknown config keys and of more thick
+version, determinism and the pinned digests of the default thin and
+amenability results, rejection of unknown config keys and of more thick
 translates than there are, and rendering."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -123,6 +125,21 @@ class TestDeterminism:
         cli.cmd_amenability(dict(cfg), b)
         assert (a / "amenability.json").read_bytes() == \
             (b / "amenability.json").read_bytes()
+
+    @pytest.mark.parametrize("command, digest", [
+        ("thin", "62207bf627af6f64d32b94d9345e8b37"
+                 "f92b7f803e58d48032edf249d58fd05d"),
+        ("amenability", "fa3d3aab4be5d98e0e04ea4dd90a775c"
+                        "29f5b7384c91a4bccb63f3888ebdd02b")])
+    def test_default_results_pinned(self, cfg, tmp_path, command, digest):
+        # the sha256 of the default report's results, serialised as the
+        # report writes them: a faster thin pass must leave them unchanged
+        # (amenability reaches the thin certificates through base_members)
+        cli.COMMANDS[command](dict(cfg), tmp_path)
+        results = json.loads((tmp_path / f"{command}.json").read_text())[
+            "results"]
+        blob = json.dumps(results, sort_keys=True, indent=1, default=str)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 class TestPins:

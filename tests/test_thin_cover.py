@@ -20,25 +20,19 @@ from horocover.hyperbolic import (
     word_ball,
 )
 from horocover.projection_complex import ProjComplexGraph, build_window
-from horocover.projection_data import (
-    WindowRequiredError,
-    brute_force_large_projections,
-    enumerate_large_projections,
-    rational_hits,
-)
+from horocover.projection_data import WindowRequiredError, rational_hits
 from horocover.surd import INFINITY, PHI, SQRT2, Surd
 from horocover.thin_cover import (
     BASE_INDEX,
     FinitePart,
     LadderAuditError,
-    Membership,
     ThetaLadder,
     _base_walk,
     _centre,
     _certify_yes,
     _exceeds,
     _overlaps,
-    _select_z_base,
+    _point,
     find_long_member,
     is_theta5_thin,
     membership_U,
@@ -46,10 +40,13 @@ from horocover.thin_cover import (
     theta_S,
     verify_thin_theorem,
 )
+import reference
 from reference import (
+    certify_reference,
     chain_reference,
     find_long_member_reference,
     overlaps_reference,
+    reference_steps,
     select_Z,
     surd_enclosure,
     verify_thin_reference,
@@ -89,15 +86,45 @@ def seeded_pairs(seed: int, n: int) -> list:
     return pairs
 
 
+def bench_pairs(seed: int) -> list:
+    """The 120 pairs (g, p/q) of the thin benchmark at a seed: coprime p
+    and q with q <= 10^4 and |p| <= 2q, and g in the word ball of radius
+    2."""
+    rng = random.Random(seed)
+    els, pairs = word_ball(2), []
+    while len(pairs) < 120:
+        q = rng.randint(1, 10 ** 4)
+        p = rng.randint(-2 * q, 2 * q)
+        if math.gcd(p, q) == 1:
+            pairs.append((rng.choice(els), Fraction(p, q)))
+    return pairs
+
+
 def walk(w, ladder):
     """Both Y_i from the walk along the chain toward Z(e, w)."""
-    return _base_walk(w, ladder)[2]
+    _, _, *ys = _base_walk(_point(w), ladder)
+    return {i: Horoball(*y) for i, y in zip((1, 2), ys)}
+
+
+def program_Z(g, xi, ladder):
+    """Z(g, xi) as the program's walk chooses it."""
+    walk = _base_walk(_point(g.inverse().apply_boundary(xi)), ladder)
+    return None if walk is None else Horoball(*walk[0]).translate(g)
+
+
+def base_Z(w, ladder):
+    """Z(e, w) from the reference's definition."""
+    return select_Z(IDENTITY, w, ladder)
 
 
 def certify(Y0, i, w, Z, ladder, max_halvings):
-    """_certify_yes with the chain toward Z."""
-    return _certify_yes(Y0, i, w, Z, rational_hits(Z.p, Z.q, ladder.theta),
-                        ladder, max_halvings)
+    """_certify_yes on the integer pairs of Y0, w and Z, with the chain
+    toward Z, as certify_reference gives its answer."""
+    k = _certify_yes((Y0.p, Y0.q), i, _point(w), (Z.p, Z.q),
+                     rational_hits(Z.p, Z.q, ladder.theta), ladder,
+                     max_halvings)
+    return ("boundary-uncertain", None) if k is None else \
+        ("yes", Fraction(1, 4 << k))
 
 
 def near_ladder_points():
@@ -109,60 +136,6 @@ def near_ladder_points():
     return st.builds(lambda a, n, d, k: a + Fraction(n, d) / 2 ** k,
                      st.sampled_from(anchors), st.integers(-50, 50),
                      st.integers(1, 50), st.integers(0, 16))
-
-
-def reference_steps(Y0, i, w, Z, ladder, max_halvings):
-    """The steps of _certify_yes in Fractions, one step k per delta =
-    2^-(k+2), each delta tested in turn rather than in closed form: whether
-    the tests that see no pole hold (the basepoint angle, and every
-    competitor inside the interval or beyond Y0), and whether every test
-    holds.  Values come from proj_dist_frac, infima are the least finite
-    endpoint value, and every competitor of a fresh enumeration at w is
-    re-tested at every delta.  A surd w enters with mpmath's enclosure.  At
-    a rational w = a/b the competitors come from the brute-force scan over
-    the pair's window, independent of the convergent enumeration: a hit
-    Y = p/q has q |q a - p b| < b / theta, so q < b / theta."""
-    def dpi(Y, e):
-        return proj_dist_frac(Y, INFINITY, e)
-
-    def inf(Y, lo, hi):
-        vals = [d for d in (dpi(Y, lo), dpi(Y, hi)) if d is not INFINITE]
-        return min(vals) if vals else None
-
-    def above(d, m):
-        return d is not None and d > m
-
-    Th, Th4 = ladder.Theta(i), ladder.Theta(4)
-    margin, margin4 = Th + ladder.theta_P, Th4 + ladder.theta_P
-    if isinstance(w, Surd):
-        lo0, hi0 = surd_enclosure(w)
-        hits = enumerate_large_projections(INFINITY, w, Th4 / 2)
-    else:
-        lo0 = hi0 = w
-        hits = brute_force_large_projections(INFINITY, w, Th4 / 2)
-    hits = [V for V, _ in hits]
-    for k in range(max_halvings):
-        delta = Fraction(1, 4 << k)
-        lo, hi = lo0 - 2 * delta, hi0 + 2 * delta
-        if Y0 == BASE_INDEX:
-            free = (lo > 0 or hi < 0) and min(abs(lo), abs(hi)) > margin
-            pole = True
-        else:
-            free = max(abs(lo), abs(hi)) < Th and all(
-                lo <= V.tangency <= hi or dpi(Y0, V.tangency) is INFINITE
-                or dpi(Y0, V.tangency) > margin for V in hits if V != Y0)
-            pole = above(inf(Y0, lo, hi), margin)
-        yield free, free and pole and (above(inf(Z, lo, hi), margin4)
-                                       or above(inf(Y0, lo, hi), margin4))
-
-
-def certify_reference(Y0, i, w, Z, ladder, max_halvings):
-    """The first delta of reference_steps at which every test holds."""
-    for k, (_, ok) in enumerate(
-            reference_steps(Y0, i, w, Z, ladder, max_halvings)):
-        if ok:
-            return "yes", Fraction(1, 4 << k)
-    return "boundary-uncertain", None
 
 
 @pytest.fixture(scope="module")
@@ -196,15 +169,18 @@ class TestLadder:
 
 class TestSelection:
     def test_select_z_rational_is_tangency(self, ladder):
-        Z = select_Z(IDENTITY, Fraction(3, 7), ladder)
-        assert Z == Horoball(3, 7)
+        Z = program_Z(IDENTITY, Fraction(3, 7), ladder)
+        assert Z == select_Z(IDENTITY, Fraction(3, 7), ladder) == \
+            Horoball(3, 7)
 
     def test_select_z_equivariant(self, ladder):
-        xi = Fraction(5, 12)
-        base = select_Z(IDENTITY, xi, ladder)
-        for g in (GEN_T, GEN_S):
-            assert select_Z(g, g.apply_boundary(xi), ladder) == \
-                base.translate(g)
+        # the program's Z at g xi moves with g, and equals the reference's
+        for xi in (Fraction(5, 12), DEEP_SURD):
+            base = program_Z(IDENTITY, xi, ladder)
+            for g in (GEN_T, GEN_S):
+                assert program_Z(g, g.apply_boundary(xi), ladder) == \
+                    select_Z(g, g.apply_boundary(xi), ladder) == \
+                    base.translate(g)
 
     def test_select_yi_deep_approximant(self, ladder):
         # xi = 1/500: the 0-ball projection d = 500 >= Theta_2 = 360
@@ -273,7 +249,7 @@ class TestSelection:
         # proj_dist_frac; partial quotients near Theta_1 = 240 and
         # Theta_2 = 360 put the angles on either side of the thresholds
         xi = expansion(a0, quotients)
-        Z = _select_z_base(xi, ladder)
+        Z = base_Z(xi, ladder)
         assert walk(xi, ladder) == {
             i: walk_one_level(Z, i, ladder, xi) for i in (1, 2)}
 
@@ -290,7 +266,7 @@ class TestSelection:
         # near 315 put the angles near Theta_2 = 315
         ladder = ThetaLadder(Fraction(1, 2), Fraction(10), THETA_P)
         xi = expansion(a0, quotients)
-        Z = _select_z_base(xi, ladder)
+        Z = base_Z(xi, ladder)
         assert walk(xi, ladder) == {
             i: walk_one_level(Z, i, ladder, xi) for i in (1, 2)}
 
@@ -413,7 +389,7 @@ class TestMembership:
         # into the expansion, so at c >= 600 = Theta_4 most words g keep a
         # projection above Theta_4 (plain g PHI and g SQRT2 never do)
         try:
-            Z = _select_z_base(w, ladder)
+            Z = base_Z(w, ladder)
         except WindowRequiredError:
             reject()
         if Z is None:
@@ -426,8 +402,7 @@ class TestMembership:
               "first": chain[0],
               "last": chain[-1]}[pick]
         m = certify(Y0, i, w, Z, ladder, halvings)
-        assert (m.verdict, m.delta) == \
-            certify_reference(Y0, i, w, Z, ladder, halvings)
+        assert m == certify_reference(Y0, i, w, Z, ladder, halvings)
 
     @settings(max_examples=100, deadline=None)
     @given(sl2z_words(), st.sampled_from([PHI, SQRT2, DEEP_SURD]))
@@ -445,11 +420,10 @@ class TestMembership:
                                     Horoball(1, 2000)], ids=repr)
     def test_surd_certificate_matches_fraction_reference(self, ladder, Y0):
         w = DEEP_SURD
-        Z = _select_z_base(w, ladder)
+        Z = base_Z(w, ladder)
         for i in (1, 2):
             m = certify(Y0, i, w, Z, ladder, 48)
-            assert (m.verdict, m.delta) == \
-                certify_reference(Y0, i, w, Z, ladder, 48)
+            assert m == certify_reference(Y0, i, w, Z, ladder, 48)
 
     @pytest.mark.parametrize("w, Y0, i, searched", [
         # the basepoint angle |w| = 233 never exceeds Theta_1 + theta_P
@@ -464,12 +438,12 @@ class TestMembership:
     def test_delta_exhausted(self, ladder, w, Y0, i, searched):
         # the steps whose pole-free tests hold are first <= k < stop of
         # _certify_yes: `searched` of them, and none passes the rest
-        Z = _select_z_base(w, ladder)
+        Z = base_Z(w, ladder)
         steps = list(reference_steps(Y0, i, w, Z, ladder, 48))
         assert sum(free for free, _ in steps) == searched
         assert not any(ok for _, ok in steps)
         m = certify(Y0, i, w, Z, ladder, 48)
-        assert m == Membership("boundary-uncertain", detail="delta exhausted")
+        assert m == ("boundary-uncertain", None)
 
     @pytest.mark.parametrize("w, Y0, i, halvings, k", [
         # Z's Theta_4 test decides: at w = a/b, Z = Horoball(a, b) first
@@ -486,11 +460,10 @@ class TestMembership:
     ], ids=["guess", "below-guess", "guess-fails", "empty-range"])
     def test_delta_search_from_z_threshold(self, ladder, w, Y0, i, halvings,
                                            k):
-        Z = _select_z_base(w, ladder)
+        Z = base_Z(w, ladder)
         m = certify(Y0, i, w, Z, ladder, halvings)
-        assert m.delta == (None if k is None else Fraction(1, 4 << k))
-        assert (m.verdict, m.delta) == \
-            certify_reference(Y0, i, w, Z, ladder, halvings)
+        assert m[1] == (None if k is None else Fraction(1, 4 << k))
+        assert m == certify_reference(Y0, i, w, Z, ladder, halvings)
 
     def test_delta_search_guess_below_range(self):
         # Theta_1 = 240 + 2^-20 leaves w = 240 the room 2^-20 below the
@@ -498,11 +471,10 @@ class TestMembership:
         ladder = ThetaLadder(Fraction(2) + Fraction(1, 20 << 20),
                              Fraction(10), Fraction(6))
         w = Fraction(240)
-        Z = _select_z_base(w, ladder)
+        Z = base_Z(w, ladder)
         m = certify(Z, 1, w, Z, ladder, 48)
-        assert m.delta == Fraction(1, 4 << 20)
-        assert (m.verdict, m.delta) == \
-            certify_reference(Z, 1, w, Z, ladder, 48)
+        assert m[1] == Fraction(1, 4 << 20)
+        assert m == certify_reference(Z, 1, w, Z, ladder, 48)
 
     def test_family_index_validated(self, ladder):
         with pytest.raises(ValueError):
@@ -512,8 +484,8 @@ class TestMembership:
 
 class TestEndpointTest:
     """The integer test b m.den > m.num q |q a - p b| of d^pi_Y(X, a/b) > m,
-    m passed as its integer pair, against proj_dist_frac, the Fraction
-    oracle."""
+    Y and m passed as their integer pairs, against proj_dist_frac, the
+    Fraction oracle."""
 
     @staticmethod
     def oracle(Y, a, b, m):
@@ -529,7 +501,7 @@ class TestEndpointTest:
         if p == 0 and q == 0:
             p = 1
         Y = Horoball(p, q)
-        assert _exceeds(Y, k * a, k * b, m.as_integer_ratio()) == \
+        assert _exceeds((Y.p, Y.q), k * a, k * b, m.as_integer_ratio()) == \
             self.oracle(Y, a, b, m)
 
     @settings(max_examples=200, deadline=None)
@@ -544,30 +516,30 @@ class TestEndpointTest:
             return
         for m in (d - abs(eps) * d, d, d + abs(eps) * d):
             if m > 0:
-                assert _exceeds(Y, a, b, m.as_integer_ratio()) == \
+                assert _exceeds((Y.p, Y.q), a, b, m.as_integer_ratio()) == \
                     (d > m) == self.oracle(Y, a, b, m)
 
     @pytest.mark.parametrize("Y", [Horoball(3, 7), Horoball(-3, 7),
                                    Horoball(-5, 1)], ids=repr)
     def test_pole_is_infinite(self, Y):
         for k in (1, 2, 9):
-            assert _exceeds(Y, k * Y.p, k * Y.q, (10 ** 9, 1)) is None
+            assert _exceeds((Y.p, Y.q), k * Y.p, k * Y.q, (10 ** 9, 1)) is None
             assert self.oracle(Y, Y.p, Y.q, Fraction(1)) is None
 
     def test_cusp_is_infinite(self):
         cusp = Horoball(1, 0)
         for a, b in ((0, 1), (-3, 7), (10 ** 6, 1)):
-            assert _exceeds(cusp, a, b, (1, 10 ** 9)) is None
+            assert _exceeds((cusp.p, cusp.q), a, b, (1, 10 ** 9)) is None
             assert self.oracle(cusp, a, b, Fraction(1)) is None
 
     def test_pinned_values(self):
         # d^pi_{2/5}(X, 1/3) = 3/(5 |5 - 6|) = 3/5
         Y = Horoball(2, 5)
-        assert _exceeds(Y, 1, 3, (1, 2)) is True
-        assert _exceeds(Y, 1, 3, (3, 5)) is False
-        assert _exceeds(Y, 2, 6, (59, 100)) is True
-        assert _exceeds(Y, 1, 3, (6, 10)) is False  # m in any terms
-        assert _exceeds(Horoball(-2, 5), -1, 3, (3, 5)) is False
+        assert _exceeds((Y.p, Y.q), 1, 3, (1, 2)) is True
+        assert _exceeds((Y.p, Y.q), 1, 3, (3, 5)) is False
+        assert _exceeds((Y.p, Y.q), 2, 6, (59, 100)) is True
+        assert _exceeds((Y.p, Y.q), 1, 3, (6, 10)) is False  # m in any terms
+        assert _exceeds((-2, 5), -1, 3, (3, 5)) is False
 
 
 class TestTheorem:
@@ -616,12 +588,14 @@ class TestTheorem:
     def test_long_member_needs_a_common_vertex(self, ladder, S3,
                                                monkeypatch):
         # at xi = S(6900/29) the translates disagree on Y_1, so even with
-        # every certificate granted the member is found at level 2
+        # every certificate granted, at step 0 (delta = 1/4) in the program
+        # and in the reference, the member is found at level 2
         g, xi = GEN_S, GEN_S.apply_boundary(Fraction(6900, 29))
         assert len({select_Yi(g * s, xi, 1, ladder)
                     for s in S3.elements}) > 1
-        monkeypatch.setattr(thin_cover, "_certify_yes", lambda *args:
-                            Membership("yes", delta=Fraction(1, 4)))
+        monkeypatch.setattr(thin_cover, "_certify_yes", lambda *args: 0)
+        monkeypatch.setattr(reference, "certify_reference",
+                            lambda *args: ("yes", Fraction(1, 4)))
         got = find_long_member(g, xi, S3, ladder)
         assert got[1] == 2
         assert got == find_long_member_reference(g, xi, S3, ladder)
@@ -645,6 +619,48 @@ class TestTheorem:
         assert (got.pairs_tested, got.long_failures) == \
             (len(samples) - 1, not_long)
         assert got == verify_thin_reference(S, ladder, samples)
+
+    def test_reference_runs_without_the_fast_kernels(self, ladder, S3,
+                                                       monkeypatch):
+        # the oracle shares neither the walk nor the certificate with the
+        # program: with both refusing, it still gives the program's report
+        samples = seeded_pairs(53, 4) + [(GEN_S, Fraction(6900, 29))]
+        want = verify_thin_theorem(S3, ladder, samples)
+
+        def refuse(*args):
+            raise AssertionError("fast-path kernel called")
+
+        for name in ("_base_walk", "_certify_yes"):
+            monkeypatch.setattr(thin_cover, name, refuse)
+        with pytest.raises(AssertionError, match="fast-path"):
+            verify_thin_theorem(S3, ladder, samples)
+        assert verify_thin_reference(S3, ladder, samples) == want
+        assert want.pairs_tested == len(samples)
+
+    def test_bench_scale_branches_equal_reference(self, ladder, S3):
+        # pairs drawn as the thin benchmark draws them (q <= 10^4, S the
+        # word ball of radius 3) whose translates take Y_1 at a chain
+        # vertex (seed 7, pairs 41 and 86; seed 1009, pair 56), at the
+        # basepoint index too (seed 1009, pairs 8 and 60) or at Z
+        # everywhere (pair 0 of each), and seeded surd pairs
+        # g (1, 0, c, 1) SQRT2, c in [600, 3000], against the reference
+        seven, other = bench_pairs(7), bench_pairs(1009)
+        rng = random.Random(59)
+        pairs = [seven[n] for n in (0, 41, 86)] + \
+            [other[n] for n in (0, 8, 56, 60)] + [
+                (g, (g * GroupElement(1, 0, rng.randint(600, 3000), 1))
+                 .apply_boundary(SQRT2)) for g in rng.sample(word_ball(2), 3)]
+        kinds = set()
+        for g, xi in pairs:
+            for s in S3.elements:
+                w = (g * s).inverse().apply_boundary(xi)
+                Z = base_Z(w, ladder)
+                Y = walk_one_level(Z, 1, ladder, w)
+                kinds.add("base" if Y == BASE_INDEX else "Z" if Y == Z
+                          else "chain")
+            assert find_long_member(g, xi, S3, ladder) == \
+                find_long_member_reference(g, xi, S3, ladder)
+        assert kinds == {"base", "Z", "chain"}
 
     def test_rational_path_skips_enumeration(self, ladder, S3, monkeypatch):
         # at theta = 2 a rational chain comes from one Euclid walk: the
@@ -688,9 +704,11 @@ class TestTheorem:
         certify_yes = thin_cover._certify_yes
 
         def inflated(*args):
-            m = certify_yes(*args)
-            return m if m.delta is None else \
-                Membership(m.verdict, 64 * m.delta, m.detail)
+            # delta = 2^-(k+2) times 2^6; every step k here is at least 9,
+            # as the tests of Z and Y0 at Theta_4 + theta_P need 2^(k+1) >
+            # 606 q^2
+            k = certify_yes(*args)
+            return None if k is None else k - 6
 
         monkeypatch.setattr(thin_cover, "_certify_yes", inflated)
         rep = verify_thin_theorem(S, ladder, samples)
