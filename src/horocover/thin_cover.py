@@ -9,7 +9,7 @@ of the linear order of large-projection vertices toward Z gives Y_1 and Y_2.
 Membership in U(Y, i) is certified on explicit delta-intervals, a sound
 under-approximation of the interior.  S-longness runs each translate gs on
 integer pairs (its point s^-1 g^-1 xi, one Euclid walk for the chain, Y_1,
-Y_2, and a step per certificate); the intervals then witness disjointness.
+Y_2, a step per certificate), and disjointness sweeps those integers.
 """
 
 from __future__ import annotations
@@ -405,13 +405,12 @@ def is_theta5_thin(g: GroupElement, xi, ladder: ThetaLadder) -> bool:
 
 def find_long_member(g: GroupElement, xi, S: FinitePart,
                      ladder: ThetaLadder):
-    """(Y, i, certificates) with (gs, xi) certified in U(Y,i) for every s
-    in S, or None; the certificate (h, w, delta) of h = gs says Y_i(h, .) =
-    Y on [w - delta, w + delta], w = h^-1 xi.  Level i has one candidate:
-    Y_i(gs, xi), when it is the same for every s, compared as s Y_i(e, w).
-    Each translate runs on integer pairs: w = s^-1 (g^-1 xi), one walk, a
-    step k per certificate; only the member is built as objects.  Raises
-    WindowRequiredError where large projections accumulate at some w."""
+    """(Y, i, [(w, k) for s in S]) with (gs, xi) certified in U(Y,i) for
+    every s, or None: Y_i(gs, .) = Y on [w - 2^-(k+2), w + 2^-(k+2)] at w
+    = s^-1 (g^-1 xi), integers as `_point` gives them.  Level i has one
+    candidate: Y_i(gs, xi), when it is the same for every s, compared as s
+    Y_i(e, w).  One walk per translate, a step k per certificate, only Y is
+    built.  Raises WindowRequiredError where large projections accumulate."""
     w0 = _point(g.inverse().apply_boundary(xi))
     walks = []
     for s in S.elements:
@@ -426,49 +425,50 @@ def find_long_member(g: GroupElement, xi, S: FinitePart,
                   for s, _, _, _, *ys in walks}
         if len(common) != 1:
             continue
-        steps = []
+        certificates = []
         for s, w, z, chain, *ys in walks:
             try:
-                steps.append(_certify_yes(ys[i - 1], i, w, z, chain, ladder,
-                                          _MAX_HALVINGS))
+                k = _certify_yes(ys[i - 1], i, w, z, chain, ladder,
+                                 _MAX_HALVINGS)
             except WindowRequiredError:
                 return None  # at w for either level
-            if steps[-1] is None:
+            if k is None:
                 break
+            certificates.append((w, k))
         else:
-            return Horoball(*common.pop()).translate(g), i, [
-                (g * s, w if isinstance(w, Surd) else Fraction(*w),
-                 Fraction(1, 4 << k))
-                for (s, w, *_), k in zip(walks, steps)]
+            return Horoball(*common.pop()).translate(g), i, certificates
     return None
 
 
-def _overlaps(members):
-    """(n, h, Y') for each certificate of the n-th member (..., Y, i,
-    certificates) whose interval meets, ends included, an earlier one of
-    the same translate h and level i certifying another member Y': both
-    certify Y_i(h, .), so they must be disjoint.  A surd centre enters with
-    the inner interval [hi0 - delta, lo0 + delta] of its enclosure
-    (`_centre`), which delta >= 2^-49 keeps nonempty.  Each group is swept
-    by left end, keeping the two members that reach furthest right.  Ends
-    p/d compare exactly as floor(p 2^k / d), 2^k >= every denominator
-    squared."""
+def _overlaps(members, S: FinitePart):
+    """(n, h, Y') for each certificate (w, k) of the n-th member (g, ...,
+    Y, i, certificates) of `find_long_member` whose interval meets, ends
+    included, an earlier one of the same h = gs and level i certifying
+    another member Y', the one reaching furthest right, ties to least (q,
+    p): both certify Y_i(h, .), so they must be disjoint.  A surd centre
+    enters with the inner interval [hi0 - delta, lo0 + delta] of its
+    enclosure (`_centre`), nonempty as delta >= 2^-49.  Each group is swept
+    by left end, keeping the two members of greatest (reach, -q, -p).  Ends
+    p/d, d = den 2^(k+2), compare exactly as floor(p 2^K / d), 2^K >= d^2."""
+    products = {g: [g * s for s in S.elements]
+                for g in {member[0] for member in members}}
     groups = {}
-    for n, (*_, Y, i, certificates) in enumerate(members):
-        for h, w, delta in certificates:
-            a0, a1, b = _centre(_point(w))
-            r, s = delta.as_integer_ratio()
+    for n, (g, *_, Y, i, certificates) in enumerate(members):
+        for h, (w, k) in zip(products[g], certificates):
+            lo, hi, den = _centre(w)
+            e = k + 2  # the ends (hi 2^e - den) / d, (lo 2^e + den) / d
             groups.setdefault((h, i), []).append(
-                (a1 * s - r * b, a0 * s + r * b, b * s, Y, n))
+                ((hi << e) - den, (lo << e) + den, den << e, Y.p, Y.q, n))
     for (h, _), group in groups.items():
-        k = 2 * max(e[2] for e in group).bit_length()
-        reach = {}
-        for lo, n, hi, Y in sorted(((lo << k) // d, n, (hi << k) // d, Y)
-                                   for lo, hi, d, Y, n in group):
-            rivals = [V for V, r in reach.items() if V != Y and r >= lo]
+        K = 2 * max(e[2] for e in group).bit_length()
+        reach = {}  # (p, q): (right end, -q, -p), the two of greatest rank
+        for lo, n, hi, y in sorted(
+                ((lo << K) // d, n, ((hi << K) // d, -q, -p), (p, q))
+                for lo, hi, d, p, q, n in group):
+            rivals = [v for v, r in reach.items() if v != y and r[0] >= lo]
             if rivals:
-                yield n, h, rivals[0]
-            reach[Y] = max(hi, reach.get(Y, hi))
+                yield n, h, Horoball(*max(rivals, key=reach.get))
+            reach[y] = max(hi, reach.get(y, hi))
             if len(reach) > 2:
                 del reach[min(reach, key=reach.get)]
 
@@ -499,7 +499,7 @@ def verify_thin_theorem(S: FinitePart, ladder: ThetaLadder,
                                   "failure": "not S-long"})
             continue
         members.append((g, xi, *got))
-    for n, h, Yp in _overlaps(members):
+    for n, h, Yp in _overlaps(members, S):
         rep.disjointness_failures += 1
         g, xi, Y, i, _ = members[n]
         rep.witnesses.append(dict(failure="overlap", g=repr(g), xi=str(xi),

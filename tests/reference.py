@@ -7,15 +7,17 @@ for large projections at a rational point against the Euclid walk of
 scan over the pair's window, the path enumeration against
 `ProjComplexGraph.dmax`, the walk in a window graph against the walk
 along the linear order, one walk per ladder level against the walk that
-finds both, the sorted enumeration against the chain order of
-`rational_hits`, the thin certificate tested one delta at a time in
+finds both, the integer scan at a rational point, sorted, against the
+chain of `rational_hits` (so the chain oracle shares no Euclid walk with
+the program), the thin certificate tested one delta at a time in
 Fractions against its closed-form step, the candidate-by-candidate loop
 of those certificates and one-level walks against `find_long_member`
-(it calls neither the program's walk nor its certificate), the
-comparison of every pair of certified intervals in Fractions against
-the disjointness sweep of `verify_thin_theorem`, the charts built one
-triple at a time against `build_charts`, the foot times and line
-distances of mpmath against the exact chart of `_Ray`, the iota_tau
+(it calls neither the program's walk, its chain nor its certificate),
+the comparison of every pair of certified intervals in Fractions, naming
+the rival that reaches furthest right, against the integer sweep of
+`verify_thin_theorem`, the charts built one triple at a time against
+`build_charts`, the foot times and line distances of mpmath against the
+exact chart of `_Ray`, the iota_tau
 balls filled anew for every pair against those `flow_elements` keeps,
 the orbit points of a bounding box, enumerated from coprime bottom rows
 and filtered by interval distances, against the flood fill of
@@ -158,54 +160,78 @@ def brute_force_reference(u, v, theta: Fraction, qmax: int):
 
 def enumerate_inf_rational_scan(w: Fraction, theta: Fraction):
     """Hits for the pair (infinity, a/b) at any theta > 0, convergents or
-    not, by an integer scan: Y = p/q with q*|q*a - p*b| < b/theta.
+    not, by a scan of the lattice L = {(q, y) : y = q a - p b}: Y = p/q in
+    lowest terms is a hit when q >= 1, y != 0 and q |y| < C = b / theta.
 
-    Split on the residual e = |q*a - p*b|: small q by direct scan, large q
-    (hence small e) along the arithmetic progressions q*a = +-e mod b.
-    Runs in roughly O(sqrt(b/theta)).
+    The boxes X <= q <= 2X, |y| <= C / X, X = 1, 2, 4, ... < C, cover that
+    region.  Each is scaled to a square of side about M = X b td, where L
+    has determinant M^2 theta and a Lagrange-reduced basis (u, v), |u| <=
+    |v| (Cohen, A Course in Computational Algebraic Number Theory, 1.3.14),
+    so only the lines c v + Z u with |c| <= sqrt(5) M |u| / det, O(1 /
+    sqrt(theta)) of them, can meet it; each is cut to the box exactly, and
+    of the line through 0, the multiples of u, only +-u can be a hit.  The
+    scan takes O(log C) boxes and no continued fraction: the basis is
+    reduced in the rescaled norm, warm from the previous box.
     """
     a, b = w.numerator, w.denominator
     tn, td = theta.numerator, theta.denominator
-    # condition: q * e * tn < b * td
-    C = Fraction(b * td, tn)
     hits = {}
+    u, v = (1, 0), (0, -1)  # (q, p) of the points (1, a) and (0, b)
+    X = 1
+    while X * tn < b * td:
+        s1, s2, M = b * td, X * X * tn, X * b * td
 
-    def consider(p, q):
-        if q < 1 or math.gcd(abs(p), q) != 1:
-            return
-        e = abs(q * a - p * b)
-        if e == 0:
-            return  # Y would be the tangency of w itself
-        if q * e * tn < b * td:
-            hits[(p, q)] = Fraction(b, q * e)
+        def point(c):
+            return c[0] * s1, (c[0] * a - c[1] * b) * s2
 
-    qs = math.isqrt(math.ceil(C)) + 1
-    for q in range(1, qs + 1):
-        p0 = (q * a) // b
-        k = -(-td // (tn * q)) + 1  # ceil(C / (q b)) + 1, in integers
-        for p in range(p0 - k, p0 + k + 1):
-            consider(p, q)
-    emax = math.floor(C / (qs + 1))
-    if emax >= 1 and b > 1:
-        ainv = pow(a % b, -1, b)
-        for e in range(1, emax + 1):
-            for r in ((e * ainv) % b, (-e * ainv) % b):
-                q = r if r > qs else r + b * ((qs - r) // b + 1)
-                while q * e * tn < b * td:
-                    p_num = q * a
-                    for s in (e, -e):
-                        if (p_num - s) % b == 0:
-                            consider((p_num - s) // b, q)
-                    q += b
-    elif emax >= 1:
-        # b == 1: w is an integer; every e = |q*a - p| works directly
-        for q in range(qs + 1, math.floor(C) + 1):
-            for e in range(1, math.floor(C / q) + 1):
-                consider(q * a - e, q)
-                consider(q * a + e, q)
+        u, v = _lagrange(u, v, point)
+        (u0, u1), (v0, v1) = point(u), point(v)
+        det, nu = abs(u0 * v1 - u1 * v0), u0 * u0 + u1 * u1
+        K = math.isqrt(5 * M * M * nu // (det * det)) + 1
+        for c in range(-K, K + 1):
+            # the integers t with c v + t u in [M, 2M] x [-M, M]
+            lo, hi = -math.inf, math.inf
+            for coef, off, low, high in ((u0, c * v0, M, 2 * M),
+                                         (u1, c * v1, -M, M)):
+                if coef < 0:
+                    coef, off, low, high = -coef, -off, -high, -low
+                if coef == 0 and not low <= off <= high:
+                    lo, hi = 1, 0
+                elif coef:
+                    lo = max(lo, -((off - low) // coef))
+                    hi = min(hi, (high - off) // coef)
+            # gcd(q, p) = gcd(t, c), the basis being unimodular
+            for t in range(lo, hi + 1) if c else \
+                    [t for t in (-1, 1) if lo <= t <= hi]:
+                q, p = t * u[0] + c * v[0], t * u[1] + c * v[1]
+                e = abs(q * a - p * b)
+                if q >= 1 and e and q * e * tn < b * td \
+                        and math.gcd(p, q) == 1:
+                    hits[(p, q)] = Fraction(b, q * e)
+        X *= 2
     out = [(Horoball(p, q), d) for (p, q), d in hits.items()]
     out.sort(key=lambda t: (t[0].q, t[0].p))
     return out
+
+
+def _lagrange(u, v, point):
+    """Lagrange's reduction of the lattice basis point(u), point(v), u and v
+    integer coefficient pairs: returns (u, v) with |point(u)| <=
+    |point(v)| and |<point(u), point(v)>| <= |point(u)|^2 / 2."""
+    def dot(x, y):
+        return x[0] * y[0] + x[1] * y[1]
+
+    U, V = point(u), point(v)
+    if dot(U, U) > dot(V, V):
+        u, v, U, V = v, u, V, U
+    while True:
+        nu = dot(U, U)
+        m = (2 * dot(U, V) + nu) // (2 * nu)  # the integer nearest <U,V>/nu
+        v = v[0] - m * u[0], v[1] - m * u[1]
+        V = V[0] - m * U[0], V[1] - m * U[1]
+        if dot(V, V) >= nu:
+            return u, v
+        u, v, U, V = v, u, V, U
 
 
 # -- projection-complex windows ---------------------------------------------
@@ -320,10 +346,11 @@ def walk_graph(xi, i: int, ladder, graph: ProjComplexGraph) -> Horoball:
 
 def chain_reference(a: int, b: int, theta: Fraction) -> tuple:
     """The chain toward Horoball(a/b) by its definition: every V with
-    d^pi_V(oo, a/b) > theta, from `enumerate_large_projections`, sorted by
-    denominator (then |p|, then p), as (p, q, |q a - p b|)."""
-    hits = sorted((V for V, _ in enumerate_large_projections(
-        INFINITY, Fraction(a, b), theta)), key=lambda V: (V.q, abs(V.p), V.p))
+    d^pi_V(oo, a/b) > theta, from the integer scan
+    `enumerate_inf_rational_scan` (not the Euclid walk of `rational_hits`),
+    sorted by denominator (then |p|, then p), as (p, q, |q a - p b|)."""
+    hits = sorted((V for V, _ in enumerate_inf_rational_scan(
+        Fraction(a, b), theta)), key=lambda V: (V.q, abs(V.p), V.p))
     return tuple((V.p, V.q, abs(V.q * a - V.p * b)) for V in hits)
 
 
@@ -465,14 +492,15 @@ def surd_enclosure(w: Surd, dps: int = 60) -> tuple[Fraction, Fraction]:
 
 
 def overlaps_reference(members) -> list:
-    """(n, h, rivals) for each certificate (h, w, delta) of the n-th member
-    (Y, i, certificates), in that order, whose interval meets an earlier
-    one of the same translate h and level i certifying a member other than
-    Y; rivals is the set of those members.  Each pair of intervals is
-    compared in Fractions.  The interval is [w - delta, w + delta], at a
-    surd w the part [hi0 - delta, lo0 + delta] that every point of its
-    enclosure [lo0, hi0] shares; an interval is earlier when its left end
-    is smaller, or equal and given earlier."""
+    """(n, h, Y') for each certificate (h, w, delta) of the n-th member (Y,
+    i, certificates), in that order, whose interval meets an earlier one
+    of the same translate h and level i certifying a member other than Y;
+    of those rivals Y' is the one whose meeting intervals reach furthest
+    right, ties to least (q, p).  Each pair of intervals is compared in
+    Fractions.  The interval is [w - delta, w + delta], at a surd w the
+    part [hi0 - delta, lo0 + delta] that every point of its enclosure [lo0,
+    hi0] shares; an interval is earlier when its left end is smaller, or
+    equal and given earlier."""
     ivals = []
     for n, (Y, i, certificates) in enumerate(members):
         for h, w, delta in certificates:
@@ -480,11 +508,14 @@ def overlaps_reference(members) -> list:
             ivals.append((h, i, hi0 - delta, lo0 + delta, Y, n))
     out = []
     for k, (h, i, lo, hi, Y, n) in enumerate(ivals):
-        rivals = {Y2 for k2, (h2, i2, lo2, hi2, Y2, _) in enumerate(ivals)
-                  if (h2, i2) == (h, i) and Y2 != Y and (lo2, k2) < (lo, k)
-                  and max(lo, lo2) <= min(hi, hi2)}
-        if rivals:
-            out.append((n, h, rivals))
+        reach = {}
+        for k2, (h2, i2, lo2, hi2, Y2, _) in enumerate(ivals):
+            if (h2, i2) == (h, i) and Y2 != Y and (lo2, k2) < (lo, k) \
+                    and max(lo, lo2) <= min(hi, hi2):
+                reach[Y2] = max(hi2, reach.get(Y2, hi2))
+        if reach:
+            out.append((n, h, max(reach, key=lambda V: (reach[V], -V.q,
+                                                          -V.p))))
     return out
 
 
@@ -495,7 +526,8 @@ def verify_thin_reference(S, ladder, samples) -> ThinReport:
     limits, so every translate gs agrees), else S-longness from
     find_long_member_reference; then disjointness from every pair of the
     members' certified intervals (`overlaps_reference`), an overlap
-    witness naming the rival of least denominator, then numerator."""
+    witness naming the rival that reaches furthest right, ties to least
+    denominator, then numerator."""
     rep = ThinReport(ladder=ladder.to_dict())
     members, pairs = [], []
     for g, xi in samples:
@@ -518,10 +550,9 @@ def verify_thin_reference(S, ladder, samples) -> ThinReport:
             continue
         members.append(got)
         pairs.append((g, xi))
-    for n, h, rivals in overlaps_reference(members):
+    for n, h, Yp in overlaps_reference(members):
         rep.disjointness_failures += 1
         (g, xi), (Y, i, _) = pairs[n], members[n]
-        Yp = min(rivals, key=lambda V: (V.q, V.p))
         rep.witnesses.append({"g": repr(g), "xi": str(xi), "h": repr(h),
                               "failure": "overlap",
                               "pair": [repr(Y), repr(Yp), i]})

@@ -4,8 +4,8 @@ or the benchmark, every defaulted parameter is set by some caller, no
 function is a mere alias of another, every cache has a chosen finite size
 and a stated reason, no setdefault builds a default it may not need, every
 default config key is read by some command, every layer the benchmark
-tracer patches exists and a traced round runs, and no command loads
-mpmath."""
+tracer patches exists, a traced round runs and the traced thin round
+reaches `find_long_member` once per pair, and no command loads mpmath."""
 
 import ast
 import importlib.util
@@ -506,6 +506,19 @@ def test_traced_round_runs():
     assert result["problems"] == [] and result["failed"] == 0
     assert {f"{module}.{attr.rpartition('.')[2]}"
             for module, attr in _traced()} <= set(result["layers"])
+
+
+def test_traced_thin_round_runs():
+    # the thin round verifies S-longness through the function the benchmark
+    # traces, once per pair; run without writing bytecode
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "round.py"), "thin", "7",
+         "1", repr(time.monotonic())], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["problems"] == [] and result["failed"] == 0
+    assert result["layers"]["thin_cover.find_long_member"]["calls"] == 120
 
 
 def imports(source: str) -> set[tuple[str, str]]:

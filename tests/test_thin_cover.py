@@ -127,6 +127,18 @@ def certify(Y0, i, w, Z, ladder, max_halvings):
         ("yes", Fraction(1, 4 << k))
 
 
+def in_fractions(g, S, got):
+    """A member (Y, i, [(w, k)]) of `find_long_member` at g in the form of
+    `find_long_member_reference`: (Y, i, [(g s, w, 2^-(k+2)) for s in S]),
+    w a Fraction or a Surd; None stays None."""
+    if got is None:
+        return None
+    Y, i, certificates = got
+    return Y, i, [(g * s, w if isinstance(w, Surd) else Fraction(*w),
+                   Fraction(1, 4 << k))
+                  for s, (w, k) in zip(S.elements, certificates)]
+
+
 def near_ladder_points():
     """Rationals within 50 / 2^k of a point where a test of _certify_yes
     flips at the pinned ladder: 0, +-Theta_i and +-(Theta_i + theta_P)."""
@@ -551,13 +563,16 @@ class TestTheorem:
     def test_long_member_on_anchor_collision(self, ladder, S3):
         # the base ball of g*s coincides with the deep chain vertex: the
         # basepoint preemption must still produce a common element
-        got = find_long_member(GEN_S, Fraction(13, 7634), S3, ladder)
+        xi = Fraction(13, 7634)
+        got = find_long_member(GEN_S, xi, S3, ladder)
         assert got is not None
         Y, i, certificates = got
         assert Y == Horoball(0, 1)
-        assert [h for h, _, _ in certificates] == \
-            [GEN_S * s for s in S3.elements]
-        assert all(delta > 0 for _, _, delta in certificates)
+        # one certificate per s, in the order of S, at w = (gs)^-1 xi
+        assert [w for w, _ in certificates] == [
+            _point((GEN_S * s).inverse().apply_boundary(xi))
+            for s in S3.elements]
+        assert all(0 <= k < 48 for _, k in certificates)
 
     @settings(max_examples=40, deadline=None)
     @given(sl2z_words(),
@@ -582,7 +597,7 @@ class TestTheorem:
         xi = g.apply_boundary(base)
         S = S3 if S_name == "ball3" else FinitePart(
             tuple(h for h in word_ball(2) if h != IDENTITY))
-        assert find_long_member(g, xi, S, ladder) == \
+        assert in_fractions(g, S, find_long_member(g, xi, S, ladder)) == \
             find_long_member_reference(g, xi, S, ladder)
 
     def test_long_member_needs_a_common_vertex(self, ladder, S3,
@@ -598,7 +613,8 @@ class TestTheorem:
                             lambda *args: ("yes", Fraction(1, 4)))
         got = find_long_member(g, xi, S3, ladder)
         assert got[1] == 2
-        assert got == find_long_member_reference(g, xi, S3, ladder)
+        assert in_fractions(g, S3, got) == \
+            find_long_member_reference(g, xi, S3, ladder)
 
     @pytest.mark.parametrize("seed, S_name, not_long", [
         (31, "ball3", 2), (37, "ball2-minus-e", 0)])
@@ -622,16 +638,18 @@ class TestTheorem:
 
     def test_reference_runs_without_the_fast_kernels(self, ladder, S3,
                                                        monkeypatch):
-        # the oracle shares neither the walk nor the certificate with the
-        # program: with both refusing, it still gives the program's report
+        # the oracle shares neither the walk, the chain's Euclid walk nor
+        # the certificate with the program: with all of them refusing, it
+        # still gives the program's report
         samples = seeded_pairs(53, 4) + [(GEN_S, Fraction(6900, 29))]
         want = verify_thin_theorem(S3, ladder, samples)
 
         def refuse(*args):
             raise AssertionError("fast-path kernel called")
 
-        for name in ("_base_walk", "_certify_yes"):
+        for name in ("_base_walk", "_certify_yes", "rational_hits"):
             monkeypatch.setattr(thin_cover, name, refuse)
+        monkeypatch.setattr(projection_data, "rational_hits", refuse)
         with pytest.raises(AssertionError, match="fast-path"):
             verify_thin_theorem(S3, ladder, samples)
         assert verify_thin_reference(S3, ladder, samples) == want
@@ -658,8 +676,8 @@ class TestTheorem:
                 Y = walk_one_level(Z, 1, ladder, w)
                 kinds.add("base" if Y == BASE_INDEX else "Z" if Y == Z
                           else "chain")
-            assert find_long_member(g, xi, S3, ladder) == \
-                find_long_member_reference(g, xi, S3, ladder)
+            assert in_fractions(g, S3, find_long_member(g, xi, S3, ladder)) \
+                == find_long_member_reference(g, xi, S3, ladder)
         assert kinds == {"base", "Z", "chain"}
 
     def test_rational_path_skips_enumeration(self, ladder, S3, monkeypatch):
@@ -691,6 +709,33 @@ class TestTheorem:
             calls.clear()
             assert find_long_member(g, xi, S3, ladder) is not None
             assert len(calls) == len(S3.elements)
+
+    def test_one_product_per_distinct_g(self, ladder, S3, monkeypatch):
+        # verification forms g s once per distinct g, in the disjointness
+        # sweep, and reads each certificate's enclosure once beyond those
+        # its certification reads
+        samples = seeded_pairs(61, 30)
+        calls = {"__mul__": 0, "_centre": 0, "_certify_yes": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(GroupElement, "__mul__",
+                            counted("__mul__", GroupElement.__mul__))
+        for name in ("_centre", "_certify_yes"):
+            monkeypatch.setattr(thin_cover, name,
+                                counted(name, getattr(thin_cover, name)))
+        rep = verify_thin_theorem(S3, ladder, samples)
+        members = rep.pairs_tested - rep.long_failures - \
+            rep.boundary_uncertain
+        distinct = len({g for g, _ in samples})
+        assert distinct < members
+        assert 0 < calls["__mul__"] <= distinct * len(S3.elements)
+        assert calls["_centre"] == \
+            calls["_certify_yes"] + members * len(S3.elements)
 
     def test_inflated_certificates_overlap(self, monkeypatch):
         # the disjointness sweep can fail: on the default thin sample the
@@ -756,20 +801,38 @@ class TestTheorem:
         assert rep.disjointness_failures == 0
 
 
-A, B = Horoball(0, 1), Horoball(1, 2)
+A, B, C = Horoball(0, 1), Horoball(1, 2), Horoball(1, 1)
+# S = {e}: each member's one certificate is of its own g; S = {e, GEN_S}:
+# a member at g = e or GEN_S has certificates at both of those translates
+ONE = FinitePart((IDENTITY,))
+TWO = FinitePart((IDENTITY, GEN_S))
+
+
+def member(Y, w, k, g=IDENTITY, i=1):
+    """A member at g with S = ONE: its certificate (w, k) at g, w a
+    Fraction (given as its pair) or a Surd, delta = 2^-(k+2)."""
+    return g, Y, i, [(_point(w), k)]
 
 
 def certificates():
-    """Hand-built members (Y, i, [(h, w, delta)]) with intervals of small
-    integer ends and widths, so that they touch and overlap often."""
+    """Hand-built members (g, Y, i, [(w, k) for s in TWO]) with points on a
+    grid of 1/4 (integer pairs), PHI or SQRT2 and steps k in 0..3, so that
+    their intervals touch and overlap often."""
     cert = st.tuples(
-        st.sampled_from([IDENTITY, GEN_S]),
-        st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
+        st.builds(lambda a, b: _point(Fraction(a, b)), st.integers(-8, 8),
+                  st.sampled_from([1, 2, 4]))
         | st.sampled_from([PHI, SQRT2]),
-        st.builds(Fraction, st.integers(1, 3), st.sampled_from([1, 2, 4, 8])))
+        st.integers(0, 3))
     return st.lists(st.tuples(
-        st.sampled_from([A, B, Horoball(1, 1)]), st.sampled_from([1, 2]),
-        st.lists(cert, max_size=2, unique_by=lambda c: c[0])), max_size=12)
+        st.sampled_from([IDENTITY, GEN_S]), st.sampled_from([A, B, C]),
+        st.sampled_from([1, 2]), st.lists(cert, min_size=2, max_size=2)),
+        max_size=12)
+
+
+def reference_overlaps(members, S):
+    """`overlaps_reference` on the members converted to Fractions."""
+    return overlaps_reference([in_fractions(g, S, got)
+                               for g, *got in members])
 
 
 class TestDisjointness:
@@ -778,35 +841,33 @@ class TestDisjointness:
 
     def test_touching_ends_overlap(self):
         # [-1/4, 1/4] and [1/4, 3/4] share 1/4
-        members = [(A, 1, [(IDENTITY, Fraction(0), Fraction(1, 4))]),
-                   (B, 1, [(IDENTITY, Fraction(1, 2), Fraction(1, 4))])]
-        assert list(_overlaps(members)) == [(1, IDENTITY, A)]
+        members = [member(A, 0, 0), member(B, Fraction(1, 2), 0)]
+        assert list(_overlaps(members, ONE)) == [(1, IDENTITY, A)]
         # the later left end is flagged, whatever the order given
-        assert list(_overlaps(members[::-1])) == [(0, IDENTITY, A)]
+        assert list(_overlaps(members[::-1], ONE)) == [(0, IDENTITY, A)]
 
     def test_same_member_may_overlap(self):
-        members = [(A, 1, [(IDENTITY, Fraction(0), Fraction(1, 2))]),
-                   (A, 1, [(IDENTITY, Fraction(1, 4), Fraction(1, 2))])]
-        assert list(_overlaps(members)) == []
-        # another member meets the second interval only
-        members.append((B, 1, [(IDENTITY, Fraction(1), Fraction(1, 4))]))
-        assert list(_overlaps(members)) == [(2, IDENTITY, A)]
+        # [-1/4, 1/4] and [-1/8, 3/8] both certify A
+        members = [member(A, 0, 0), member(A, Fraction(1, 8), 0)]
+        assert list(_overlaps(members, ONE)) == []
+        # another member meets the second interval only, at 3/8
+        members.append(member(B, Fraction(1, 2), 1))
+        assert list(_overlaps(members, ONE)) == [(2, IDENTITY, A)]
 
     def test_other_translate_or_level_never_overlaps(self):
-        members = [(A, 1, [(IDENTITY, Fraction(0), Fraction(1, 2))]),
-                   (B, 2, [(IDENTITY, Fraction(0), Fraction(1, 2))]),
-                   (B, 1, [(GEN_S, Fraction(0), Fraction(1, 2))])]
-        assert list(_overlaps(members)) == []
+        members = [member(A, 0, 0), member(B, 0, 0, i=2),
+                   member(B, 0, 0, g=GEN_S)]
+        assert list(_overlaps(members, ONE)) == []
 
     def test_exact_far_from_zero(self):
-        # at w = 10^6 the gap 2^-80 between [w - d, w + d], d = 2^-49, and
-        # the next interval is far below one ulp of w; touching is flagged
+        # at w = 10^6 the gap 2^-80 between [w - d, w + d], d = 2^-49 (k =
+        # 47), and the next interval is far below one ulp of w; touching
+        # is flagged
         w, d = Fraction(10 ** 6), Fraction(1, 2 ** 49)
         for gap, flagged in ((Fraction(1, 2 ** 80), False), (0, True)):
-            members = [(A, 1, [(IDENTITY, w, d)]),
-                       (B, 1, [(IDENTITY, w + 2 * d + gap, d)])]
+            members = [member(A, w, 47), member(B, w + 2 * d + gap, 47)]
             assert float(w + d) == float(w + d + gap)
-            assert bool(list(_overlaps(members))) == flagged
+            assert bool(list(_overlaps(members, ONE))) == flagged
 
     def test_surd_centre(self):
         # PHI enters with the inner interval [hi0 - 1/4, lo0 + 1/4] of its
@@ -820,16 +881,31 @@ class TestDisjointness:
         d = Fraction(1, 8)
         for left, flagged in ((lo0 + 2 * d, True), (hi0 + 2 * d, False),
                               (Fraction(15, 8), False)):
-            members = [(A, 1, [(IDENTITY, PHI, 2 * d)]),
-                       (B, 1, [(IDENTITY, left + d, d)])]
-            assert list(_overlaps(members)) == \
+            members = [member(A, PHI, 0), member(B, left + d, 1)]
+            assert list(_overlaps(members, ONE)) == \
                 ([(1, IDENTITY, A)] if flagged else [])
+
+    def test_rival_reaching_furthest_right(self):
+        # B on [0, 1/2], A on [1/32, 9/32], C on [1/16, 3/16] (the three
+        # overlapping members B on [0, 2], A on [1/8, 9/8], C on [1/4, 3/4]
+        # scaled by 1/4): C meets both, and B reaches further right than A,
+        # the rival of least (q, p)
+        members = [member(B, Fraction(1, 4), 0),
+                   member(A, Fraction(5, 32), 1),
+                   member(C, Fraction(1, 8), 2)]
+        want = [(1, IDENTITY, B), (2, IDENTITY, B)]
+        assert list(_overlaps(members, ONE)) == want
+        assert reference_overlaps(members, ONE) == want
+        # A on [1/4, 1/2] reaches as far as B: the tie names A, of least q
+        members[1:] = [member(A, Fraction(3, 8), 1),
+                       member(C, Fraction(5, 16), 2)]
+        want = [(1, IDENTITY, B), (2, IDENTITY, A)]
+        assert list(_overlaps(members, ONE)) == want
+        assert reference_overlaps(members, ONE) == want
 
     @settings(max_examples=200, deadline=None)
     @given(certificates())
     def test_sweep_equals_all_pairs(self, members):
-        want = overlaps_reference(members)
-        got = {(n, h): Yp for n, h, Yp in _overlaps(members)}
-        assert sorted(got, key=repr) == sorted(((n, h) for n, h, _ in want),
-                                               key=repr)
-        assert all(got[n, h] in rivals for n, h, rivals in want)
+        # the same certificates flagged, each naming the same rival
+        assert sorted(_overlaps(members, TWO), key=repr) == \
+            sorted(reference_overlaps(members, TWO), key=repr)
